@@ -12,8 +12,6 @@ Run it from the repository root:
     python demos/demo_path_growth.py
 """
 
-import math
-
 import venroute as v
 
 # ---------------------------------------------------------------------------
@@ -21,8 +19,7 @@ import venroute as v
 # ---------------------------------------------------------------------------
 print("n   f(n)        (n-1)! * e")
 for n in range(1, 11):
-    bound = math.factorial(n - 1) * math.e
-    print(f"{n:<3} {v.f_bound(n):<11} {bound:.1f}")
+    print(f"{n:<3} {v.f_bound(n):<11} {v.f_closed_bound(n):.1f}")
 print()
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,7 @@ from .energy import (
     build_energy_path,
     make_plan,
     path_loss,
-    plan_fractions,
     plan_totals,
-    propagation_delay,
-    rate_cap,
     transferable_energy,
 )
 from .errors import (
@@ -56,7 +53,6 @@ from .rateopt import (
     LossMinProblem,
     LpSolution,
     build_lp,
-    export_lp,
     max_deliverable,
     solve_min_loss,
 )

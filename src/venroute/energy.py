@@ -7,6 +7,7 @@ charge-discharge cycle with combined efficiency z = z_c * z_d.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -24,10 +25,10 @@ class EnergyParams:
     def __post_init__(self):
         if not (0.0 <= self.charge_eff <= 1.0 and 0.0 <= self.discharge_eff <= 1.0):
             raise DomainError("efficiencies must lie in [0, 1]")
-        if self.packet_kwh <= 0.0:
-            raise DomainError("packet size must be positive")
-        if self.window_s <= 0.0:
-            raise DomainError("transfer window must be positive")
+        if not (0.0 < self.packet_kwh < math.inf):
+            raise DomainError("packet size must be positive and finite")
+        if not (0.0 < self.window_s < math.inf):
+            raise DomainError("transfer window must be positive and finite")
 
     @property
     def efficiency(self) -> float:
@@ -110,18 +111,8 @@ def build_energy_path(
     )
 
 
-def propagation_delay(path: EnergyPath, network: VehicularNetwork) -> float:
-    """Travel time of the first energy packet: sum of arc delays along the path."""
-    return sum(network.arc_by_id[a].delay_s for a in path.arc_ids)
-
-
-def rate_cap(params: EnergyParams, segment_flows: Sequence[float]) -> float:
-    """Largest admissible transmission rate: packet size times the minimum segment flow."""
-    return params.packet_kwh * min(segment_flows)
-
-
-def transferable_energy(path: EnergyPath, params: EnergyParams, rate: float) -> float:
-    """Energy deliverable in the window at the given rate.
+def window_cap(path: EnergyPath, params: EnergyParams) -> float:
+    """Capacity coefficient (T - d) z^|p| multiplying the rate.
 
     Paths whose propagation delay meets or exceeds the window have zero
     capacity (they are included and ignored rather than rejected).
@@ -129,7 +120,12 @@ def transferable_energy(path: EnergyPath, params: EnergyParams, rate: float) -> 
     usable = params.window_s - path.delay_s
     if usable <= 0.0:
         return 0.0
-    return usable * params.efficiency**path.cycles * rate
+    return usable * params.efficiency**path.cycles
+
+
+def transferable_energy(path: EnergyPath, params: EnergyParams, rate: float) -> float:
+    """Energy deliverable in the window at the given rate."""
+    return window_cap(path, params) * rate
 
 
 def path_loss(delivered_kwh: float, cycles: int, efficiency: float) -> float:
@@ -179,11 +175,3 @@ def plan_totals(plan: TransmissionPlan) -> tuple[float, float]:
     delivered = sum(e.delivered_kwh for e in plan.entries)
     loss = sum(path_loss(e.delivered_kwh, e.path.cycles, z) for e in plan.entries)
     return delivered, loss
-
-
-def plan_fractions(plan: TransmissionPlan) -> tuple[float, ...]:
-    """Per-path share of the delivered total; empty when nothing is delivered."""
-    delivered, _ = plan_totals(plan)
-    if delivered <= 0.0:
-        return ()
-    return tuple(e.delivered_kwh / delivered for e in plan.entries)

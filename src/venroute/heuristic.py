@@ -9,7 +9,7 @@ zero. The final path carries only the residual energy at a reduced rate.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping, Sequence
@@ -20,15 +20,20 @@ from .energy import (
     TransmissionPlan,
     build_energy_path,
     make_plan,
+    plan_totals,
+    window_cap,
 )
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 from .network import (
     AccessibilityGraph,
     Junction,
     RouteId,
     VehicularNetwork,
     VehicularRoute,
+    adjacency,
+    bfs_levels,
     build_accessibility_graph,
+    hops_to,
 )
 
 FLOW_EPS = 1e-12
@@ -48,39 +53,20 @@ class HeuristicResult:
         object.__setattr__(self, "paths_used", len(self.plan.entries))
 
 
-def _bfs_levels(
-    succ: Mapping[Junction, Sequence[Junction]], start: Junction
-) -> dict[Junction, int]:
-    dist = {start: 0}
-    q = deque([start])
-    while q:
-        u = q.popleft()
-        for v in succ.get(u, ()):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                q.append(v)
-    return dist
-
-
 def _shortest_dag(
     accessibility: AccessibilityGraph, s: Junction, t: Junction
-) -> tuple[dict[Junction, list[Junction]], int] | None:
+) -> tuple[dict[Junction, tuple[Junction, ...]], int] | None:
     """Arcs lying on some fewest-hop s-t sequence, as an adjacency map."""
-    succ = accessibility.successors
-    pred: dict[Junction, list[Junction]] = {}
-    for (i, j) in accessibility.arcs:
-        pred.setdefault(j, []).append(i)
-    dist_s = _bfs_levels(succ, s)
-    dist_t = _bfs_levels(pred, t)
+    dist_s = bfs_levels(accessibility.successors, s)
     if t not in dist_s:
         return None
+    dist_t = hops_to(accessibility.arcs, t)
     hops = dist_s[t]
-    dag: dict[Junction, list[Junction]] = {}
-    for (i, j) in accessibility.arcs:
-        if i in dist_s and j in dist_t and dist_s[i] + 1 + dist_t[j] == hops:
-            dag.setdefault(i, []).append(j)
-    for i in dag:
-        dag[i].sort()
+    dag = adjacency(
+        (i, j)
+        for (i, j) in accessibility.arcs
+        if i in dist_s and j in dist_t and dist_s[i] + 1 + dist_t[j] == hops
+    )
     return dag, hops
 
 
@@ -96,7 +82,7 @@ def _arc_weight(
 def _widest_sequence(
     accessibility: AccessibilityGraph,
     flows: Mapping[RouteId, float],
-    dag: Mapping[Junction, list[Junction]],
+    dag: Mapping[Junction, Sequence[Junction]],
     s: Junction,
     t: Junction,
 ) -> tuple[Junction, ...]:
@@ -133,7 +119,7 @@ def _widest_sequence(
                 u = v
                 break
         else:  # pragma: no cover - layered DAG always admits a continuation
-            raise AssertionError("widest-path walk got stuck")
+            raise ConsistencyError("widest-path walk got stuck")
     return tuple(seq)
 
 
@@ -170,13 +156,13 @@ def _assign_routes(
 
 
 def _all_min_hop_sequences(
-    dag: Mapping[Junction, list[Junction]], s: Junction, t: Junction, cap: int
+    dag: Mapping[Junction, Sequence[Junction]], s: Junction, t: Junction, cap: int
 ) -> list[tuple[Junction, ...]]:
     out: list[tuple[Junction, ...]] = []
     stack = [(s, (s,))]
     while stack and len(out) < cap:
         u, seq = stack.pop()
-        for v in reversed(dag.get(u, [])):
+        for v in reversed(dag.get(u, ())):
             if v == t:
                 out.append(seq + (t,))
             else:
@@ -243,13 +229,11 @@ def heuristic_min_loss(
     Returns a partial plan and an infeasibility verdict (not an exception)
     when the remaining routes cannot meet the target.
     """
-    if target_kwh < 0.0:
-        raise DomainError("energy target must be nonnegative")
+    if not (0.0 <= target_kwh < math.inf):
+        raise DomainError("energy target must be finite and nonnegative")
     if s == t or s not in network.junctions or t not in network.junctions:
         raise DomainError("source and destination must be distinct junctions")
     w = params.packet_kwh
-    z = params.efficiency
-    routes_by_id = {r.route_id: r for r in routes}
 
     work: dict[RouteId, tuple[tuple[str, ...], float]] = {
         r.route_id: (r.arcs, r.flow) for r in routes
@@ -285,8 +269,7 @@ def heuristic_min_loss(
             s,
             t,
         )
-        usable = params.window_s - path.delay_s
-        cap_coeff = usable * z**path.cycles if usable > 0.0 else 0.0
+        cap_coeff = window_cap(path, params)
         g = w * delta
         x = cap_coeff * g
         if delivered + x < target_kwh:
@@ -303,21 +286,17 @@ def heuristic_min_loss(
                 work[rid] = (arcs, flow)
             continue
         residual = target_kwh - delivered
-        assert cap_coeff > 0.0, "residual path must have usable window"
+        if cap_coeff <= 0.0:
+            raise ConsistencyError("residual path has no usable window")
         g_last = residual / cap_coeff
-        assert g_last <= g + 1e-9, "reduced rate exceeds the bottleneck rate"
+        if g_last > g + 1e-9:
+            raise ConsistencyError("reduced rate exceeds the bottleneck rate")
         entries.append(PlanEntry(path=path, rate=g_last, delivered_kwh=residual))
         delivered = target_kwh
         plan = make_plan(entries, params)
-        _, loss = _totals(plan)
+        _, loss = plan_totals(plan)
         return HeuristicResult("success", plan, delivered, loss)
 
     plan = make_plan(entries, params)
-    _, loss = _totals(plan)
+    _, loss = plan_totals(plan)
     return HeuristicResult("infeasible", plan, delivered, loss)
-
-
-def _totals(plan: TransmissionPlan) -> tuple[float, float]:
-    from .energy import plan_totals
-
-    return plan_totals(plan)

@@ -9,7 +9,7 @@ which routes realize the arc and with which sub-route.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -19,6 +19,44 @@ from .errors import DomainError, StructuralError
 Junction = str
 ArcId = str
 RouteId = str
+
+
+def adjacency(
+    pairs: Iterable[tuple[Junction, Junction]], nodes: Iterable[Junction] = ()
+) -> dict[Junction, tuple[Junction, ...]]:
+    """Sorted neighbour tuples per tail of ``pairs``; each of ``nodes`` maps to at least ()."""
+    out: dict[Junction, list[Junction]] = {j: [] for j in nodes}
+    for i, j in pairs:
+        out.setdefault(i, []).append(j)
+    return {i: tuple(sorted(v)) for i, v in out.items()}
+
+
+def bfs_levels(
+    adj: Mapping[Junction, Iterable[Junction]], start: Junction
+) -> dict[Junction, int]:
+    """Hop count from ``start`` to every junction it reaches along ``adj``."""
+    dist = {start: 0}
+    frontier = [start]
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        for u in frontier:
+            for v in adj.get(u, ()):
+                if v not in dist:
+                    dist[v] = level
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def hops_to(arcs: Iterable[tuple[Junction, Junction]], t: Junction) -> dict[Junction, int]:
+    """Hop count to ``t`` over the arcs, for every junction that can reach ``t``."""
+    # hop counts do not depend on neighbour order, so the map is left unsorted
+    preds: dict[Junction, list[Junction]] = {}
+    for i, j in arcs:
+        preds.setdefault(j, []).append(i)
+    return bfs_levels(preds, t)
 
 
 @dataclass(frozen=True)
@@ -72,17 +110,11 @@ class VehicularNetwork:
 
     @cached_property
     def successors(self) -> Mapping[Junction, tuple[Junction, ...]]:
-        out: dict[Junction, list[Junction]] = {j: [] for j in self.junctions}
-        for a in self.arcs:
-            out[a.tail].append(a.head)
-        return {j: tuple(sorted(v)) for j, v in out.items()}
+        return adjacency(((a.tail, a.head) for a in self.arcs), self.junctions)
 
     @cached_property
     def predecessors(self) -> Mapping[Junction, tuple[Junction, ...]]:
-        inc: dict[Junction, list[Junction]] = {j: [] for j in self.junctions}
-        for a in self.arcs:
-            inc[a.head].append(a.tail)
-        return {j: tuple(sorted(v)) for j, v in inc.items()}
+        return adjacency(((a.head, a.tail) for a in self.arcs), self.junctions)
 
     def delay(self, arc_id: ArcId) -> float:
         try:
@@ -123,15 +155,9 @@ class AccessibilityGraph:
         repr=False
     )
 
-    def index_set(self, i: Junction, j: Junction) -> frozenset[RouteId]:
-        return frozenset(self.segments[(i, j)])
-
     @cached_property
     def successors(self) -> Mapping[Junction, tuple[Junction, ...]]:
-        out: dict[Junction, list[Junction]] = {}
-        for (i, j) in self.arcs:
-            out.setdefault(i, []).append(j)
-        return {i: tuple(sorted(v)) for i, v in out.items()}
+        return adjacency(self.arcs)
 
 
 def _check_connected(network: VehicularNetwork, route_id: RouteId, arcs: Sequence[ArcId]) -> None:
@@ -181,12 +207,15 @@ def normalize_routes(
     loop entry and the suffix after the loop exit become separate routes, each
     inheriting the original flow. Split pieces stay adjacent in the output and
     get ids ``<orig>.1``, ``<orig>.2``, ... Already loop-free routes pass
-    through unchanged (idempotent).
+    through unchanged (idempotent). Output ids must be unique, so a split
+    piece may not collide with another route's id.
     """
     out: list[VehicularRoute] = []
     for r in routes:
-        if r.flow < 0:
-            raise StructuralError(f"route {r.route_id!r}: negative flow {r.flow}")
+        if not (0.0 <= r.flow < math.inf):
+            raise StructuralError(
+                f"route {r.route_id!r}: flow must be finite and nonnegative, got {r.flow}"
+            )
         _check_connected(network, r.route_id, r.arcs)
         pieces = _split_loops(network, r.arcs)
         if pieces == [r.arcs]:
@@ -196,6 +225,11 @@ def normalize_routes(
         else:
             for k, piece in enumerate(pieces, start=1):
                 out.append(VehicularRoute(f"{r.route_id}.{k}", piece, r.flow))
+    seen: set[RouteId] = set()
+    for r in out:
+        if r.route_id in seen:
+            raise StructuralError(f"duplicate route id {r.route_id!r}")
+        seen.add(r.route_id)
     return tuple(out)
 
 
@@ -239,15 +273,7 @@ def prune_unreachable(
     """
     if t not in network.junctions:
         raise DomainError(f"destination {t!r} is not a junction")
-    reached = {t}
-    frontier = deque([t])
-    while frontier:
-        j = frontier.popleft()
-        for pred in network.predecessors[j]:
-            if pred not in reached:
-                reached.add(pred)
-                frontier.append(pred)
-    blocked = frozenset(network.junctions - reached)
+    blocked = network.junctions.difference(bfs_levels(network.predecessors, t))
     pruned = frozenset((i, j) for (i, j) in accessibility.arcs if j not in blocked)
     return pruned, blocked
 

@@ -23,6 +23,8 @@ from .network import (
     RouteId,
     VehicularNetwork,
     VehicularRoute,
+    adjacency,
+    hops_to,
 )
 
 DEFAULT_CAP = 10**6
@@ -55,35 +57,6 @@ def f_closed_bound(n: int) -> float:
     return math.factorial(n - 1) * math.e
 
 
-def _successor_map(
-    arcs: Iterable[tuple[Junction, Junction]]
-) -> dict[Junction, tuple[Junction, ...]]:
-    out: dict[Junction, list[Junction]] = {}
-    for i, j in arcs:
-        out.setdefault(i, []).append(j)
-    return {i: tuple(sorted(v)) for i, v in out.items()}
-
-
-def _hops_to(
-    arcs: Iterable[tuple[Junction, Junction]], t: Junction
-) -> dict[Junction, int]:
-    """BFS hop count to t over the arcs, for every junction that can reach t."""
-    preds: dict[Junction, list[Junction]] = {}
-    for i, j in arcs:
-        preds.setdefault(j, []).append(i)
-    dist = {t: 0}
-    frontier = [t]
-    while frontier:
-        nxt = []
-        for j in frontier:
-            for i in preds.get(j, ()):
-                if i not in dist:
-                    dist[i] = dist[j] + 1
-                    nxt.append(i)
-        frontier = nxt
-    return dist
-
-
 def enumerate_sequences(
     pruned_arcs: frozenset[tuple[Junction, Junction]] | set[tuple[Junction, Junction]],
     s: Junction,
@@ -99,8 +72,8 @@ def enumerate_sequences(
         raise DomainError("source and destination must differ")
     # Restricting to junctions that can still reach t changes nothing in the
     # output but avoids growing dead-end frontiers.
-    live = set(_hops_to(pruned_arcs, t))
-    succ = _successor_map((i, j) for (i, j) in pruned_arcs if i in live and j in live)
+    live = hops_to(pruned_arcs, t)
+    succ = adjacency((i, j) for (i, j) in pruned_arcs if i in live and j in live)
     frontier: list[JunctionSequence] = [(s,)]
     done: list[JunctionSequence] = []
     while frontier:
@@ -162,10 +135,10 @@ def expand_to_paths(
             paths.append(path)
             if len(paths) > cap:
                 raise EnumerationCapError(f"path expansion exceeded the cap of {cap}")
-            if __debug__:
-                key = path.sort_key()
-                assert key not in keys, "duplicate energy path produced"
-                keys.add(key)
+            key = path.sort_key()
+            if key in keys:
+                raise ConsistencyError(f"duplicate energy path produced: {key}")
+            keys.add(key)
     paths.sort(key=EnergyPath.sort_key)
     source = sequences[0][0] if sequences else ""
     dest = sequences[0][-1] if sequences else ""
@@ -268,8 +241,8 @@ def enumerate_bounded(
     if s == t:
         raise DomainError("source and destination must differ")
     routes_by_id = {r.route_id: r for r in routes}
-    hops = _hops_to(pruned_arcs, t)
-    succ = _successor_map((i, j) for (i, j) in pruned_arcs if i in hops and j in hops)
+    hops = hops_to(pruned_arcs, t)
+    succ = adjacency((i, j) for (i, j) in pruned_arcs if i in hops and j in hops)
     rng = random.Random(seed)
     per_seq_cap = max(1, limit // 8)
     paths: list[EnergyPath] = []

@@ -8,16 +8,16 @@ its total flow, and require the delivered total to meet the energy target.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from . import energy as en
-from .energy import EnergyParams, EnergyPath, PlanEntry, TransmissionPlan
+from .energy import EnergyParams, PlanEntry, TransmissionPlan, make_plan
+from .energy import window_cap as _window_cap
 from .errors import DomainError, SolverError
 from .network import VehicularNetwork, VehicularRoute, arc_flow
 from .pathenum import PathSet
@@ -37,8 +37,8 @@ class LossMinProblem:
     target_kwh: float
 
     def __post_init__(self):
-        if self.target_kwh < 0.0:
-            raise DomainError("energy target must be nonnegative")
+        if not (0.0 <= self.target_kwh < math.inf):
+            raise DomainError("energy target must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,6 @@ class LpInstance:
     a_ub: sparse.csr_matrix
     b_ub: np.ndarray
     bounds: tuple[tuple[float, float | None], ...]
-    row_labels: tuple[str, ...]
-    var_labels: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -64,15 +62,8 @@ class LpSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _window_cap(path: EnergyPath, params: EnergyParams) -> float:
-    """Capacity coefficient (T - d) z^|p| multiplying the rate; zero past the window."""
-    usable = params.window_s - path.delay_s
-    if usable <= 0.0:
-        return 0.0
-    return usable * params.efficiency**path.cycles
-
-
 def build_lp(problem: LossMinProblem) -> LpInstance:
+    """Assemble the LP; rows are ordered caps, segments, shared arcs, target."""
     paths = problem.paths.paths
     params = problem.params
     w = params.packet_kwh
@@ -84,49 +75,37 @@ def build_lp(problem: LossMinProblem) -> LpInstance:
     for j, p in enumerate(paths):
         c[j] = 1.0 / z**p.cycles - 1.0 if z > 0 else 0.0
 
-    rows: list[tuple[dict[int, float], float, str]] = []
+    caps = [_window_cap(p, params) for p in paths]
+    rows: list[tuple[dict[int, float], float]] = []
     # window capacity: x_j - cap_j * g_j <= 0
-    for j, p in enumerate(paths):
-        rows.append(({j: 1.0, m + j: -_window_cap(p, params)}, 0.0, f"cap_p{j}"))
+    for j, cap in enumerate(caps):
+        rows.append(({j: 1.0, m + j: -cap}, 0.0))
     # per-segment flow: g_j <= w * f_i^j
     for j, p in enumerate(paths):
-        for i, (rid, _, _) in enumerate(p.segments):
-            rows.append(({m + j: 1.0}, w * routes_by_id[rid].flow, f"seg_p{j}_s{i}"))
+        for rid, _, _ in p.segments:
+            rows.append(({m + j: 1.0}, w * routes_by_id[rid].flow))
     # shared-arc coupling: sum_j g_j / w <= h_a for each road arc used
     used_arcs = sorted({a for p in paths for a in p.arc_ids})
     for a in used_arcs:
         coeffs = {m + j: 1.0 / w for j, p in enumerate(paths) if a in p.arc_ids}
-        rows.append((coeffs, arc_flow(problem.network, problem.routes, a), f"arc_{a}"))
+        rows.append((coeffs, arc_flow(problem.network, problem.routes, a)))
     # delivery target: -sum x_j <= -target
-    rows.append(({j: -1.0 for j in range(m)}, -problem.target_kwh, "target"))
+    rows.append(({j: -1.0 for j in range(m)}, -problem.target_kwh))
 
     data, ri, ci = [], [], []
     b_ub = np.empty(len(rows))
-    labels = []
-    for k, (coeffs, rhs, label) in enumerate(rows):
+    for k, (coeffs, rhs) in enumerate(rows):
         for col, val in coeffs.items():
             ri.append(k)
             ci.append(col)
             data.append(val)
         b_ub[k] = rhs
-        labels.append(label)
     a_ub = sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), 2 * m))
 
-    bounds: list[tuple[float, float | None]] = []
-    for p in paths:
-        # paths past the window carry nothing, but stay in the instance
-        bounds.append((0.0, 0.0) if _window_cap(p, params) == 0.0 else (0.0, None))
+    # paths past the window carry nothing, but stay in the instance
+    bounds = [(0.0, 0.0) if cap == 0.0 else (0.0, None) for cap in caps]
     bounds.extend((0.0, None) for _ in paths)
-
-    var_labels = tuple(f"x{j}" for j in range(m)) + tuple(f"g{j}" for j in range(m))
-    return LpInstance(
-        c=c,
-        a_ub=a_ub,
-        b_ub=b_ub,
-        bounds=tuple(bounds),
-        row_labels=tuple(labels),
-        var_labels=var_labels,
-    )
+    return LpInstance(c=c, a_ub=a_ub, b_ub=b_ub, bounds=tuple(bounds))
 
 
 def _run_linprog(c, lp: LpInstance, extra_rows=None, extra_rhs=None, fixed=None):
@@ -150,22 +129,19 @@ def _run_linprog(c, lp: LpInstance, extra_rows=None, extra_rhs=None, fixed=None)
 
 def _lexicographic_refine(lp: LpInstance, m: int, best_obj: float) -> np.ndarray:
     """Among optima, maximize x_j path by path in canonical order."""
-    obj_row = np.concatenate([lp.c[: 2 * m]])
     fixed: dict[int, float] = {}
     rhs = best_obj + 1e-9
-    x = None
     for j in range(m):
         goal = np.zeros(2 * m)
         goal[j] = -1.0  # maximize x_j
-        res = _run_linprog(goal, lp, extra_rows=obj_row, extra_rhs=rhs, fixed=fixed)
+        res = _run_linprog(goal, lp, extra_rows=lp.c, extra_rhs=rhs, fixed=fixed)
         if res.status != 0:
             raise SolverError(f"tie-break pass failed at path {j}: {res.message}")
         fixed[j] = float(res.x[j])
-        x = res.x
     # settle the rates deterministically: smallest total g among remaining optima
     goal = np.zeros(2 * m)
     goal[m:] = 1.0
-    res = _run_linprog(goal, lp, extra_rows=obj_row, extra_rhs=rhs, fixed=fixed)
+    res = _run_linprog(goal, lp, extra_rows=lp.c, extra_rhs=rhs, fixed=fixed)
     if res.status != 0:
         raise SolverError(f"tie-break rate pass failed: {res.message}")
     return res.x
@@ -181,7 +157,7 @@ def solve_min_loss(problem: LossMinProblem, tie_break: bool = False) -> LpSoluti
     paths = problem.paths.paths
     if not paths:
         if problem.target_kwh <= 0.0:
-            plan = en.make_plan([], problem.params)
+            plan = make_plan([], problem.params)
             return LpSolution("optimal", plan, 0.0, {"iterations": 0})
         return LpSolution("infeasible", None, None, {})
     lp = build_lp(problem)
@@ -201,7 +177,7 @@ def solve_min_loss(problem: LossMinProblem, tie_break: bool = False) -> LpSoluti
         PlanEntry(path=p, rate=max(0.0, float(x[m + j])), delivered_kwh=max(0.0, float(x[j])))
         for j, p in enumerate(paths)
     ]
-    plan = en.make_plan(entries, problem.params)
+    plan = make_plan(entries, problem.params)
     residual = float(np.max(lp.a_ub @ x - lp.b_ub)) if lp.b_ub.size else 0.0
     diagnostics = {
         "iterations": int(getattr(res, "nit", 0)),
@@ -216,14 +192,7 @@ def max_deliverable(problem: LossMinProblem) -> float:
     paths = problem.paths.paths
     if not paths:
         return 0.0
-    relaxed = LossMinProblem(
-        paths=problem.paths,
-        params=problem.params,
-        network=problem.network,
-        routes=problem.routes,
-        target_kwh=0.0,
-    )
-    lp = build_lp(relaxed)
+    lp = build_lp(replace(problem, target_kwh=0.0))
     goal = np.zeros(2 * len(paths))
     goal[: len(paths)] = -1.0
     res = _run_linprog(goal, lp)
@@ -231,35 +200,3 @@ def max_deliverable(problem: LossMinProblem) -> float:
         raise SolverError(f"capacity LP failure: {res.message}")
     return float(-res.fun)
 
-
-def export_lp(problem: LossMinProblem) -> str:
-    """Render the instance in CPLEX LP text format for external cross-checks."""
-    lp = build_lp(problem)
-    a = lp.a_ub.tocoo()
-    by_row: dict[int, list[tuple[int, float]]] = {}
-    for r, c_idx, v in zip(a.row, a.col, a.data):
-        by_row.setdefault(int(r), []).append((int(c_idx), float(v)))
-
-    def term(col: int, coef: float, first: bool) -> str:
-        name = lp.var_labels[col]
-        sign = "" if first and coef >= 0 else ("+ " if coef >= 0 else "- ")
-        return f"{sign}{abs(coef):.12g} {name}"
-
-    lines = ["Minimize", " obj:"]
-    obj_terms = [
-        term(j, lp.c[j], j == 0) for j in range(len(lp.c)) if lp.c[j] != 0.0
-    ] or ["0 " + lp.var_labels[0]]
-    lines[-1] += " " + " ".join(obj_terms)
-    lines.append("Subject To")
-    for k, label in enumerate(lp.row_labels):
-        terms = sorted(by_row.get(k, []))
-        body = " ".join(term(col, coef, idx == 0) for idx, (col, coef) in enumerate(terms))
-        lines.append(f" {label}: {body} <= {lp.b_ub[k]:.12g}")
-    lines.append("Bounds")
-    for name, (lo, hi) in zip(lp.var_labels, lp.bounds):
-        if hi is None:
-            lines.append(f" {name} >= {lo:.12g}")
-        else:
-            lines.append(f" {lo:.12g} <= {name} <= {hi:.12g}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .energy import EnergyParams
 from .errors import DomainError
-from .network import Junction, VehicularNetwork, VehicularRoute
+from .network import Junction, VehicularNetwork, VehicularRoute, bfs_levels
 
 DEFAULT_PARAMS = EnergyParams(packet_kwh=1.0, charge_eff=0.9, discharge_eff=1.0, window_s=18000.0)
 
@@ -43,9 +43,6 @@ class Scenario:
             for a in r.arcs:
                 if a not in self.network.arc_by_id:
                     raise DomainError(f"route {r.route_id!r} references unknown arc {a!r}")
-
-    def with_target(self, target_kwh: float | None) -> "Scenario":
-        return replace(self, target_kwh=target_kwh)
 
 
 def _draw_flow(rng: random.Random, flow_spec: FlowSpec) -> float:
@@ -211,23 +208,9 @@ def _pick_connected_pair(rng: random.Random, network: VehicularNetwork) -> tuple
     junctions = sorted(network.junctions)
     for _ in range(200):
         s, t = rng.sample(junctions, 2)
-        if _reaches(network, s, t):
+        if t in bfs_levels(network.successors, s):
             return s, t
     return junctions[0], junctions[-1]
-
-
-def _reaches(network: VehicularNetwork, s: str, t: str) -> bool:
-    seen = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        if u == t:
-            return True
-        for v in network.successors[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return False
 
 
 def generate_corridor(

@@ -1,4 +1,4 @@
-"""Energy quantities: delay, rate caps, window capacity, loss, and plans."""
+"""Energy quantities: delay, window capacity, loss, and plans."""
 
 import pytest
 
@@ -13,10 +13,7 @@ from venroute import (
     build_energy_path,
     make_plan,
     path_loss,
-    plan_fractions,
     plan_totals,
-    propagation_delay,
-    rate_cap,
     transferable_energy,
 )
 
@@ -49,6 +46,10 @@ class TestParams:
             dict(packet_kwh=1.0, charge_eff=1.1, discharge_eff=1.0, window_s=1.0),
             dict(packet_kwh=1.0, charge_eff=0.9, discharge_eff=-0.1, window_s=1.0),
             dict(packet_kwh=1.0, charge_eff=0.9, discharge_eff=1.0, window_s=0.0),
+            dict(packet_kwh=float("nan"), charge_eff=0.9, discharge_eff=1.0, window_s=1.0),
+            dict(packet_kwh=float("inf"), charge_eff=0.9, discharge_eff=1.0, window_s=1.0),
+            dict(packet_kwh=1.0, charge_eff=0.9, discharge_eff=1.0, window_s=float("nan")),
+            dict(packet_kwh=1.0, charge_eff=0.9, discharge_eff=1.0, window_s=float("inf")),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -117,14 +118,8 @@ def two_cycle_path():
 
 class TestQuantities:
     def test_propagation_delay_sums_arc_delays(self):
-        net, p = two_cycle_path()
-        assert propagation_delay(p, net) == pytest.approx(1800.0)
-        assert propagation_delay(p, net) == pytest.approx(p.delay_s)
-
-    def test_rate_cap_packet_times_min_flow(self):
-        assert rate_cap(PARAMS, [0.2, 0.1]) == pytest.approx(0.1)
-        big = EnergyParams(2.0, 0.9, 1.0, 18000.0)
-        assert rate_cap(big, [0.2, 0.1]) == pytest.approx(0.2)
+        _, p = two_cycle_path()
+        assert p.delay_s == pytest.approx(1800.0)
 
     def test_transferable_energy_formula(self):
         _, p = two_cycle_path()
@@ -199,12 +194,10 @@ class TestPlans:
         assert delivered == pytest.approx(300.0)
         # 100 kWh at 2 cycles + 200 kWh at 3 cycles, z = 0.9
         assert loss == pytest.approx(97.805, abs=1e-3)
-        assert plan_fractions(plan) == pytest.approx((1 / 3, 2 / 3))
 
     def test_empty_plan(self):
         plan = make_plan([], PARAMS)
         assert plan_totals(plan) == (0.0, 0.0)
-        assert plan_fractions(plan) == ()
 
     def test_over_cap_entry_rejected(self):
         _, p = two_cycle_path()

@@ -122,6 +122,19 @@ class TestCli:
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["I", "III"])
+    @pytest.mark.parametrize("target", ["nan", "inf"])
+    def test_non_finite_target_is_an_error(self, tmp_path, capsys, method, target):
+        scen = tmp_path / "grid.txt"
+        main(["gen-grid", "--seed", "4", "--flow", "const:0.1", "--out", str(scen)])
+        code = main([
+            "solve", "--scenario", str(scen), "--method", method,
+            "--target", target, "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_enumerate_full_and_bounded(self, tmp_path):
         scen = tmp_path / "grid.txt"
         main(["gen-grid", "--seed", "4", "--flow", "const:0.1", "--out", str(scen)])

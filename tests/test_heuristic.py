@@ -145,6 +145,12 @@ class TestHeuristic:
         with pytest.raises(DomainError):
             heuristic_min_loss(network, list(routes), params, 1.0, "ghost", t)
 
+    @pytest.mark.parametrize("target", [float("nan"), float("inf")])
+    def test_non_finite_target_rejected(self, target):
+        network, routes, params, s, t = parallel_paths_instance()
+        with pytest.raises(DomainError):
+            heuristic_min_loss(network, list(routes), params, target, s, t)
+
     def test_loss_replays_through_plan_totals(self):
         network, routes, params, s, t = parallel_paths_instance()
         for target in (50.0, 300.0, 1000.0, 2500.0):

@@ -87,6 +87,27 @@ class TestRoutes:
         with pytest.raises(StructuralError):
             normalize_routes(net, [VehicularRoute("r", ("a0",), -0.1)])
 
+    @pytest.mark.parametrize("flow", [float("nan"), float("inf")])
+    def test_non_finite_flow_rejected(self, flow):
+        net = line_network()
+        with pytest.raises(StructuralError):
+            normalize_routes(net, [VehicularRoute("r", ("a0",), flow)])
+
+    def test_duplicate_route_id_rejected(self):
+        net = line_network()
+        routes = [VehicularRoute("r", ("a0",), 0.1), VehicularRoute("r", ("a1",), 0.2)]
+        with pytest.raises(StructuralError, match="duplicate route id"):
+            normalize_routes(net, routes)
+
+    def test_split_piece_colliding_with_route_id_rejected(self):
+        net = looped_network()
+        routes = [
+            VehicularRoute("r1", ("rp", "pq", "qp", "pq"), 0.1),  # r1.1 and r1.2
+            VehicularRoute("r1.1", ("qr",), 0.2),
+        ]
+        with pytest.raises(StructuralError, match="duplicate route id"):
+            normalize_routes(net, routes)
+
 
 def looped_network():
     junctions = ["p", "q", "r"]
@@ -147,7 +168,7 @@ class TestAccessibilityGraph:
             ("n1", "n3"),
             ("n2", "n3"),
         }
-        assert acc.index_set("n1", "n2") == {"r1", "r2"}
+        assert set(acc.segments[("n1", "n2")]) == {"r1", "r2"}
         # 1-based inclusive sub-route arc indices
         assert acc.segments[("n0", "n2")]["r1"] == (1, 2)
         assert acc.segments[("n1", "n3")]["r2"] == (1, 2)

@@ -1,11 +1,15 @@
 """Scenario generators and the text file format."""
 
+import dataclasses
+
 import pytest
 
 from venroute import (
     DomainError,
     ScenarioFormatError,
     Scenario,
+    StructuralError,
+    VehicularRoute,
     dumps_scenario,
     generate_corridor,
     generate_grid,
@@ -14,6 +18,7 @@ from venroute import (
     load_scenario,
     save_scenario,
 )
+from venroute.experiments import prepare
 from venroute.scenarios import DEFAULT_PARAMS
 
 
@@ -84,16 +89,11 @@ class TestGenerators:
                 destination="j4",
             )
 
-    def test_with_target(self):
-        sc = generate_grid(2, 2, 10.0, 60.0, 3, ("const", 0.1), seed=0)
-        assert sc.target_kwh is None
-        assert sc.with_target(12.5).target_kwh == 12.5
-
 
 class TestFileFormat:
     def test_round_trip_identity(self, tmp_path):
         sc = generate_grid(3, 3, 10.0, 60.0, 8, ("uniform", 0.1, 0.3), seed=3)
-        sc = sc.with_target(42.0)
+        sc = dataclasses.replace(sc, target_kwh=42.0)
         path = tmp_path / "scenario.txt"
         save_scenario(sc, path)
         loaded = load_scenario(path)
@@ -152,6 +152,27 @@ class TestFileFormat:
         with pytest.raises(ScenarioFormatError) as err:
             loads_scenario(text)
         assert needle in str(err.value)
+
+    def test_non_finite_flow_in_file_rejected(self):
+        text = (
+            "[meta]\nname = d\nseed = 0\n"
+            "[params]\nw_kwh = 1.0\nzc = 0.9\nzd = 1.0\nT_s = 18000.0\n"
+            "[endpoints]\ns = a\nt = b\n"
+            "[junctions]\na\nb\n"
+            "[arcs]\nab a b delay_s=60\n"
+            "[routes]\nr1 flow_ev_per_s=nan arcs=ab\n"
+        )
+        sc = loads_scenario(text)
+        with pytest.raises(StructuralError):
+            prepare(sc)
+
+    def test_reused_route_id_in_scenario_rejected(self):
+        sc = generate_grid(4, 4, 10.0, 60.0, 20, ("const", 0.1), seed=4)
+        first = sc.routes[0]
+        extra = VehicularRoute(first.route_id, sc.routes[1].arcs, 0.2)
+        sc = dataclasses.replace(sc, routes=sc.routes + (extra,))
+        with pytest.raises(StructuralError, match="duplicate route id"):
+            prepare(sc)
 
     def test_missing_sections_reported(self):
         with pytest.raises(ScenarioFormatError) as err:

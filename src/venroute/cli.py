@@ -13,6 +13,7 @@ from .energy import plan_totals
 from .errors import VenError
 from .experiments import prepare, run_compare, run_growth
 from .heuristic import heuristic_min_loss
+from .network import normalize_routes
 from .pathenum import DEFAULT_CAP, enumerate_bounded, enumerate_paths
 from .rateopt import LossMinProblem, solve_min_loss
 from .scenario_io import load_scenario, save_scenario
@@ -124,14 +125,15 @@ def _cmd_solve(args) -> int:
     target = args.target if args.target is not None else sc.target_kwh
     if target is None:
         raise VenError("no energy target: pass --target or set x_target_kwh in the file")
-    routes, accessibility, pruned = prepare(sc)
     if args.method == "III":
+        routes = normalize_routes(sc.network, sc.routes)
         result = heuristic_min_loss(
             sc.network, list(routes), sc.params, target, sc.source, sc.destination
         )
         entries = result.plan.entries
         _write(args.out, _plan_csv(entries, result.delivered_kwh, result.loss_kwh))
         return EXIT_OK if result.status == "success" else EXIT_INFEASIBLE
+    routes, accessibility, pruned = prepare(sc)
     if args.method == "I":
         pathset = enumerate_paths(
             pruned, sc.source, sc.destination, accessibility, sc.network, routes,

@@ -93,7 +93,10 @@ def run_compare(
     recorded in their row and never abort the sweep.
     """
     rows: list[ResultRow] = []
-    routes, accessibility, pruned = prepare(scenario)
+    if "I" in methods or "II" in methods:
+        routes, accessibility, pruned = prepare(scenario)
+    else:  # the greedy needs no accessibility graph
+        routes = normalize_routes(scenario.network, scenario.routes)
 
     full: PathSet | None = None
     full_err: str | None = None

@@ -1,10 +1,13 @@
 """Greedy min-loss routing: commit min-hop energy paths until the target is met.
 
-Each iteration rebuilds the accessibility graph from the routes that still
-carry flow, picks a fewest-hop source-destination sequence (ties broken by
-larger bottleneck flow, then lexicographically), sends at the bottleneck
-rate, decrements the used routes' flows, and truncates routes whose flow hit
-zero. The final path carries only the residual energy at a reduced rate.
+Each iteration searches the routes that still carry flow for the fewest-hop
+source-destination junction sequences. The search is a breadth-first search
+over routes as hyperedges: boarding a route at a junction reaches every later
+junction on it (Gallo et al., "Directed hypergraphs and applications", 1993).
+Among the fewest-hop sequences the greedy picks the one with the largest
+bottleneck flow, ties broken lexicographically, sends at the bottleneck rate,
+decrements the used routes' flows, and drops routes whose flow hit zero. The
+final path carries only the residual energy at a reduced rate.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .energy import (
     EnergyParams,
@@ -25,20 +28,25 @@ from .energy import (
 )
 from .errors import ConsistencyError, DomainError
 from .network import (
-    AccessibilityGraph,
     Junction,
     RouteId,
     VehicularNetwork,
     VehicularRoute,
     adjacency,
-    bfs_levels,
-    build_accessibility_graph,
-    hops_to,
+    simple_sequence,
 )
 
 FLOW_EPS = 1e-12
 _ASSIGN_COMBO_CAP = 20000
 _SEQUENCE_FALLBACK_CAP = 5000
+
+# why the greedy stopped
+TARGET_MET = "target-met"
+NO_PATH = "no-path"
+COMBINATION_CAP = "combination-cap"  # a safety cap cut the path search short
+
+# accessibility arc (i, j) -> route id -> 1-based (start, end) arc indices
+Segments = Mapping[tuple[Junction, Junction], Mapping[RouteId, tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -47,40 +55,117 @@ class HeuristicResult:
     plan: TransmissionPlan
     delivered_kwh: float
     loss_kwh: float
+    stop_reason: str  # TARGET_MET | NO_PATH | COMBINATION_CAP
     paths_used: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "paths_used", len(self.plan.entries))
 
 
+class _ActiveRoutes:
+    """Routes that still carry flow, with each junction's (route, position) visits."""
+
+    def __init__(self, network: VehicularNetwork, routes: Iterable[VehicularRoute]):
+        by_id = {r.route_id: r for r in routes}
+        self.routes: dict[RouteId, VehicularRoute] = {}
+        self.flows: dict[RouteId, float] = {}
+        self.seqs: dict[RouteId, tuple[Junction, ...]] = {}
+        self.visits: dict[Junction, list[tuple[RouteId, int]]] = {}
+        for rid in sorted(by_id):
+            r = by_id[rid]
+            if r.flow > FLOW_EPS and r.arcs:
+                seq = simple_sequence(network, r)
+                self.routes[rid] = r
+                self.flows[rid] = r.flow
+                self.seqs[rid] = seq
+                for p, j in enumerate(seq):
+                    self.visits.setdefault(j, []).append((rid, p))
+
+    def use(self, rid: RouteId, delta: float) -> None:
+        """Take ``delta`` off the route's flow; a route left without flow drops out."""
+        flow = self.flows[rid] - delta
+        if flow <= FLOW_EPS:
+            del self.flows[rid]
+        else:
+            self.flows[rid] = flow
+
+    def levels(self, start: Junction, goal: Junction, forward: bool) -> dict[Junction, int]:
+        """Fewest hops from ``start`` to each junction (to ``start`` if not ``forward``).
+
+        Boarding a route at position p reaches every later position (every
+        earlier one, backward). Each route remembers the earliest position it
+        was boarded at (the latest, backward), so each route position is
+        scanned at most once. The search stops once the level holding
+        ``goal`` is complete.
+        """
+        dist = {start: 0}
+        frontier = [start]
+        boarded: dict[RouteId, int] = {}
+        level = 0
+        while frontier and goal not in dist:
+            level += 1
+            nxt = []
+            for u in frontier:
+                for rid, p in self.visits.get(u, ()):
+                    if rid not in self.flows:
+                        continue
+                    seq = self.seqs[rid]
+                    if forward:
+                        edge = boarded.get(rid, len(seq))
+                        if p >= edge:
+                            continue
+                        reached = seq[p + 1 : edge]
+                    else:
+                        edge = boarded.get(rid, -1)
+                        if p <= edge:
+                            continue
+                        reached = seq[edge + 1 : p]
+                    boarded[rid] = p
+                    for v in reached:
+                        if v not in dist:
+                            dist[v] = level
+                            nxt.append(v)
+            frontier = nxt
+        return dist
+
+
 def _shortest_dag(
-    accessibility: AccessibilityGraph, s: Junction, t: Junction
-) -> tuple[dict[Junction, tuple[Junction, ...]], int] | None:
-    """Arcs lying on some fewest-hop s-t sequence, as an adjacency map."""
-    dist_s = bfs_levels(accessibility.successors, s)
+    routes: _ActiveRoutes, s: Junction, t: Junction
+) -> tuple[Segments, dict[Junction, tuple[Junction, ...]]] | None:
+    """Accessibility arcs lying on some fewest-hop s-t sequence, with their segments."""
+    dist_s = routes.levels(s, t, forward=True)
     if t not in dist_s:
         return None
-    dist_t = hops_to(accessibility.arcs, t)
+    dist_t = routes.levels(t, s, forward=False)
     hops = dist_s[t]
-    dag = adjacency(
-        (i, j)
-        for (i, j) in accessibility.arcs
-        if i in dist_s and j in dist_t and dist_s[i] + 1 + dist_t[j] == hops
-    )
-    return dag, hops
+    on_dag: dict[RouteId, list[int]] = {}
+    for j, d in dist_s.items():
+        if dist_t.get(j, hops + 1) + d == hops:
+            for rid, p in routes.visits[j]:
+                if rid in routes.flows:
+                    on_dag.setdefault(rid, []).append(p)
+    # a route arc between two DAG junctions lies on a fewest-hop sequence
+    # exactly when it climbs one BFS level
+    segments: dict[tuple[Junction, Junction], dict[RouteId, tuple[int, int]]] = {}
+    for rid, positions in on_dag.items():
+        seq = routes.seqs[rid]
+        positions.sort()
+        for k, p in enumerate(positions):
+            level = dist_s[seq[p]] + 1
+            for q in positions[k + 1 :]:
+                if dist_s[seq[q]] == level:
+                    segments.setdefault((seq[p], seq[q]), {})[rid] = (p + 1, q)
+    return segments, adjacency(segments)
 
 
 def _arc_weight(
-    accessibility: AccessibilityGraph,
-    flows: Mapping[RouteId, float],
-    i: Junction,
-    j: Junction,
+    segments: Segments, flows: Mapping[RouteId, float], i: Junction, j: Junction
 ) -> float:
-    return max(flows[rid] for rid in accessibility.segments[(i, j)])
+    return max(flows[rid] for rid in segments[(i, j)])
 
 
 def _widest_sequence(
-    accessibility: AccessibilityGraph,
+    segments: Segments,
     flows: Mapping[RouteId, float],
     dag: Mapping[Junction, Sequence[Junction]],
     s: Junction,
@@ -95,7 +180,7 @@ def _widest_sequence(
         for u in dag:
             width = max(
                 (
-                    min(_arc_weight(accessibility, flows, u, v), best[v])
+                    min(_arc_weight(segments, flows, u, v), best[v])
                     for v in dag[u]
                     if v in best
                 ),
@@ -112,9 +197,9 @@ def _widest_sequence(
         for v in dag[u]:  # sorted: first admissible choice is lexicographic min
             if v not in best:
                 continue
-            achievable = min(width_so_far, _arc_weight(accessibility, flows, u, v), best[v])
+            achievable = min(width_so_far, _arc_weight(segments, flows, u, v), best[v])
             if achievable >= target_width - FLOW_EPS:
-                width_so_far = min(width_so_far, _arc_weight(accessibility, flows, u, v))
+                width_so_far = min(width_so_far, _arc_weight(segments, flows, u, v))
                 seq.append(v)
                 u = v
                 break
@@ -124,14 +209,18 @@ def _widest_sequence(
 
 
 def _assign_routes(
-    accessibility: AccessibilityGraph,
+    segments: Segments,
     flows: Mapping[RouteId, float],
     seq: Sequence[Junction],
-) -> tuple[tuple[RouteId, ...], float] | None:
-    """Pick one route per hop, all distinct, maximizing the bottleneck flow."""
+) -> tuple[tuple[RouteId, ...], float] | str:
+    """Pick one route per hop, all distinct, maximizing the bottleneck flow.
+
+    Returns NO_PATH when no distinct pick exists, COMBINATION_CAP when there
+    are too many combinations to try.
+    """
     per_arc: list[list[RouteId]] = []
     for i, j in zip(seq, seq[1:]):
-        cands = sorted(accessibility.segments[(i, j)], key=lambda rid: (-flows[rid], rid))
+        cands = sorted(segments[(i, j)], key=lambda rid: (-flows[rid], rid))
         per_arc.append(cands)
     greedy = tuple(c[0] for c in per_arc)
     if len(set(greedy)) == len(greedy):
@@ -140,7 +229,7 @@ def _assign_routes(
     for c in per_arc:
         combos *= len(c)
     if combos > _ASSIGN_COMBO_CAP:
-        return None
+        return COMBINATION_CAP
     best_pick = None
     best_key = None
     for combo in product(*per_arc):
@@ -151,13 +240,14 @@ def _assign_routes(
             best_key = key
             best_pick = combo
     if best_pick is None:
-        return None
+        return NO_PATH
     return best_pick, -best_key[0]
 
 
 def _all_min_hop_sequences(
     dag: Mapping[Junction, Sequence[Junction]], s: Junction, t: Junction, cap: int
-) -> list[tuple[Junction, ...]]:
+) -> tuple[list[tuple[Junction, ...]], bool]:
+    """Min-hop s-t sequences in DAG order, and whether ``cap`` cut the list short."""
     out: list[tuple[Junction, ...]] = []
     stack = [(s, (s,))]
     while stack and len(out) < cap:
@@ -167,53 +257,54 @@ def _all_min_hop_sequences(
                 out.append(seq + (t,))
             else:
                 stack.append((v, seq + (v,)))
-    return out
+    return out, bool(stack)
 
 
 def _pick_path(
-    accessibility: AccessibilityGraph,
-    flows: Mapping[RouteId, float],
-    s: Junction,
-    t: Junction,
-) -> tuple[tuple[Junction, ...], tuple[RouteId, ...], float] | None:
-    found = _shortest_dag(accessibility, s, t)
+    routes: _ActiveRoutes, s: Junction, t: Junction
+) -> tuple[tuple[Junction, ...], list[tuple[RouteId, int, int]], float] | str:
+    """(junction sequence, path segments, bottleneck flow) of the next path, or why none."""
+    found = _shortest_dag(routes, s, t)
     if found is None:
-        return None
-    dag, _ = found
-    seq = _widest_sequence(accessibility, flows, dag, s, t)
-    assigned = _assign_routes(accessibility, flows, seq)
-    if assigned is not None:
-        rids, delta = assigned
-        return seq, rids, delta
-    # Greedy sequence had no distinct-route assignment (interleaved reuse of a
-    # route); fall back to scanning min-hop sequences for the best workable one.
-    best = None
-    for cand in _all_min_hop_sequences(dag, s, t, _SEQUENCE_FALLBACK_CAP):
-        assigned = _assign_routes(accessibility, flows, cand)
-        if assigned is None:
-            continue
-        rids, delta = assigned
-        key = (-delta, cand)
-        if best is None or key < best[0]:
-            best = (key, cand, rids, delta)
-    if best is None:
-        return None
-    return best[1], best[2], best[3]
+        return NO_PATH
+    segments, dag = found
+    flows = routes.flows
+    seq = _widest_sequence(segments, flows, dag, s, t)
+    assigned = _assign_routes(segments, flows, seq)
+    if isinstance(assigned, str):
+        # Greedy sequence had no distinct-route assignment (interleaved reuse of
+        # a route); fall back to scanning min-hop sequences for the best workable one.
+        # an uncut list holds the greedy sequence too, so its verdict recurs below
+        cands, capped = _all_min_hop_sequences(dag, s, t, _SEQUENCE_FALLBACK_CAP)
+        best = None
+        for cand in cands:
+            assigned = _assign_routes(segments, flows, cand)
+            if isinstance(assigned, str):
+                capped = capped or assigned == COMBINATION_CAP
+                continue
+            key = (-assigned[1], cand)
+            if best is None or key < best[0]:
+                best = (key, cand, assigned)
+        if best is None:
+            return COMBINATION_CAP if capped else NO_PATH
+        _, seq, assigned = best
+    rids, delta = assigned
+    return seq, [(rid, *segments[(i, j)][rid]) for rid, i, j in zip(rids, seq, seq[1:])], delta
 
 
 def min_hop_sequence(
-    accessibility: AccessibilityGraph,
-    flows: Mapping[RouteId, float],
+    network: VehicularNetwork,
+    routes: Iterable[VehicularRoute],
     s: Junction,
     t: Junction,
 ) -> tuple[Junction, ...] | None:
-    """Fewest-hop s-t sequence on the accessibility graph, or None if unreachable.
+    """Fewest-hop s-t sequence over the routes carrying flow, or None if unreachable.
 
     Ties are broken by the larger bottleneck flow of the induced path, then
-    lexicographically by junction ids.
+    lexicographically by junction ids: the greedy's first pick.
     """
-    picked = _pick_path(accessibility, flows, s, t)
-    return picked[0] if picked else None
+    picked = _pick_path(_ActiveRoutes(network, routes), s, t)
+    return None if isinstance(picked, str) else picked[0]
 
 
 def heuristic_min_loss(
@@ -227,44 +318,33 @@ def heuristic_min_loss(
     """Greedy min-cycle path construction with inline rate assignment.
 
     Returns a partial plan and an infeasibility verdict (not an exception)
-    when the remaining routes cannot meet the target.
+    when the remaining routes cannot meet the target; ``stop_reason`` says
+    whether no path was left or a safety cap cut the path search short.
     """
     if not (0.0 <= target_kwh < math.inf):
         raise DomainError("energy target must be finite and nonnegative")
     if s == t or s not in network.junctions or t not in network.junctions:
         raise DomainError("source and destination must be distinct junctions")
     w = params.packet_kwh
-
-    work: dict[RouteId, tuple[tuple[str, ...], float]] = {
-        r.route_id: (r.arcs, r.flow) for r in routes
-    }
-    entries: list[PlanEntry] = []
-    delivered = 0.0
     if target_kwh == 0.0:
         plan = make_plan([], params)
-        return HeuristicResult("success", plan, 0.0, 0.0)
+        return HeuristicResult("success", plan, 0.0, 0.0, TARGET_MET)
 
+    active = _ActiveRoutes(network, routes)
+    entries: list[PlanEntry] = []
+    delivered = 0.0
     while True:
-        active = [
-            VehicularRoute(rid, arcs, flow)
-            for rid, (arcs, flow) in sorted(work.items())
-            if flow > FLOW_EPS and arcs
-        ]
-        if not active:
+        picked = _pick_path(active, s, t)
+        if isinstance(picked, str):
             break
-        acc = build_accessibility_graph(network, active)
-        flows = {r.route_id: r.flow for r in active}
-        picked = _pick_path(acc, flows, s, t)
-        if picked is None:
-            break
-        seq, rids, delta = picked
-        segments = [
-            (rid, *acc.segments[(i, j)][rid]) for rid, i, j in zip(rids, seq, seq[1:])
-        ]
+        _, segments, delta = picked
         # the path's flows come from the working routes, not the originals
         path = build_energy_path(
             network,
-            {rid: VehicularRoute(rid, work[rid][0], work[rid][1]) for rid in rids},
+            {
+                rid: VehicularRoute(rid, active.routes[rid].arcs, active.flows[rid])
+                for rid, _, _ in segments
+            },
             segments,
             s,
             t,
@@ -275,15 +355,8 @@ def heuristic_min_loss(
         if delivered + x < target_kwh:
             delivered += x
             entries.append(PlanEntry(path=path, rate=g, delivered_kwh=x))
-            # decrement each used route's flow; truncate routes that hit zero
-            # at the start of their used sub-route, dropping the suffix too
-            for (rid, n, _m) in segments:
-                arcs, flow = work[rid]
-                flow -= delta
-                if flow <= FLOW_EPS:
-                    arcs = arcs[: n - 1]
-                    flow = 0.0
-                work[rid] = (arcs, flow)
+            for rid, _, _ in segments:
+                active.use(rid, delta)
             continue
         residual = target_kwh - delivered
         if cap_coeff <= 0.0:
@@ -295,8 +368,8 @@ def heuristic_min_loss(
         delivered = target_kwh
         plan = make_plan(entries, params)
         _, loss = plan_totals(plan)
-        return HeuristicResult("success", plan, delivered, loss)
+        return HeuristicResult("success", plan, delivered, loss, TARGET_MET)
 
     plan = make_plan(entries, params)
     _, loss = plan_totals(plan)
-    return HeuristicResult("infeasible", plan, delivered, loss)
+    return HeuristicResult("infeasible", plan, delivered, loss, picked)

@@ -155,10 +155,6 @@ class AccessibilityGraph:
         repr=False
     )
 
-    @cached_property
-    def successors(self) -> Mapping[Junction, tuple[Junction, ...]]:
-        return adjacency(self.arcs)
-
 
 def _check_connected(network: VehicularNetwork, route_id: RouteId, arcs: Sequence[ArcId]) -> None:
     if not arcs:
@@ -233,6 +229,27 @@ def normalize_routes(
     return tuple(out)
 
 
+def simple_sequence(network: VehicularNetwork, route: VehicularRoute) -> tuple[Junction, ...]:
+    """The route's junction sequence, checked to realize each junction pair (i, j) once.
+
+    A route that revisits a junction realizes some pair twice, unless its only
+    revisit closes a loop from its first junction back to it at the end.
+    """
+    seq = route.junction_sequence(network)
+    if len(set(seq)) < len(seq):
+        seen: set[tuple[Junction, Junction]] = set()
+        for p in range(len(seq) - 1):
+            for q in range(p + 1, len(seq)):
+                key = (seq[p], seq[q])
+                if key in seen:
+                    raise StructuralError(
+                        f"route {route.route_id!r} yields two sub-routes for {key}; "
+                        "route is not simple"
+                    )
+                seen.add(key)
+    return seq
+
+
 def build_accessibility_graph(
     network: VehicularNetwork, routes: Iterable[VehicularRoute]
 ) -> AccessibilityGraph:
@@ -243,15 +260,12 @@ def build_accessibility_graph(
     """
     segments: dict[tuple[Junction, Junction], dict[RouteId, tuple[int, int]]] = {}
     for r in routes:
-        seq = r.junction_sequence(network)
+        seq = simple_sequence(network, r)
         for p in range(len(seq) - 1):
             for q in range(p + 1, len(seq)):
-                key = (seq[p], seq[q])
-                per_route = segments.setdefault(key, {})
+                per_route = segments.setdefault((seq[p], seq[q]), {})
                 if r.route_id in per_route:
-                    raise StructuralError(
-                        f"route {r.route_id!r} yields two sub-routes for {key}; route is not simple"
-                    )
+                    raise StructuralError(f"duplicate route id {r.route_id!r}")
                 # sub-route spans arcs p+1..q, 1-based
                 per_route[r.route_id] = (p + 1, q)
     return AccessibilityGraph(
@@ -278,10 +292,22 @@ def prune_unreachable(
     return pruned, blocked
 
 
+def arc_flow_table(routes: Iterable[VehicularRoute]) -> dict[ArcId, float]:
+    """Total EV flow over each road arc that some route traverses.
+
+    Each route's flow counts once per arc it traverses, added in route order.
+    """
+    table: dict[ArcId, float] = {}
+    for r in routes:
+        for a in set(r.arcs):
+            table[a] = table.get(a, 0.0) + r.flow
+    return table
+
+
 def arc_flow(
     network: VehicularNetwork, routes: Iterable[VehicularRoute], arc_id: ArcId
 ) -> float:
     """Total EV flow over a road arc: sum of flows of routes traversing it."""
     if arc_id not in network.arc_by_id:
         raise DomainError(f"unknown arc id {arc_id!r}")
-    return sum(r.flow for r in routes if arc_id in r.arcs)
+    return arc_flow_table(routes).get(arc_id, 0.0)

@@ -19,7 +19,7 @@ from scipy.optimize import linprog
 from .energy import EnergyParams, PlanEntry, TransmissionPlan, make_plan
 from .energy import window_cap as _window_cap
 from .errors import DomainError, SolverError
-from .network import VehicularNetwork, VehicularRoute, arc_flow
+from .network import VehicularNetwork, VehicularRoute, arc_flow_table
 from .pathenum import PathSet
 
 OBJECTIVE_TOL = 1e-6
@@ -86,9 +86,10 @@ def build_lp(problem: LossMinProblem) -> LpInstance:
             rows.append(({m + j: 1.0}, w * routes_by_id[rid].flow))
     # shared-arc coupling: sum_j g_j / w <= h_a for each road arc used
     used_arcs = sorted({a for p in paths for a in p.arc_ids})
+    arc_flows = arc_flow_table(problem.routes)
     for a in used_arcs:
         coeffs = {m + j: 1.0 / w for j, p in enumerate(paths) if a in p.arc_ids}
-        rows.append((coeffs, arc_flow(problem.network, problem.routes, a)))
+        rows.append((coeffs, arc_flows.get(a, 0.0)))
     # delivery target: -sum x_j <= -target
     rows.append(({j: -1.0 for j in range(m)}, -problem.target_kwh))
 

@@ -107,7 +107,10 @@ def oracle_min_loss(caps, cycles, z, target, resolution=60):
     feasible = pts.sum(axis=1) >= target
     if feasible.any():
         grid_best = float((pts[feasible] @ lam).min())
-        assert grid_best >= best - 1e-9
+        if grid_best < best - 1e-9:
+            raise AssertionError(
+                f"dense grid point {grid_best} undercuts the vertex minimum {best}"
+            )
     return float(best)
 
 

@@ -2,14 +2,17 @@
 
 import pytest
 
+import venroute.heuristic as heuristic
 from venroute import (
     DomainError,
     EnergyParams,
+    StructuralError,
     VehicularNetwork,
     VehicularRoute,
-    build_accessibility_graph,
+    generate_corridor,
     heuristic_min_loss,
     min_hop_sequence,
+    normalize_routes,
     plan_totals,
 )
 
@@ -51,27 +54,19 @@ class TestMinHopSequence:
             ],
         )
         routes2 = routes + (VehicularRoute("rd", ("st",), 0.01),)
-        acc = build_accessibility_graph(net2, routes2)
-        flows = {r.route_id: r.flow for r in routes2}
-        assert min_hop_sequence(acc, flows, "s", "t") == ("s", "t")
+        assert min_hop_sequence(net2, routes2, "s", "t") == ("s", "t")
 
     def test_tie_breaks_by_bottleneck_flow(self):
         net, routes = diamond(flow_a=0.1, flow_b=0.3)
-        acc = build_accessibility_graph(net, routes)
-        flows = {r.route_id: r.flow for r in routes}
-        assert min_hop_sequence(acc, flows, "s", "t") == ("s", "b", "t")
+        assert min_hop_sequence(net, routes, "s", "t") == ("s", "b", "t")
 
     def test_equal_flows_tie_break_lexicographic(self):
         net, routes = diamond(flow_a=0.2, flow_b=0.2)
-        acc = build_accessibility_graph(net, routes)
-        flows = {r.route_id: r.flow for r in routes}
-        assert min_hop_sequence(acc, flows, "s", "t") == ("s", "a", "t")
+        assert min_hop_sequence(net, routes, "s", "t") == ("s", "a", "t")
 
     def test_unreachable_returns_none(self):
         net, routes = diamond()
-        acc = build_accessibility_graph(net, routes)
-        flows = {r.route_id: r.flow for r in routes}
-        assert min_hop_sequence(acc, flows, "t", "s") is None
+        assert min_hop_sequence(net, routes, "t", "s") is None
 
 
 class TestHeuristic:
@@ -145,6 +140,15 @@ class TestHeuristic:
         with pytest.raises(DomainError):
             heuristic_min_loss(network, list(routes), params, 1.0, "ghost", t)
 
+    def test_looped_route_rejected(self):
+        net = VehicularNetwork.build(
+            ["p", "q"], [("pq", "p", "q", 60.0), ("qp", "q", "p", 60.0)]
+        )
+        looped = VehicularRoute("r", ("pq", "qp", "pq"), 0.1)
+        msg = r"route 'r' yields two sub-routes for \('p', 'q'\); route is not simple"
+        with pytest.raises(StructuralError, match=msg):
+            heuristic_min_loss(net, [looped], PARAMS, 1.0, "p", "q")
+
     @pytest.mark.parametrize("target", [float("nan"), float("inf")])
     def test_non_finite_target_rejected(self, target):
         network, routes, params, s, t = parallel_paths_instance()
@@ -191,3 +195,81 @@ class TestDistinctRouteAssignment:
         assert res.status == "success"
         rids = tuple(r for r, _, _ in res.plan.entries[0].path.segments)
         assert rids == ("r1", "r2")
+
+
+def reversed_reuse_instance(with_spare=True):
+    """Fewest-hop sequence s-a-b-t whose first and last hops share only route R.
+
+    R runs b-t-x-s-a, so it realizes both (s, a) and (b, t) but never s..t.
+    Without the spare route R2 on (b, t), no distinct-route pick exists.
+    """
+    net = VehicularNetwork.build(
+        ["a", "b", "s", "t", "x"],
+        [
+            ("sa", "s", "a", 60.0),
+            ("ab", "a", "b", 60.0),
+            ("bt", "b", "t", 60.0),
+            ("tx", "t", "x", 60.0),
+            ("xs", "x", "s", 60.0),
+        ],
+    )
+    routes = [
+        VehicularRoute("R", ("bt", "tx", "xs", "sa"), 0.5),
+        VehicularRoute("Q", ("ab",), 0.3),
+    ]
+    if with_spare:
+        routes.append(VehicularRoute("R2", ("bt",), 0.2))
+    return net, routes
+
+
+class TestStopReason:
+    @pytest.mark.parametrize(
+        "target, status, reason",
+        [(0.0, "success", "target-met"), (200.0, "success", "target-met"),
+         (5000.0, "infeasible", "no-path")],
+    )
+    def test_target_met_or_routes_exhausted(self, target, status, reason):
+        network, routes, params, s, t = parallel_paths_instance()
+        res = heuristic_min_loss(network, list(routes), params, target, s, t)
+        assert (res.status, res.stop_reason) == (status, reason)
+
+    def test_distinct_routes_found_by_product_search(self):
+        net, routes = reversed_reuse_instance()
+        res = heuristic_min_loss(net, routes, PARAMS, 10.0, "s", "t")
+        assert res.status == "success" and res.stop_reason == "target-met"
+        assert tuple(r for r, _, _ in res.plan.entries[0].path.segments) == ("R", "Q", "R2")
+
+    def test_assignment_cap_reported(self, monkeypatch):
+        monkeypatch.setattr(heuristic, "_ASSIGN_COMBO_CAP", 1)
+        net, routes = reversed_reuse_instance()
+        res = heuristic_min_loss(net, routes, PARAMS, 10.0, "s", "t")
+        assert res.status == "infeasible"
+        assert res.stop_reason == "combination-cap"
+        assert res.paths_used == 0
+
+    def test_no_distinct_pick_is_no_path(self):
+        net, routes = reversed_reuse_instance(with_spare=False)
+        res = heuristic_min_loss(net, routes, PARAMS, 10.0, "s", "t")
+        assert res.status == "infeasible" and res.stop_reason == "no-path"
+
+    def test_sequence_cap_reported(self, monkeypatch):
+        monkeypatch.setattr(heuristic, "_SEQUENCE_FALLBACK_CAP", 0)
+        net, routes = reversed_reuse_instance(with_spare=False)
+        res = heuristic_min_loss(net, routes, PARAMS, 10.0, "s", "t")
+        assert res.status == "infeasible" and res.stop_reason == "combination-cap"
+
+
+@pytest.mark.parametrize(
+    "target, loss, entries",
+    [(2000.0, 1048.3158, 1), (5000.0, 2620.7895, 1), (10000.0, 5458.1935, 3)],
+)
+def test_corridor_greedy_matches_reference(target, loss, entries):
+    # the corridor-seed-0 figures that bench/reference.json records for method III
+    sc = generate_corridor(seed=0)
+    routes = normalize_routes(sc.network, sc.routes)
+    res = heuristic_min_loss(
+        sc.network, list(routes), sc.params, target, sc.source, sc.destination
+    )
+    assert res.status == "success"
+    assert res.loss_kwh == pytest.approx(loss, rel=1e-6)
+    assert res.paths_used == entries

@@ -172,12 +172,17 @@ class TestAccessibilityGraph:
         # 1-based inclusive sub-route arc indices
         assert acc.segments[("n0", "n2")]["r1"] == (1, 2)
         assert acc.segments[("n1", "n3")]["r2"] == (1, 2)
-        assert acc.successors["n0"] == ("n1", "n2")
 
     def test_looped_route_rejected(self):
         net = looped_network()
         with pytest.raises(StructuralError):
             build_accessibility_graph(net, [VehicularRoute("r", ("pq", "qp", "pq"), 0.1)])
+
+    def test_duplicate_route_id_rejected(self):
+        net = line_network()
+        routes = [VehicularRoute("r", ("a0",), 0.1), VehicularRoute("r", ("a0", "a1"), 0.2)]
+        with pytest.raises(StructuralError, match="duplicate route id 'r'"):
+            build_accessibility_graph(net, routes)
 
     def test_matches_pairwise_oracle_on_random_instances(self):
         for seed in range(30):

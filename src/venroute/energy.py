@@ -23,8 +23,9 @@ class EnergyParams:
     window_s: float  # T: transfer window
 
     def __post_init__(self):
-        if not (0.0 <= self.charge_eff <= 1.0 and 0.0 <= self.discharge_eff <= 1.0):
-            raise DomainError("efficiencies must lie in [0, 1]")
+        # zero efficiency would make every delivery infinitely lossy
+        if not (0.0 < self.charge_eff <= 1.0 and 0.0 < self.discharge_eff <= 1.0):
+            raise DomainError("efficiencies must lie in (0, 1]")
         if not (0.0 < self.packet_kwh < math.inf):
             raise DomainError("packet size must be positive and finite")
         if not (0.0 < self.window_s < math.inf):
@@ -128,11 +129,16 @@ def transferable_energy(path: EnergyPath, params: EnergyParams, rate: float) -> 
     return window_cap(path, params) * rate
 
 
-def path_loss(delivered_kwh: float, cycles: int, efficiency: float) -> float:
-    """Loss incurred delivering the given energy across the given cycle count."""
+def loss_ratio(cycles: int, efficiency: float) -> float:
+    """Energy lost per unit delivered across the given cycle count, 1/z^c - 1."""
     if efficiency <= 0.0:
         raise DomainError("zero efficiency means infinite loss")
-    return (1.0 / efficiency**cycles - 1.0) * delivered_kwh
+    return 1.0 / efficiency**cycles - 1.0
+
+
+def path_loss(delivered_kwh: float, cycles: int, efficiency: float) -> float:
+    """Loss incurred delivering the given energy across the given cycle count."""
+    return loss_ratio(cycles, efficiency) * delivered_kwh
 
 
 @dataclass(frozen=True)
@@ -153,19 +159,16 @@ class TransmissionPlan:
 CAP_SLACK = 1e-6
 
 
-def make_plan(
-    entries: Sequence[PlanEntry], params: EnergyParams, check: bool = True
-) -> TransmissionPlan:
+def make_plan(entries: Sequence[PlanEntry], params: EnergyParams) -> TransmissionPlan:
     plan = TransmissionPlan(entries=tuple(entries), params=params)
-    if check:
-        for e in plan.entries:
-            if e.rate < -CAP_SLACK or e.delivered_kwh < -CAP_SLACK:
-                raise ConsistencyError("negative rate or energy in plan")
-            cap = transferable_energy(e.path, params, e.rate)
-            if e.delivered_kwh > cap + CAP_SLACK:
-                raise ConsistencyError(
-                    f"entry delivers {e.delivered_kwh} kWh, above its cap {cap} kWh"
-                )
+    for e in plan.entries:
+        if e.rate < -CAP_SLACK or e.delivered_kwh < -CAP_SLACK:
+            raise ConsistencyError("negative rate or energy in plan")
+        cap = transferable_energy(e.path, params, e.rate)
+        if e.delivered_kwh > cap + CAP_SLACK:
+            raise ConsistencyError(
+                f"entry delivers {e.delivered_kwh} kWh, above its cap {cap} kWh"
+            )
     return plan
 
 

@@ -207,6 +207,8 @@ def run_compare(
 
 
 GROWTH_HEADER = "n_junctions,road_density,seed,accessibility_density,n_paths,capped"
+GROWTH_ROUTE_COUNT_FACTOR = 3  # routes per junction in each growth instance
+GROWTH_ROUTE_LENGTH_CAP = 2  # arcs per route in each growth instance
 
 
 def run_growth(
@@ -214,8 +216,6 @@ def run_growth(
     density_grid: Sequence[float],
     instances_per_cell: int,
     seed: int,
-    route_count_factor: int = 3,
-    route_length_cap: int = 2,
     enumeration_cap: int = 200_000,
 ) -> str:
     """Per-instance path counts across network sizes and densities, as CSV.
@@ -232,8 +232,8 @@ def run_growth(
                 sc = generate_random(
                     n_junctions=n,
                     road_density=density,
-                    route_length_cap=route_length_cap,
-                    route_count=route_count_factor * n,
+                    route_length_cap=GROWTH_ROUTE_LENGTH_CAP,
+                    route_count=GROWTH_ROUTE_COUNT_FACTOR * n,
                     seed=inst_seed,
                 )
                 routes, accessibility, pruned = prepare(sc)

@@ -34,8 +34,6 @@ JunctionSequence = tuple[Junction, ...]
 
 @dataclass(frozen=True)
 class PathSet:
-    source: Junction
-    destination: Junction
     paths: tuple[EnergyPath, ...]
     complete: bool
 
@@ -126,7 +124,6 @@ def expand_to_paths(
     cap: int = DEFAULT_CAP,
 ) -> PathSet:
     """Expand junction sequences into the full set of concrete energy paths."""
-    sequences = list(sequences)
     routes_by_id = {r.route_id: r for r in routes}
     paths: list[EnergyPath] = []
     keys: set = set()
@@ -140,9 +137,7 @@ def expand_to_paths(
                 raise ConsistencyError(f"duplicate energy path produced: {key}")
             keys.add(key)
     paths.sort(key=EnergyPath.sort_key)
-    source = sequences[0][0] if sequences else ""
-    dest = sequences[0][-1] if sequences else ""
-    return PathSet(source=source, destination=dest, paths=tuple(paths), complete=True)
+    return PathSet(paths=tuple(paths), complete=True)
 
 
 def enumerate_paths(
@@ -156,8 +151,7 @@ def enumerate_paths(
 ) -> PathSet:
     """Full enumeration: sequences then expansion, under one safety cap."""
     sequences = enumerate_sequences(pruned_arcs, s, t, cap=cap)
-    pathset = expand_to_paths(sequences, accessibility, network, routes, cap=cap)
-    return PathSet(source=s, destination=t, paths=pathset.paths, complete=True)
+    return expand_to_paths(sequences, accessibility, network, routes, cap=cap)
 
 
 class _BoundTracker:
@@ -279,4 +273,4 @@ def enumerate_bounded(
                 break
     paths.sort(key=EnergyPath.sort_key)
     complete = not truncated and not tracker.hit
-    return PathSet(source=s, destination=t, paths=tuple(paths), complete=complete)
+    return PathSet(paths=tuple(paths), complete=complete)

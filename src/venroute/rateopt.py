@@ -1,9 +1,11 @@
 """Loss-minimizing rate assignment over a path set, as a linear program.
 
 Variables are per-path delivered energy x_j and rate g_j. The objective is
-total conversion loss; constraints cap x_j by the window capacity at rate
-g_j, cap g_j by each segment's EV flow, cap aggregate rate per road arc by
-its total flow, and require the delivered total to meet the energy target.
+total conversion loss. Each rate g_j is bounded by w times the path's
+bottleneck flow, the least EV flow of the routes it rides. The rows, in
+order, cap x_j by the window capacity at rate g_j, cap the aggregate rate
+per road arc by its total flow, and require the delivered total to meet the
+energy target.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .energy import EnergyParams, PlanEntry, TransmissionPlan, make_plan
+from .energy import EnergyParams, PlanEntry, TransmissionPlan, loss_ratio, make_plan
 from .energy import window_cap as _window_cap
 from .errors import DomainError, SolverError
 from .network import VehicularNetwork, VehicularRoute, arc_flow_table
@@ -45,7 +47,8 @@ class LossMinProblem:
 class LpInstance:
     """Assembled LP: minimize c @ v s.t. A_ub @ v <= b_ub, bounds on v.
 
-    Variables are ordered [x_0..x_{m-1}, g_0..g_{m-1}].
+    Variables are ordered [x_0..x_{m-1}, g_0..g_{m-1}]; rows are ordered
+    window caps (one per path), shared road arcs (sorted by arc id), target.
     """
 
     c: np.ndarray
@@ -63,98 +66,61 @@ class LpSolution:
 
 
 def build_lp(problem: LossMinProblem) -> LpInstance:
-    """Assemble the LP; rows are ordered caps, segments, shared arcs, target."""
+    """Assemble the LP; rows are ordered window caps, shared road arcs, target."""
     paths = problem.paths.paths
     params = problem.params
     w = params.packet_kwh
-    z = params.efficiency
     m = len(paths)
-    routes_by_id = {r.route_id: r for r in problem.routes}
+    cols = np.arange(m)
 
     c = np.zeros(2 * m)
-    for j, p in enumerate(paths):
-        c[j] = 1.0 / z**p.cycles - 1.0 if z > 0 else 0.0
+    c[:m] = [loss_ratio(p.cycles, params.efficiency) for p in paths]
+    caps = np.array([_window_cap(p, params) for p in paths])
 
-    caps = [_window_cap(p, params) for p in paths]
-    rows: list[tuple[dict[int, float], float]] = []
-    # window capacity: x_j - cap_j * g_j <= 0
-    for j, cap in enumerate(caps):
-        rows.append(({j: 1.0, m + j: -cap}, 0.0))
-    # per-segment flow: g_j <= w * f_i^j
-    for j, p in enumerate(paths):
-        for rid, _, _ in p.segments:
-            rows.append(({m + j: 1.0}, w * routes_by_id[rid].flow))
-    # shared-arc coupling: sum_j g_j / w <= h_a for each road arc used
-    used_arcs = sorted({a for p in paths for a in p.arc_ids})
+    # shared-arc coupling, one row per used road arc in sorted arc order:
+    # sum_j g_j / w <= h_a, each path counted once per arc it uses
+    arc_ids = np.array([a for p in paths for a in p.arc_ids], dtype=str)
+    path_of = np.repeat(cols, [len(p.arc_ids) for p in paths])
+    used_arcs, arc_of = np.unique(arc_ids, return_inverse=True)
+    arc_row, arc_col = np.divmod(np.unique(arc_of * m + path_of), m)
     arc_flows = arc_flow_table(problem.routes)
-    for a in used_arcs:
-        coeffs = {m + j: 1.0 / w for j, p in enumerate(paths) if a in p.arc_ids}
-        rows.append((coeffs, arc_flows.get(a, 0.0)))
-    # delivery target: -sum x_j <= -target
-    rows.append(({j: -1.0 for j in range(m)}, -problem.target_kwh))
 
-    data, ri, ci = [], [], []
-    b_ub = np.empty(len(rows))
-    for k, (coeffs, rhs) in enumerate(rows):
-        for col, val in coeffs.items():
-            ri.append(k)
-            ci.append(col)
-            data.append(val)
-        b_ub[k] = rhs
-    a_ub = sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), 2 * m))
+    target_row = m + len(used_arcs)
+    ri = np.concatenate([cols, cols, m + arc_row, np.full(m, target_row)])
+    ci = np.concatenate([cols, m + cols, m + arc_col, cols])
+    data = np.concatenate([
+        np.ones(m),  # window capacity: x_j - cap_j * g_j <= 0
+        -caps,
+        np.full(len(arc_row), 1.0 / w),
+        np.full(m, -1.0),  # delivery target: -sum x_j <= -target
+    ])
+    a_ub = sparse.csr_matrix((data, (ri, ci)), shape=(target_row + 1, 2 * m))
+    b_ub = np.concatenate([
+        np.zeros(m),
+        [arc_flows.get(a, 0.0) for a in used_arcs],
+        [-problem.target_kwh],
+    ])
 
-    # paths past the window carry nothing, but stay in the instance
+    # paths past the window carry nothing, but stay in the instance; a rate
+    # is capped by every route it rides, so by the path's bottleneck flow
     bounds = [(0.0, 0.0) if cap == 0.0 else (0.0, None) for cap in caps]
-    bounds.extend((0.0, None) for _ in paths)
+    bounds.extend((0.0, w * p.bottleneck_flow) for p in paths)
     return LpInstance(c=c, a_ub=a_ub, b_ub=b_ub, bounds=tuple(bounds))
 
 
-def _run_linprog(c, lp: LpInstance, extra_rows=None, extra_rhs=None, fixed=None):
-    a_ub, b_ub = lp.a_ub, lp.b_ub
-    if extra_rows is not None:
-        a_ub = sparse.vstack([a_ub, sparse.csr_matrix(np.atleast_2d(extra_rows))])
-        b_ub = np.concatenate([b_ub, np.atleast_1d(extra_rhs)])
-    bounds = list(lp.bounds)
-    if fixed:
-        for idx, val in fixed.items():
-            bounds[idx] = (val, val)
+def _run_linprog(c, lp: LpInstance):
     return linprog(
         c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=bounds,
+        A_ub=lp.a_ub,
+        b_ub=lp.b_ub,
+        bounds=lp.bounds,
         method="highs",
         options=_HIGHS_OPTIONS,
     )
 
 
-def _lexicographic_refine(lp: LpInstance, m: int, best_obj: float) -> np.ndarray:
-    """Among optima, maximize x_j path by path in canonical order."""
-    fixed: dict[int, float] = {}
-    rhs = best_obj + 1e-9
-    for j in range(m):
-        goal = np.zeros(2 * m)
-        goal[j] = -1.0  # maximize x_j
-        res = _run_linprog(goal, lp, extra_rows=lp.c, extra_rhs=rhs, fixed=fixed)
-        if res.status != 0:
-            raise SolverError(f"tie-break pass failed at path {j}: {res.message}")
-        fixed[j] = float(res.x[j])
-    # settle the rates deterministically: smallest total g among remaining optima
-    goal = np.zeros(2 * m)
-    goal[m:] = 1.0
-    res = _run_linprog(goal, lp, extra_rows=lp.c, extra_rhs=rhs, fixed=fixed)
-    if res.status != 0:
-        raise SolverError(f"tie-break rate pass failed: {res.message}")
-    return res.x
-
-
-def solve_min_loss(problem: LossMinProblem, tie_break: bool = False) -> LpSolution:
-    """Solve the loss-minimization LP; infeasibility is a verdict, not an error.
-
-    With ``tie_break`` the solution is refined to the unique optimum that
-    lexicographically maximizes delivered energy over the canonical path
-    order (one extra solve per path; intended for small instances).
-    """
+def solve_min_loss(problem: LossMinProblem) -> LpSolution:
+    """Solve the loss-minimization LP; infeasibility is a verdict, not an error."""
     paths = problem.paths.paths
     if not paths:
         if problem.target_kwh <= 0.0:
@@ -170,8 +136,6 @@ def solve_min_loss(problem: LossMinProblem, tie_break: bool = False) -> LpSoluti
     if res.status != 0:
         raise SolverError(f"LP solver failure (status {res.status}): {res.message}")
     x = res.x
-    if tie_break:
-        x = _lexicographic_refine(lp, len(paths), float(res.fun))
 
     m = len(paths)
     entries = [
@@ -179,10 +143,11 @@ def solve_min_loss(problem: LossMinProblem, tie_break: bool = False) -> LpSoluti
         for j, p in enumerate(paths)
     ]
     plan = make_plan(entries, problem.params)
-    residual = float(np.max(lp.a_ub @ x - lp.b_ub)) if lp.b_ub.size else 0.0
+    rate_caps = np.array([ub for _, ub in lp.bounds[m:]])
+    residual = max(np.max(lp.a_ub @ x - lp.b_ub), np.max(x[m:] - rate_caps))
     diagnostics = {
         "iterations": int(getattr(res, "nit", 0)),
-        "max_residual": max(residual, 0.0),
+        "max_residual": max(float(residual), 0.0),
         "solve_s": elapsed,
     }
     return LpSolution("optimal", plan, float(lp.c @ x), diagnostics)

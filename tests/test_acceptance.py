@@ -201,7 +201,7 @@ def test_lp_matches_dense_search_oracle_and_is_consistent():
     # sub-instances with 1, 2, and 3 route-disjoint paths
     def subset(k):
         paths = tuple(sorted(full.paths, key=lambda p: p.cycles)[:k])
-        return v.PathSet(s, t, paths, True)
+        return v.PathSet(paths, True)
 
     compared = 0
     for k in (1, 2, 3):

@@ -50,6 +50,8 @@ class TestParams:
             dict(packet_kwh=float("inf"), charge_eff=0.9, discharge_eff=1.0, window_s=1.0),
             dict(packet_kwh=1.0, charge_eff=0.9, discharge_eff=1.0, window_s=float("nan")),
             dict(packet_kwh=1.0, charge_eff=0.9, discharge_eff=1.0, window_s=float("inf")),
+            dict(packet_kwh=1.0, charge_eff=0.0, discharge_eff=1.0, window_s=1.0),
+            dict(packet_kwh=1.0, charge_eff=0.9, discharge_eff=0.0, window_s=1.0),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -209,10 +211,3 @@ class TestPlans:
         _, p = two_cycle_path()
         with pytest.raises(ConsistencyError):
             make_plan([PlanEntry(path=p, rate=-0.1, delivered_kwh=1.0)], PARAMS)
-
-    def test_check_can_be_skipped(self):
-        _, p = two_cycle_path()
-        plan = make_plan(
-            [PlanEntry(path=p, rate=0.0, delivered_kwh=10**9)], PARAMS, check=False
-        )
-        assert len(plan.entries) == 1

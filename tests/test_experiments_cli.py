@@ -135,6 +135,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("method", ["I", "III"])
+    def test_zero_efficiency_is_an_error(self, tmp_path, capsys, method):
+        scen = tmp_path / "grid.txt"
+        main(["gen-grid", "--seed", "4", "--flow", "const:0.1", "--out", str(scen)])
+        text = scen.read_text()
+        assert "zc = 0.9\n" in text
+        scen.write_text(text.replace("zc = 0.9\n", "zc = 0.0\n"))
+        code = main([
+            "solve", "--scenario", str(scen), "--method", method,
+            "--target", "50", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_enumerate_full_and_bounded(self, tmp_path):
         scen = tmp_path / "grid.txt"
         main(["gen-grid", "--seed", "4", "--flow", "const:0.1", "--out", str(scen)])

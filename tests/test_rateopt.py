@@ -1,17 +1,24 @@
 """Rate-assignment LP: construction, optimality, feasibility, diagnostics."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from venroute import (
     DomainError,
+    EnergyParams,
     LossMinProblem,
+    VehicularNetwork,
+    VehicularRoute,
+    build_energy_path,
     build_lp,
     enumerate_paths,
     max_deliverable,
     plan_totals,
     solve_min_loss,
 )
+from venroute import rateopt
 from venroute.pathenum import PathSet
 from venroute.rateopt import _window_cap
 
@@ -74,7 +81,7 @@ class TestBuildLp:
         network, routes, params, s, t = parallel_paths_instance()
         with pytest.raises(DomainError):
             LossMinProblem(
-                paths=PathSet(s, t, (), True),
+                paths=PathSet((), True),
                 params=params,
                 network=network,
                 routes=(),
@@ -133,7 +140,7 @@ class TestSolve:
 
     def test_empty_path_set(self):
         network, routes, params, s, t = parallel_paths_instance()
-        empty = PathSet(s, t, (), True)
+        empty = PathSet((), True)
         ok = solve_min_loss(
             LossMinProblem(paths=empty, params=params, network=network, routes=(), target_kwh=0.0)
         )
@@ -142,22 +149,6 @@ class TestSolve:
             LossMinProblem(paths=empty, params=params, network=network, routes=(), target_kwh=5.0)
         )
         assert bad.status == "infeasible"
-
-    def test_tie_break_is_stable(self):
-        problem, _ = parallel_problem(400.0)
-        a = solve_min_loss(problem, tie_break=True)
-        b = solve_min_loss(problem, tie_break=True)
-        assert a.status == b.status == "optimal"
-        xs_a = [e.delivered_kwh for e in a.plan.entries]
-        xs_b = [e.delivered_kwh for e in b.plan.entries]
-        assert xs_a == pytest.approx(xs_b, abs=1e-9)
-        assert a.objective == pytest.approx(problem_loss_reference(problem), abs=1e-4)
-
-
-def problem_loss_reference(problem):
-    caps = path_ceilings(problem)
-    cycles = [p.cycles for p in problem.paths.paths]
-    return oracle_min_loss(caps, cycles, problem.params.efficiency, problem.target_kwh)
 
 
 class TestCapacityAndExport:
@@ -168,7 +159,7 @@ class TestCapacityAndExport:
     def test_max_deliverable_empty(self):
         network, routes, params, s, t = parallel_paths_instance()
         problem = LossMinProblem(
-            paths=PathSet(s, t, (), True), params=params, network=network, routes=(), target_kwh=0.0
+            paths=PathSet((), True), params=params, network=network, routes=(), target_kwh=0.0
         )
         assert max_deliverable(problem) == 0.0
 
@@ -177,8 +168,6 @@ class TestSharedArcCoupling:
     def test_two_paths_sharing_one_road_arc(self):
         # two single-segment paths whose routes traverse the same road arc:
         # the coupled rate bound caps total throughput at the arc flow sum
-        from venroute import VehicularNetwork, VehicularRoute
-
         net = VehicularNetwork.build(
             ["s", "t"], [("st", "s", "t", 600.0)]
         )
@@ -187,12 +176,8 @@ class TestSharedArcCoupling:
             VehicularRoute("r2", ("st",), 0.3),
         )
         norm, acc, pruned, _ = prepared(net, routes, "t")
-        from venroute import enumerate_paths
-
         ps = enumerate_paths(pruned, "s", "t", acc, net, norm)
         assert len(ps.paths) == 2
-        from venroute import EnergyParams
-
         params = EnergyParams(1.0, 0.9, 1.0, 18000.0)
         problem = LossMinProblem(
             paths=ps, params=params, network=net, routes=norm, target_kwh=0.0
@@ -202,9 +187,53 @@ class TestSharedArcCoupling:
         # same total, so capacity equals cap_coeff * 0.4
         assert max_deliverable(problem) == pytest.approx(cap_coeff * 0.4, rel=1e-9)
         lp = build_lp(problem)
-        # rows: one cap per path, one per segment, one per used road arc, target
-        arc_row = len(ps.paths) + sum(p.cycles for p in ps.paths)
+        # rows: one cap per path, one per used road arc, target
+        arc_row = len(ps.paths)
         assert lp.a_ub.shape[0] == arc_row + 2
         row = lp.a_ub[arc_row].toarray().ravel()
         np.testing.assert_allclose(row[2:], [1.0, 1.0])
         assert lp.b_ub[arc_row] == pytest.approx(0.4)
+        # each rate is bounded by w times its path's bottleneck flow
+        assert lp.bounds[2:] == tuple((0.0, 1.0 * p.bottleneck_flow) for p in ps.paths)
+
+
+def two_segment_problem(target):
+    # one path s -> m -> t riding r1 (flow 0.1) then r2 (flow 0.3); r3 also
+    # drives s -> m, so neither road arc's total flow is the binding rate cap
+    net = VehicularNetwork.build(
+        ["s", "m", "t"], [("sm", "s", "m", 600.0), ("mt", "m", "t", 600.0)]
+    )
+    routes = (
+        VehicularRoute("r1", ("sm",), 0.1),
+        VehicularRoute("r2", ("mt",), 0.3),
+        VehicularRoute("r3", ("sm",), 0.5),
+    )
+    path = build_energy_path(
+        net, {r.route_id: r for r in routes}, [("r1", 1, 1), ("r2", 1, 1)], "s", "t"
+    )
+    params = EnergyParams(2.0, 0.9, 1.0, 18000.0)
+    return LossMinProblem(
+        paths=PathSet((path,), True), params=params, network=net, routes=routes,
+        target_kwh=target,
+    )
+
+
+class TestRateBounds:
+    def test_bottleneck_flow_is_a_bound_not_rows(self):
+        lp = build_lp(two_segment_problem(0.0))
+        m, used_arcs = 1, 2
+        assert lp.bounds[m] == (0.0, 2.0 * 0.1)
+        assert lp.a_ub.shape[0] == m + used_arcs + 1
+        # at the two-cycle capacity the rate sits on its bound
+        capacity = (18000.0 - 1200.0) * 0.9**2 * 0.2
+        sol = solve_min_loss(two_segment_problem(capacity * (1 - 1e-9)))
+        assert sol.status == "optimal"
+        assert sol.plan.entries[0].rate == pytest.approx(0.2, rel=1e-6)
+        assert sol.diagnostics["max_residual"] <= 1e-9
+
+    def test_residual_counts_rate_bound_violations(self, monkeypatch):
+        # a point that satisfies every row but exceeds the rate bound by 0.05
+        fake = SimpleNamespace(status=0, x=np.array([0.0, 0.25]), nit=0)
+        monkeypatch.setattr(rateopt, "_run_linprog", lambda c, lp: fake)
+        sol = solve_min_loss(two_segment_problem(0.0))
+        assert sol.diagnostics["max_residual"] == pytest.approx(0.05)

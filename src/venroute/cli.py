@@ -26,11 +26,14 @@ EXIT_INFEASIBLE = 3
 
 def _parse_flow_spec(text: str):
     kind, _, rest = text.partition(":")
-    if kind == "const":
-        return ("const", float(rest))
-    if kind == "uniform":
-        lo, hi = rest.split(",")
-        return ("uniform", float(lo), float(hi))
+    try:
+        if kind == "const":
+            return ("const", float(rest))
+        if kind == "uniform":
+            lo, hi = rest.split(",")
+            return ("uniform", float(lo), float(hi))
+    except ValueError:
+        pass
     raise argparse.ArgumentTypeError(
         f"flow spec must be const:<c> or uniform:<lo>,<hi>, got {text!r}"
     )

@@ -62,6 +62,64 @@ class EnergyPath:
         return (self.boundaries, tuple(rid for rid, _, _ in self.segments))
 
 
+@dataclass(frozen=True, slots=True)
+class SegmentSpan:
+    """One route segment (route id, n, m) with its derived quantities."""
+
+    segment: tuple[RouteId, int, int]
+    arc_ids: tuple[str, ...]
+    tail: Junction
+    head: Junction
+    delay_s: float
+    flow: float
+
+
+def segment_span(
+    network: VehicularNetwork,
+    routes_by_id: Mapping[RouteId, VehicularRoute],
+    rid: RouteId,
+    n: int,
+    m: int,
+) -> SegmentSpan:
+    """Arcs n..m (1-based, inclusive) of route ``rid``, checked to lie within the route."""
+    route = routes_by_id[rid]
+    if not (1 <= n <= m <= len(route.arcs)):
+        raise StructuralError(f"segment ({rid}, {n}, {m}) out of range")
+    sub = route.arcs[n - 1 : m]
+    arc_by_id = network.arc_by_id
+    return SegmentSpan(
+        segment=(rid, n, m),
+        arc_ids=sub,
+        tail=arc_by_id[sub[0]].tail,
+        head=arc_by_id[sub[-1]].head,
+        delay_s=sum(arc_by_id[a].delay_s for a in sub),
+        flow=route.flow,
+    )
+
+
+def assemble_energy_path(
+    spans: Sequence[SegmentSpan], source: Junction, destination: Junction
+) -> EnergyPath:
+    """The energy path along spans already checked to chain loop-free from source to destination."""
+    arc_ids: tuple[str, ...] = ()
+    delay = 0.0
+    bottleneck = math.inf
+    for sp in spans:
+        arc_ids += sp.arc_ids
+        delay += sp.delay_s
+        if sp.flow < bottleneck:
+            bottleneck = sp.flow
+    return EnergyPath(
+        segments=tuple([sp.segment for sp in spans]),
+        source=source,
+        destination=destination,
+        boundaries=(source, *[sp.head for sp in spans]),
+        arc_ids=arc_ids,
+        delay_s=delay,
+        bottleneck_flow=bottleneck,
+    )
+
+
 def build_energy_path(
     network: VehicularNetwork,
     routes_by_id: Mapping[RouteId, VehicularRoute],
@@ -73,43 +131,25 @@ def build_energy_path(
     if not segments:
         raise StructuralError("an energy path needs at least one segment")
     seen_routes = set()
-    boundaries = [source]
-    arc_ids: list[str] = []
-    delay = 0.0
-    bottleneck = float("inf")
+    spans: list[SegmentSpan] = []
     prev_head = source
     for rid, n, m in segments:
         if rid in seen_routes:
             raise StructuralError(f"route {rid!r} appears twice along the path")
         seen_routes.add(rid)
-        route = routes_by_id[rid]
-        if not (1 <= n <= m <= len(route.arcs)):
-            raise StructuralError(f"segment ({rid}, {n}, {m}) out of range")
-        sub = route.arcs[n - 1 : m]
-        tail = network.arc_by_id[sub[0]].tail
-        head = network.arc_by_id[sub[-1]].head
-        if tail != prev_head:
+        sp = segment_span(network, routes_by_id, rid, n, m)
+        if sp.tail != prev_head:
             raise StructuralError(
-                f"segment ({rid}, {n}, {m}) starts at {tail}, expected {prev_head}"
+                f"segment ({rid}, {n}, {m}) starts at {sp.tail}, expected {prev_head}"
             )
-        arc_ids.extend(sub)
-        delay += sum(network.arc_by_id[a].delay_s for a in sub)
-        bottleneck = min(bottleneck, route.flow)
-        boundaries.append(head)
-        prev_head = head
+        spans.append(sp)
+        prev_head = sp.head
     if prev_head != destination:
         raise StructuralError(f"path ends at {prev_head}, expected destination {destination}")
-    if len(set(boundaries)) != len(boundaries):
+    path = assemble_energy_path(spans, source, destination)
+    if len(set(path.boundaries)) != len(path.boundaries):
         raise StructuralError("segment boundary junctions repeat; path is not loop-free")
-    return EnergyPath(
-        segments=tuple(segments),
-        source=source,
-        destination=destination,
-        boundaries=tuple(boundaries),
-        arc_ids=tuple(arc_ids),
-        delay_s=delay,
-        bottleneck_flow=bottleneck,
-    )
+    return path
 
 
 def window_cap(path: EnergyPath, params: EnergyParams) -> float:

@@ -5,6 +5,13 @@ expansion; each completed sequence is expanded into concrete energy paths by
 taking the Cartesian product of its per-arc route index sets and dropping
 combinations that reuse a route. A randomized depth-first variant yields
 seeded subsets for the sampled-LP method.
+
+Each call derives the segment span (arcs, end junctions, delay, flow) of a
+route on an accessibility arc once, checked to run along that arc, and
+shares it across every sequence crossing the arc. Paths are assembled from
+those spans. Because every span runs along its arc and every sequence is
+checked to be loop-free, each path chains from source to destination
+without a repeated junction, as ``build_energy_path`` would check.
 """
 
 from __future__ import annotations
@@ -13,10 +20,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
-from .energy import EnergyPath, build_energy_path
-from .errors import ConsistencyError, DomainError, EnumerationCapError
+from .energy import EnergyPath, SegmentSpan, assemble_energy_path, segment_span
+from .errors import ConsistencyError, DomainError, EnumerationCapError, StructuralError
 from .network import (
     AccessibilityGraph,
     Junction,
@@ -30,6 +38,8 @@ from .network import (
 DEFAULT_CAP = 10**6
 
 JunctionSequence = tuple[Junction, ...]
+# (boundary junctions, route ids): equal to EnergyPath.sort_key() of the path
+PathKey = tuple[JunctionSequence, tuple[RouteId, ...]]
 
 
 @dataclass(frozen=True)
@@ -93,27 +103,70 @@ def enumerate_sequences(
     return tuple(sorted(done))
 
 
-def _combo_paths(
-    seq: JunctionSequence,
-    accessibility: AccessibilityGraph,
-    network: VehicularNetwork,
-    routes_by_id: Mapping[RouteId, VehicularRoute],
-) -> Iterator[EnergyPath]:
-    """Expand one junction sequence into energy paths, combo by combo."""
-    index_lists = []
-    for i, j in zip(seq, seq[1:]):
-        per_route = accessibility.segments.get((i, j))
+class _SpanTable(dict):
+    """Route ids and checked segment spans per accessibility arc, sorted by route id.
+
+    An arc's entry is derived on first use and shared by every sequence that
+    crosses the arc. Each span is checked once to run from i to j.
+    """
+
+    def __init__(
+        self,
+        accessibility: AccessibilityGraph,
+        network: VehicularNetwork,
+        routes_by_id: Mapping[RouteId, VehicularRoute],
+    ):
+        super().__init__()
+        self._accessibility = accessibility
+        self._network = network
+        self._routes_by_id = routes_by_id
+
+    def __missing__(
+        self, arc: tuple[Junction, Junction]
+    ) -> tuple[tuple[RouteId, ...], tuple[SegmentSpan, ...]]:
+        i, j = arc
+        per_route = self._accessibility.segments.get(arc)
         if not per_route:
             raise ConsistencyError(f"no index set for accessibility arc ({i}, {j})")
-        index_lists.append(sorted(per_route))
-    for combo in itertools.product(*index_lists):
-        if len(set(combo)) != len(combo):
-            continue  # a route reused across segments does not form an energy path
-        segments = [
-            (rid, *accessibility.segments[(i, j)][rid])
-            for rid, i, j in zip(combo, seq, seq[1:])
-        ]
-        yield build_energy_path(network, routes_by_id, segments, seq[0], seq[-1])
+        rids = tuple(sorted(per_route))
+        spans = tuple(
+            segment_span(self._network, self._routes_by_id, rid, *per_route[rid])
+            for rid in rids
+        )
+        for sp in spans:
+            if sp.tail != i or sp.head != j:
+                raise StructuralError(
+                    f"segment {sp.segment} runs from {sp.tail} to {sp.head}, "
+                    f"not along accessibility arc ({i}, {j})"
+                )
+        self[arc] = entry = (rids, spans)
+        return entry
+
+
+def _combo_paths(
+    seq: JunctionSequence, table: _SpanTable, skip: int = 0
+) -> Iterator[tuple[PathKey, EnergyPath]]:
+    """Expand one junction sequence into (sort key, energy path) pairs, combo by combo.
+
+    The first ``skip`` paths are passed over without being assembled. Every
+    span runs along its arc and the sequence is loop-free, so each path
+    chains from seq[0] to seq[-1] without repeating a boundary junction.
+    """
+    seq = tuple(seq)
+    if len(seq) < 2:
+        raise StructuralError("an energy path needs at least one segment")
+    if len(set(seq)) != len(seq):
+        raise StructuralError("segment boundary junctions repeat; path is not loop-free")
+    entries = [table[arc] for arc in zip(seq, seq[1:])]
+    combos = zip(
+        itertools.product(*(rids for rids, _ in entries)),
+        itertools.product(*(spans for _, spans in entries)),
+    )
+    # a route reused across segments does not form an energy path
+    valid = ((rids, spans) for rids, spans in combos if len(set(rids)) == len(rids))
+    source, destination = seq[0], seq[-1]
+    for rids, spans in itertools.islice(valid, skip, None):
+        yield (seq, rids), assemble_energy_path(spans, source, destination)
 
 
 def expand_to_paths(
@@ -124,20 +177,16 @@ def expand_to_paths(
     cap: int = DEFAULT_CAP,
 ) -> PathSet:
     """Expand junction sequences into the full set of concrete energy paths."""
-    routes_by_id = {r.route_id: r for r in routes}
-    paths: list[EnergyPath] = []
-    keys: set = set()
+    table = _SpanTable(accessibility, network, {r.route_id: r for r in routes})
+    by_key: dict[PathKey, EnergyPath] = {}
     for seq in sequences:
-        for path in _combo_paths(seq, accessibility, network, routes_by_id):
-            paths.append(path)
-            if len(paths) > cap:
+        for key, path in _combo_paths(seq, table):
+            if len(by_key) >= cap:
                 raise EnumerationCapError(f"path expansion exceeded the cap of {cap}")
-            key = path.sort_key()
-            if key in keys:
+            if key in by_key:
                 raise ConsistencyError(f"duplicate energy path produced: {key}")
-            keys.add(key)
-    paths.sort(key=EnergyPath.sort_key)
-    return PathSet(paths=tuple(paths), complete=True)
+            by_key[key] = path
+    return PathSet(paths=tuple(by_key[key] for key in sorted(by_key)), complete=True)
 
 
 def enumerate_paths(
@@ -234,12 +283,12 @@ def enumerate_bounded(
         raise DomainError("limit must be at least 1")
     if s == t:
         raise DomainError("source and destination must differ")
-    routes_by_id = {r.route_id: r for r in routes}
+    table = _SpanTable(accessibility, network, {r.route_id: r for r in routes})
     hops = hops_to(pruned_arcs, t)
     succ = adjacency((i, j) for (i, j) in pruned_arcs if i in hops and j in hops)
     rng = random.Random(seed)
     per_seq_cap = max(1, limit // 8)
-    paths: list[EnergyPath] = []
+    keyed: list[tuple[PathKey, EnergyPath]] = []
     truncated = False
     skipped: list[JunctionSequence] = []  # sequences with combos beyond the cap
     budget = None
@@ -248,29 +297,27 @@ def enumerate_bounded(
         budget = hops[s] + detour_slack
     for seq in _random_sequence_dfs(succ, s, t, rng, hops, budget, tracker):
         taken = 0
-        for path in _combo_paths(seq, accessibility, network, routes_by_id):
-            if len(paths) >= limit:
+        for pair in _combo_paths(seq, table):
+            if len(keyed) >= limit:
                 truncated = True
                 break
             if taken >= per_seq_cap:
                 skipped.append(seq)
                 break
-            paths.append(path)
+            keyed.append(pair)
             taken += 1
         if truncated:
             break
     if not truncated and skipped:
         # room left and combos were held back for diversity: take them now
         for seq in skipped:
-            for k, path in enumerate(_combo_paths(seq, accessibility, network, routes_by_id)):
-                if k < per_seq_cap:
-                    continue
-                if len(paths) >= limit:
+            for pair in _combo_paths(seq, table, skip=per_seq_cap):
+                if len(keyed) >= limit:
                     truncated = True
                     break
-                paths.append(path)
+                keyed.append(pair)
             if truncated:
                 break
-    paths.sort(key=EnergyPath.sort_key)
+    keyed.sort(key=itemgetter(0))
     complete = not truncated and not tracker.hit
-    return PathSet(paths=tuple(paths), complete=complete)
+    return PathSet(paths=tuple(path for _, path in keyed), complete=complete)

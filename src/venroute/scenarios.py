@@ -8,6 +8,7 @@ scenarios byte for byte.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -95,6 +96,8 @@ def _make_routes(
     max_km: float | None = None,
     arc_km: dict[str, float] | None = None,
 ) -> tuple[VehicularRoute, ...]:
+    if not all(0.0 <= float(v) < math.inf for v in flow_spec[1:]):
+        raise DomainError(f"flow spec values must be finite and nonnegative, got {flow_spec!r}")
     width = max(2, len(str(count)))
     arcs_by_tail: dict[str, list] = {}
     for a in sorted(network.arcs, key=lambda a: a.arc_id):

@@ -193,3 +193,16 @@ class TestCli:
     def test_flow_spec_parsing_error(self):
         with pytest.raises(SystemExit):
             main(["gen-grid", "--flow", "bogus", "--out", "x"])
+
+    @pytest.mark.parametrize("spec", ["uniform:0.1:0.3", "const:abc", "uniform:0.1,x"])
+    def test_malformed_flow_spec_names_the_format(self, spec, capsys):
+        with pytest.raises(SystemExit):
+            main(["gen-grid", "--flow", spec, "--out", "x"])
+        assert "flow spec must be const:<c> or uniform:<lo>,<hi>" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["const:nan", "const:-1", "uniform:0.1,inf"])
+    def test_bad_flow_values_are_an_error(self, spec, tmp_path, capsys):
+        scen = tmp_path / "g.txt"
+        assert main(["gen-grid", "--flow", spec, "--out", str(scen)]) == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+        assert not scen.exists()

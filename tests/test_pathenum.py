@@ -1,5 +1,6 @@
 """Path enumeration: counting bounds, exhaustive expansion, bounded sampling."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from venroute import (
+    ConsistencyError,
     DomainError,
+    EnergyPath,
     EnumerationCapError,
+    StructuralError,
     VehicularNetwork,
     VehicularRoute,
     build_accessibility_graph,
+    build_energy_path,
     enumerate_bounded,
     enumerate_paths,
     enumerate_sequences,
@@ -58,6 +63,25 @@ def complete_digraph_instance(n):
     return network, tuple(routes)
 
 
+def chain_with_through_route():
+    """Road chain s -> m -> t: one route per arc plus one route along both.
+
+    A fourth route drives the road m -> s back to the source.
+    """
+    network = VehicularNetwork.build(
+        ["s", "m", "t"],
+        [("sm", "s", "m", 60.0), ("mt", "m", "t", 90.0), ("ms", "m", "s", 60.0)],
+    )
+    routes = (
+        VehicularRoute("r1", ("sm",), 0.1),
+        VehicularRoute("r2", ("mt",), 0.2),
+        VehicularRoute("r3", ("sm", "mt"), 0.3),
+        VehicularRoute("r4", ("ms",), 0.1),
+    )
+    norm, acc, _, _ = prepared(network, routes, "t")
+    return network, norm, acc
+
+
 class TestSequences:
     def test_complete_digraph_counts(self):
         for n in range(3, 7):
@@ -99,6 +123,17 @@ class TestExpansion:
             ps = expand_to_paths(seqs, acc, network, norm)
             got = {(p.boundaries, tuple(r for r, _, _ in p.segments)) for p in ps.paths}
             assert got == oracle_expand(seqs, acc)
+            # field for field, every expanded path is the one build_energy_path
+            # derives from its segments
+            routes_by_id = {r.route_id: r for r in norm}
+            for p in ps.paths:
+                ref = build_energy_path(network, routes_by_id, p.segments, s, t)
+                for f in dataclasses.fields(EnergyPath):
+                    assert getattr(p, f.name) == getattr(ref, f.name), f.name
+            by_key = {p.sort_key(): p for p in ps.paths}
+            for limit in (1, 3, 8):
+                sub = enumerate_bounded(pruned, s, t, acc, network, norm, limit=limit, seed=seed)
+                assert all(p == by_key[p.sort_key()] for p in sub.paths)
 
     def test_paths_sorted_canonically(self):
         network, routes, s, t = random_instance(7)
@@ -112,6 +147,46 @@ class TestExpansion:
         norm, acc, pruned, _ = prepared(network, routes, "n5")
         with pytest.raises(EnumerationCapError):
             enumerate_paths(pruned, "n0", "n5", acc, network, norm, cap=20)
+
+    def test_cap_is_exact(self):
+        network, routes = complete_digraph_instance(5)
+        norm, acc, pruned, _ = prepared(network, routes, "n4")
+        seqs = enumerate_sequences(pruned, "n0", "n4")
+        count = len(expand_to_paths(seqs, acc, network, norm).paths)
+        assert len(expand_to_paths(seqs, acc, network, norm, cap=count).paths) == count
+        with pytest.raises(EnumerationCapError):
+            expand_to_paths(seqs, acc, network, norm, cap=count - 1)
+
+    def test_repeated_sequence_rejected(self):
+        network, norm, acc = chain_with_through_route()
+        seqs = enumerate_sequences(acc.arcs, "s", "t")
+        with pytest.raises(ConsistencyError):
+            expand_to_paths(seqs + seqs[:1], acc, network, norm)
+
+    @pytest.mark.parametrize("seq", [("s", "m", "s", "t"), ("s",)])
+    def test_malformed_sequence_rejected(self, seq):
+        # a junction repeats, or there is no segment at all
+        network, norm, acc = chain_with_through_route()
+        with pytest.raises(StructuralError):
+            expand_to_paths([seq], acc, network, norm)
+
+    @pytest.mark.parametrize(
+        "arc, rid, span",
+        [
+            (("s", "m"), "r3", (2, 2)),  # runs m -> t, not s -> m
+            (("s", "m"), "r1", (1, 2)),  # r1 has one arc
+        ],
+    )
+    def test_corrupted_segment_rejected(self, arc, rid, span):
+        network, norm, acc = chain_with_through_route()
+        segments = {key: dict(per_route) for key, per_route in acc.segments.items()}
+        segments[arc][rid] = span
+        bad = dataclasses.replace(acc, segments=segments)
+        seqs = enumerate_sequences(acc.arcs, "s", "t")
+        with pytest.raises(StructuralError):
+            expand_to_paths(seqs, bad, network, norm)
+        with pytest.raises(StructuralError):
+            enumerate_bounded(acc.arcs, "s", "t", bad, network, norm, limit=10, seed=0)
 
     def test_multi_route_arcs_multiply(self):
         # two routes realize the same accessibility arc -> two paths per hop choice

@@ -52,6 +52,22 @@ class TestGenerators:
         assert a.source != a.destination
         assert all(1 <= len(r.arcs) <= 3 for r in a.routes)
 
+    @pytest.mark.parametrize(
+        "flow_spec",
+        [
+            ("const", float("nan")),
+            ("const", -1.0),
+            ("const", float("inf")),
+            ("uniform", -0.1, 0.3),
+            ("uniform", 0.1, float("nan")),
+        ],
+    )
+    def test_flow_spec_values_validated(self, flow_spec):
+        with pytest.raises(DomainError):
+            generate_grid(4, 4, 10.0, 60.0, 20, flow_spec, seed=0)
+        with pytest.raises(DomainError):
+            generate_random(6, 0.5, 3, 10, seed=0, flow_spec=flow_spec)
+
     def test_random_validates_density(self):
         with pytest.raises(DomainError):
             generate_random(6, 0.0, 3, 5, seed=0)

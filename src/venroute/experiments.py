@@ -8,15 +8,23 @@ request, so default outputs are byte-stable across runs.
 from __future__ import annotations
 
 import io
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
 from .energy import plan_totals
-from .errors import EnumerationCapError
+from .errors import DomainError, EnumerationCapError
 from .heuristic import heuristic_min_loss
 from .network import build_accessibility_graph, normalize_routes, prune_unreachable
-from .pathenum import DEFAULT_CAP, PathSet, enumerate_bounded, enumerate_paths
+from .pathenum import (
+    DEFAULT_CAP,
+    PathSet,
+    count_paths,
+    enumerate_bounded,
+    enumerate_paths,
+    enumerate_sequences,
+)
 from .rateopt import LossMinProblem, solve_min_loss
 from .scenarios import Scenario, generate_random
 
@@ -220,8 +228,21 @@ def run_growth(
 ) -> str:
     """Per-instance path counts across network sizes and densities, as CSV.
 
-    Appends per-cell mean rows and a monotone-trend summary as comment lines.
+    Each instance's paths are counted, not built: its junction sequences are
+    enumerated and their route-distinct combinations counted, under one
+    ``enumeration_cap``. Appends per-cell mean rows and a monotone-trend
+    summary as comment lines. ``n_values`` and ``density_grid`` must be
+    non-empty and strictly increasing, since the trends compare neighbours.
     """
+    if instances_per_cell < 1:
+        raise DomainError("instances per cell must be at least 1")
+    if not all(math.isfinite(d) for d in density_grid):
+        raise DomainError(f"densities must be finite, got {list(density_grid)}")
+    for name, grid in (("n_values", n_values), ("density_grid", density_grid)):
+        if not grid:
+            raise DomainError(f"{name} must not be empty")
+        if not all(a < b for a, b in zip(grid, grid[1:])):
+            raise DomainError(f"{name} must be strictly increasing, got {list(grid)}")
     lines = [GROWTH_HEADER]
     means: dict[tuple[int, float], float] = {}
     for n in n_values:
@@ -242,16 +263,12 @@ def run_growth(
                 capped = False
                 n_paths = 0
                 try:
-                    pathset = enumerate_paths(
-                        pruned,
-                        sc.source,
-                        sc.destination,
-                        accessibility,
-                        sc.network,
-                        routes,
-                        cap=enumeration_cap,
+                    sequences = enumerate_sequences(
+                        pruned, sc.source, sc.destination, cap=enumeration_cap
                     )
-                    n_paths = len(pathset.paths)
+                    n_paths = count_paths(
+                        sequences, accessibility, sc.network, routes, cap=enumeration_cap
+                    )
                 except EnumerationCapError:
                     capped = True
                 counts.append(n_paths)

@@ -4,14 +4,17 @@ Junction sequences are grown on the pruned accessibility graph by frontier
 expansion; each completed sequence is expanded into concrete energy paths by
 taking the Cartesian product of its per-arc route index sets and dropping
 combinations that reuse a route. A randomized depth-first variant yields
-seeded subsets for the sampled-LP method.
+seeded subsets for the sampled-LP method. ``count_paths`` counts those
+combinations without building any path, which is all the growth study needs.
 
 Each call derives the segment span (arcs, end junctions, delay, flow) of a
 route on an accessibility arc once, checked to run along that arc, and
-shares it across every sequence crossing the arc. Paths are assembled from
-those spans. Because every span runs along its arc and every sequence is
-checked to be loop-free, each path chains from source to destination
-without a repeated junction, as ``build_energy_path`` would check.
+shares it across every sequence crossing the arc. Expansion, counting and
+sampling draw their combinations from one generator over those spans, and
+paths are assembled from them. Because every span runs along its arc and
+every sequence is checked to be loop-free, each path chains from source to
+destination without a repeated junction, as ``build_energy_path`` would
+check.
 """
 
 from __future__ import annotations
@@ -143,6 +146,27 @@ class _SpanTable(dict):
         return entry
 
 
+def _route_combos(
+    seq: JunctionSequence, table: _SpanTable
+) -> Iterator[tuple[tuple[RouteId, ...], tuple[SegmentSpan, ...]]]:
+    """Route-distinct (route ids, spans) combinations of one junction sequence.
+
+    The sequence is checked to have at least one arc and to be loop-free, and
+    each arc's entry comes from the span table, so every span used runs along
+    its arc. A combination that reuses a route forms no energy path.
+    """
+    if len(seq) < 2:
+        raise StructuralError("an energy path needs at least one segment")
+    if len(set(seq)) != len(seq):
+        raise StructuralError("segment boundary junctions repeat; path is not loop-free")
+    entries = [table[arc] for arc in zip(seq, seq[1:])]
+    combos = zip(
+        itertools.product(*(rids for rids, _ in entries)),
+        itertools.product(*(spans for _, spans in entries)),
+    )
+    return ((rids, spans) for rids, spans in combos if len(set(rids)) == len(rids))
+
+
 def _combo_paths(
     seq: JunctionSequence, table: _SpanTable, skip: int = 0
 ) -> Iterator[tuple[PathKey, EnergyPath]]:
@@ -153,19 +177,9 @@ def _combo_paths(
     chains from seq[0] to seq[-1] without repeating a boundary junction.
     """
     seq = tuple(seq)
-    if len(seq) < 2:
-        raise StructuralError("an energy path needs at least one segment")
-    if len(set(seq)) != len(seq):
-        raise StructuralError("segment boundary junctions repeat; path is not loop-free")
-    entries = [table[arc] for arc in zip(seq, seq[1:])]
-    combos = zip(
-        itertools.product(*(rids for rids, _ in entries)),
-        itertools.product(*(spans for _, spans in entries)),
-    )
-    # a route reused across segments does not form an energy path
-    valid = ((rids, spans) for rids, spans in combos if len(set(rids)) == len(rids))
+    combos = _route_combos(seq, table)
     source, destination = seq[0], seq[-1]
-    for rids, spans in itertools.islice(valid, skip, None):
+    for rids, spans in itertools.islice(combos, skip, None):
         yield (seq, rids), assemble_energy_path(spans, source, destination)
 
 
@@ -187,6 +201,37 @@ def expand_to_paths(
                 raise ConsistencyError(f"duplicate energy path produced: {key}")
             by_key[key] = path
     return PathSet(paths=tuple(by_key[key] for key in sorted(by_key)), complete=True)
+
+
+def count_paths(
+    sequences: Iterable[JunctionSequence],
+    accessibility: AccessibilityGraph,
+    network: VehicularNetwork,
+    routes: Iterable[VehicularRoute],
+    cap: int = DEFAULT_CAP,
+) -> int:
+    """Number of energy paths ``expand_to_paths`` would return, without building them.
+
+    Same checks, errors and cap: more than ``cap`` paths raise
+    EnumerationCapError, and a sequence repeated in the input (so a path
+    produced twice) raises ConsistencyError.
+    """
+    table = _SpanTable(accessibility, network, {r.route_id: r for r in routes})
+    seen: set[JunctionSequence] = set()
+    total = 0
+    for seq in sequences:
+        seq = tuple(seq)
+        # one past the room left is enough to tell that the cap is exceeded
+        room = max(cap - total, 0)
+        n = sum(1 for _ in itertools.islice(_route_combos(seq, table), room + 1))
+        # checked in expansion's order: a full set raises the cap first
+        if n and room and seq in seen:
+            raise ConsistencyError(f"junction sequence repeated: {seq}")
+        if n > room:
+            raise EnumerationCapError(f"path expansion exceeded the cap of {cap}")
+        seen.add(seq)
+        total += n
+    return total
 
 
 def enumerate_paths(

@@ -1,8 +1,10 @@
 """Experiment drivers and the command-line front end."""
 
+import hashlib
+
 import pytest
 
-from venroute import generate_grid, run_compare, run_growth
+from venroute import DomainError, energy, generate_grid, pathenum, run_compare, run_growth
 from venroute.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
 from venroute.experiments import COMPARE_HEADER, GROWTH_HEADER
 
@@ -55,6 +57,25 @@ class TestRunCompare:
         assert row.loss_kwh is None
 
 
+# run_growth([4, 6], [0.3, 0.5], 2, 0, enumeration_cap=8): two rows capped
+SMALL_CAPPED_GROWTH_CSV = """\
+n_junctions,road_density,seed,accessibility_density,n_paths,capped
+4,0.3000,6136,0.6667,0,true
+4,0.3000,6137,0.3333,2,false
+4,0.5000,7536,0.6667,5,false
+4,0.5000,7537,0.5000,4,false
+6,0.3000,8154,0.3333,4,false
+6,0.3000,8155,0.2333,1,false
+6,0.5000,9554,0.4667,0,true
+6,0.5000,9555,0.5333,6,false
+# mean n=4 density=0.3000 mean_paths=1.0000
+# mean n=4 density=0.5000 mean_paths=4.5000
+# mean n=6 density=0.3000 mean_paths=2.5000
+# mean n=6 density=0.5000 mean_paths=3.0000
+# trend density_monotone=true size_monotone=false
+"""
+
+
 class TestRunGrowth:
     def test_structure_and_trends(self):
         csv = run_growth(
@@ -71,6 +92,43 @@ class TestRunGrowth:
     def test_deterministic(self):
         kwargs = dict(n_values=[4], density_grid=[0.4], instances_per_cell=2, seed=9)
         assert run_growth(**kwargs) == run_growth(**kwargs)
+
+    def test_default_study_is_pinned(self):
+        csv = run_growth([4, 6, 8, 10], [0.2, 0.35, 0.5], 30, 0)
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "7ff8320c7afdb357b385a7bddf83493d6663a99b3c91f1f386d467b41e0aaf61"
+        )
+
+    def test_paths_are_counted_not_built(self, monkeypatch):
+        def no_path(*args, **kwargs):
+            raise AssertionError("the growth study built an energy path")
+
+        monkeypatch.setattr(pathenum, "assemble_energy_path", no_path)
+        monkeypatch.setattr(energy, "EnergyPath", no_path)
+        csv = run_growth([4, 6], [0.3, 0.5], 2, 0, enumeration_cap=8)
+        assert csv == SMALL_CAPPED_GROWTH_CSV
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(instances_per_cell=0),
+            dict(instances_per_cell=-2),
+            dict(density_grid=[float("nan")]),
+            dict(density_grid=[0.3, float("inf")]),
+            dict(n_values=[]),
+            dict(density_grid=[]),
+            dict(n_values=[4, 4]),
+            dict(density_grid=[0.5, 0.3]),
+        ],
+        ids=[
+            "no-instances", "negative-instances", "nan-density", "inf-density",
+            "no-sizes", "no-densities", "repeated-size", "decreasing-densities",
+        ],
+    )
+    def test_bad_inputs_rejected(self, kwargs):
+        args = dict(n_values=[4, 5], density_grid=[0.3, 0.5], instances_per_cell=1, seed=0)
+        with pytest.raises(DomainError):
+            run_growth(**{**args, **kwargs})
 
 
 class TestCli:
@@ -189,6 +247,23 @@ class TestCli:
         ])
         assert code == EXIT_OK
         assert out.read_text().startswith(GROWTH_HEADER)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--instances", "0"],
+            ["--instances", "-2"],
+            ["--densities", "nan"],
+            ["--n-values", ""],
+            ["--n-values", "4,4"],
+        ],
+        ids=["no-instances", "negative-instances", "nan-density", "no-sizes", "repeated-size"],
+    )
+    def test_bad_growth_inputs_are_an_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "growth.csv"
+        assert main(["growth", *argv, "--out", str(out)]) == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flow_spec_parsing_error(self):
         with pytest.raises(SystemExit):

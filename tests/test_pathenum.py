@@ -17,6 +17,7 @@ from venroute import (
     VehicularRoute,
     build_accessibility_graph,
     build_energy_path,
+    count_paths,
     enumerate_bounded,
     enumerate_paths,
     enumerate_sequences,
@@ -26,6 +27,15 @@ from venroute import (
 )
 
 from helpers import oracle_expand, oracle_sequences, prepared, random_instance
+
+
+def n_expanded(*args, **kwargs):
+    return len(expand_to_paths(*args, **kwargs).paths)
+
+
+# expansion and counting share their checks, errors and cap; each test below
+# that names PATH_COUNTERS runs against both
+PATH_COUNTERS = (n_expanded, count_paths)
 
 
 class TestCountingBounds:
@@ -123,6 +133,7 @@ class TestExpansion:
             ps = expand_to_paths(seqs, acc, network, norm)
             got = {(p.boundaries, tuple(r for r, _, _ in p.segments)) for p in ps.paths}
             assert got == oracle_expand(seqs, acc)
+            assert count_paths(seqs, acc, network, norm) == len(ps.paths)
             # field for field, every expanded path is the one build_energy_path
             # derives from its segments
             routes_by_id = {r.route_id: r for r in norm}
@@ -153,22 +164,29 @@ class TestExpansion:
         norm, acc, pruned, _ = prepared(network, routes, "n4")
         seqs = enumerate_sequences(pruned, "n0", "n4")
         count = len(expand_to_paths(seqs, acc, network, norm).paths)
-        assert len(expand_to_paths(seqs, acc, network, norm, cap=count).paths) == count
-        with pytest.raises(EnumerationCapError):
-            expand_to_paths(seqs, acc, network, norm, cap=count - 1)
+        for n_paths in PATH_COUNTERS:
+            assert n_paths(seqs, acc, network, norm, cap=count) == count
+            with pytest.raises(EnumerationCapError):
+                n_paths(seqs, acc, network, norm, cap=count - 1)
 
     def test_repeated_sequence_rejected(self):
         network, norm, acc = chain_with_through_route()
         seqs = enumerate_sequences(acc.arcs, "s", "t")
-        with pytest.raises(ConsistencyError):
-            expand_to_paths(seqs + seqs[:1], acc, network, norm)
+        count = len(expand_to_paths(seqs, acc, network, norm).paths)
+        for n_paths in PATH_COUNTERS:
+            with pytest.raises(ConsistencyError):
+                n_paths(seqs + seqs[:1], acc, network, norm)
+            # a set already at the cap reports the cap first
+            with pytest.raises(EnumerationCapError):
+                n_paths(seqs + seqs[:1], acc, network, norm, cap=count)
 
     @pytest.mark.parametrize("seq", [("s", "m", "s", "t"), ("s",)])
     def test_malformed_sequence_rejected(self, seq):
         # a junction repeats, or there is no segment at all
         network, norm, acc = chain_with_through_route()
-        with pytest.raises(StructuralError):
-            expand_to_paths([seq], acc, network, norm)
+        for n_paths in PATH_COUNTERS:
+            with pytest.raises(StructuralError):
+                n_paths([seq], acc, network, norm)
 
     @pytest.mark.parametrize(
         "arc, rid, span",
@@ -183,8 +201,9 @@ class TestExpansion:
         segments[arc][rid] = span
         bad = dataclasses.replace(acc, segments=segments)
         seqs = enumerate_sequences(acc.arcs, "s", "t")
-        with pytest.raises(StructuralError):
-            expand_to_paths(seqs, bad, network, norm)
+        for n_paths in PATH_COUNTERS:
+            with pytest.raises(StructuralError):
+                n_paths(seqs, bad, network, norm)
         with pytest.raises(StructuralError):
             enumerate_bounded(acc.arcs, "s", "t", bad, network, norm, limit=10, seed=0)
 

@@ -1,8 +1,16 @@
 """Experiment drivers: method comparison sweeps and the path-count growth study.
 
+A comparison sweep derives what depends only on the scenario once and shares
+it across every subset seed and target: the live successor map with hops to
+the destination, the span table, the arc-flow table, the greedy's route
+index, and one assembled LP per path set, of which each target changes only
+the target row's bound.
+
 Results are plain rows rendered to CSV with units in the headers. Wall times
 are measured around computation only (no file I/O) and are emitted only on
-request, so default outputs are byte-stable across runs.
+request, so default outputs are byte-stable across runs. A row's wall time
+adds its method's one-off costs to its own solve: enumeration or sampling
+and LP assembly for methods I and II, the route index for method III.
 """
 
 from __future__ import annotations
@@ -10,22 +18,24 @@ from __future__ import annotations
 import io
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .energy import plan_totals
 from .errors import DomainError, EnumerationCapError
-from .heuristic import heuristic_min_loss
-from .network import build_accessibility_graph, normalize_routes, prune_unreachable
+from .heuristic import _greedy, _RouteIndex
+from .network import arc_flow_table, build_accessibility_graph, normalize_routes, prune_unreachable
 from .pathenum import (
     DEFAULT_CAP,
     PathSet,
+    _live_successors,
+    _sample_bounded,
+    _SpanTable,
     count_paths,
-    enumerate_bounded,
     enumerate_paths,
     enumerate_sequences,
 )
-from .rateopt import LossMinProblem, solve_min_loss
+from .rateopt import LossMinProblem, _assemble, _retarget, _solve
 from .scenarios import Scenario, generate_random
 
 
@@ -76,17 +86,6 @@ def prepare(scenario: Scenario):
     return routes, accessibility, pruned
 
 
-def _solve_on(scenario: Scenario, routes, pathset: PathSet, target: float):
-    problem = LossMinProblem(
-        paths=pathset,
-        params=scenario.params,
-        network=scenario.network,
-        routes=tuple(routes),
-        target_kwh=target,
-    )
-    return solve_min_loss(problem)
-
-
 def run_compare(
     scenario: Scenario,
     targets: Sequence[float],
@@ -98,118 +97,96 @@ def run_compare(
     """Run the requested methods over a sweep of energy targets.
 
     Method II is averaged over the given subset seeds. Per-cell failures are
-    recorded in their row and never abort the sweep.
+    recorded in their row and never abort the sweep. What depends only on the
+    scenario is derived once per call, as the module docstring lists.
     """
     rows: list[ResultRow] = []
+    net, s, t = scenario.network, scenario.source, scenario.destination
     if "I" in methods or "II" in methods:
         routes, accessibility, pruned = prepare(scenario)
+        arc_flows = arc_flow_table(routes)
     else:  # the greedy needs no accessibility graph
-        routes = normalize_routes(scenario.network, scenario.routes)
+        routes = normalize_routes(net, scenario.routes)
+    routes = tuple(routes)
 
-    full: PathSet | None = None
-    full_err: str | None = None
+    def with_lp(pathset: PathSet):
+        """The path set's problem at target 0 and its LP (None without paths)."""
+        problem = LossMinProblem(pathset, scenario.params, net, routes, 0.0)
+        return problem, _assemble(problem, arc_flows) if pathset.paths else None
+
+    def solve(problem: LossMinProblem, lp, target: float):
+        lp = None if lp is None else _retarget(lp, target)
+        return _solve(replace(problem, target_kwh=target), lp)
+
+    def row(target: float, method: str, t0: float, once_s: float, totals) -> ResultRow:
+        """The method's row; ``totals`` is (loss, delivered, paths used), None if infeasible."""
+        wall = (time.perf_counter() - t0 + once_s) * 1000.0
+        status = "infeasible" if totals is None else "optimal"
+        return ResultRow(target, method, status, *(totals or (None, None, None)), wall)
+
+    full = None
     full_time = 0.0
     if "I" in methods:
         t0 = time.perf_counter()
         try:
-            full = enumerate_paths(
-                pruned,
-                scenario.source,
-                scenario.destination,
-                accessibility,
-                scenario.network,
-                routes,
-                cap=enumeration_cap,
+            full = with_lp(
+                enumerate_paths(pruned, s, t, accessibility, net, routes, cap=enumeration_cap)
             )
         except EnumerationCapError:
-            full_err = "error:enumeration-cap"
+            pass
         full_time = time.perf_counter() - t0
 
-    subsets: list[PathSet] = []
+    subsets = []
     subsets_time = 0.0
     if "II" in methods:
         t0 = time.perf_counter()
+        succ, hops = _live_successors(pruned, t)
+        table = _SpanTable(accessibility, net, {r.route_id: r for r in routes})
         subsets = [
-            enumerate_bounded(
-                pruned,
-                scenario.source,
-                scenario.destination,
-                accessibility,
-                scenario.network,
-                routes,
-                limit=subset_limit,
-                seed=seed,
-            )
+            with_lp(_sample_bounded(succ, hops, table, s, t, subset_limit, seed))
             for seed in subset_seeds
         ]
         subsets_time = time.perf_counter() - t0
 
+    index_time = 0.0
+    if "III" in methods:
+        t0 = time.perf_counter()
+        index = _RouteIndex(net, routes)
+        index_time = time.perf_counter() - t0
+
     for target in targets:
         if "I" in methods:
             if full is None:
-                rows.append(ResultRow(target, "I", full_err or "error", None, None, None, 0.0))
+                rows.append(
+                    ResultRow(target, "I", "error:enumeration-cap", None, None, None, 0.0)
+                )
             else:
                 t0 = time.perf_counter()
-                sol = _solve_on(scenario, routes, full, target)
-                wall = (time.perf_counter() - t0 + full_time) * 1000.0
+                sol = solve(*full, target)
+                totals = None
                 if sol.status == "optimal":
                     delivered, loss = plan_totals(sol.plan)
                     used = sum(1 for e in sol.plan.entries if e.delivered_kwh > 1e-9)
-                    rows.append(ResultRow(target, "I", "optimal", loss, delivered, used, wall))
-                else:
-                    rows.append(ResultRow(target, "I", "infeasible", None, None, None, wall))
+                    totals = (loss, delivered, used)
+                rows.append(row(target, "I", t0, full_time, totals))
 
         if "II" in methods:
             t0 = time.perf_counter()
-            losses, delivereds, used_counts = [], [], []
-            for subset in subsets:
-                sol = _solve_on(scenario, routes, subset, target)
+            solved = []  # (loss, delivered, paths) of each subset with a plan
+            for problem, lp in subsets:
+                sol = solve(problem, lp, target)
                 if sol.status == "optimal":
                     delivered, loss = plan_totals(sol.plan)
-                    losses.append(loss)
-                    delivereds.append(delivered)
-                    used_counts.append(len(subset.paths))
-            wall = (time.perf_counter() - t0 + subsets_time) * 1000.0
-            if losses:
-                rows.append(
-                    ResultRow(
-                        target,
-                        "II",
-                        "optimal",
-                        sum(losses) / len(losses),
-                        sum(delivereds) / len(delivereds),
-                        sum(used_counts) / len(used_counts),
-                        wall,
-                    )
-                )
-            else:
-                rows.append(ResultRow(target, "II", "infeasible", None, None, None, wall))
+                    solved.append((loss, delivered, len(problem.paths.paths)))
+            means = [sum(col) / len(solved) for col in zip(*solved)] if solved else None
+            rows.append(row(target, "II", t0, subsets_time, means))
 
         if "III" in methods:
             t0 = time.perf_counter()
-            result = heuristic_min_loss(
-                scenario.network,
-                list(routes),
-                scenario.params,
-                target,
-                scenario.source,
-                scenario.destination,
-            )
-            wall = (time.perf_counter() - t0) * 1000.0
-            if result.status == "success":
-                rows.append(
-                    ResultRow(
-                        target,
-                        "III",
-                        "optimal",
-                        result.loss_kwh,
-                        result.delivered_kwh,
-                        result.paths_used,
-                        wall,
-                    )
-                )
-            else:
-                rows.append(ResultRow(target, "III", "infeasible", None, None, None, wall))
+            res = _greedy(index, net, scenario.params, target, s, t)
+            ok = res.status == "success"
+            totals = (res.loss_kwh, res.delivered_kwh, res.paths_used) if ok else None
+            rows.append(row(target, "III", t0, index_time, totals))
 
     return ResultTable(rows)
 
@@ -243,6 +220,11 @@ def run_growth(
             raise DomainError(f"{name} must not be empty")
         if not all(a < b for a, b in zip(grid, grid[1:])):
             raise DomainError(f"{name} must be strictly increasing, got {list(grid)}")
+    if len({int(d * 1000) for d in density_grid}) < len(density_grid):
+        # int(density * 1000) enters the instance seeds, which must differ
+        raise DomainError(
+            f"densities must differ in their first three decimals, got {list(density_grid)}"
+        )
     lines = [GROWTH_HEADER]
     means: dict[tuple[int, float], float] = {}
     for n in n_values:

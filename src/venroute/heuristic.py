@@ -62,8 +62,10 @@ class HeuristicResult:
         object.__setattr__(self, "paths_used", len(self.plan.entries))
 
 
-class _ActiveRoutes:
-    """Routes that still carry flow, with each junction's (route, position) visits."""
+class _RouteIndex:
+    """Routes that carry flow, with their initial flows and each junction's
+    (route, position) visits. Never changed, so one serves a sweep's targets.
+    """
 
     def __init__(self, network: VehicularNetwork, routes: Iterable[VehicularRoute]):
         by_id = {r.route_id: r for r in routes}
@@ -80,6 +82,14 @@ class _ActiveRoutes:
                 self.seqs[rid] = seq
                 for p, j in enumerate(seq):
                     self.visits.setdefault(j, []).append((rid, p))
+
+
+class _ActiveRoutes:
+    """An index's routes that still carry flow, with the flows one greedy call works on."""
+
+    def __init__(self, index: _RouteIndex):
+        self.routes, self.seqs, self.visits = index.routes, index.seqs, index.visits
+        self.flows = dict(index.flows)
 
     def use(self, rid: RouteId, delta: float) -> None:
         """Take ``delta`` off the route's flow; a route left without flow drops out."""
@@ -303,7 +313,7 @@ def min_hop_sequence(
     Ties are broken by the larger bottleneck flow of the induced path, then
     lexicographically by junction ids: the greedy's first pick.
     """
-    picked = _pick_path(_ActiveRoutes(network, routes), s, t)
+    picked = _pick_path(_ActiveRoutes(_RouteIndex(network, routes)), s, t)
     return None if isinstance(picked, str) else picked[0]
 
 
@@ -321,6 +331,14 @@ def heuristic_min_loss(
     when the remaining routes cannot meet the target; ``stop_reason`` says
     whether no path was left or a safety cap cut the path search short.
     """
+    return _greedy(_RouteIndex(network, routes), network, params, target_kwh, s, t)
+
+
+def _greedy(
+    index: _RouteIndex, network: VehicularNetwork, params: EnergyParams,
+    target_kwh: float, s: Junction, t: Junction,
+) -> HeuristicResult:
+    """``heuristic_min_loss`` over the route index of its network and routes."""
     if not (0.0 <= target_kwh < math.inf):
         raise DomainError("energy target must be finite and nonnegative")
     if s == t or s not in network.junctions or t not in network.junctions:
@@ -330,7 +348,7 @@ def heuristic_min_loss(
         plan = make_plan([], params)
         return HeuristicResult("success", plan, 0.0, 0.0, TARGET_MET)
 
-    active = _ActiveRoutes(network, routes)
+    active = _ActiveRoutes(index)
     entries: list[PlanEntry] = []
     delivered = 0.0
     while True:

@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .energy import EnergyPath, SegmentSpan, assemble_energy_path, segment_span
 from .errors import ConsistencyError, DomainError, EnumerationCapError, StructuralError
@@ -68,6 +68,15 @@ def f_closed_bound(n: int) -> float:
     return math.factorial(n - 1) * math.e
 
 
+def _live_successors(
+    pruned_arcs: Collection[tuple[Junction, Junction]], t: Junction
+) -> tuple[dict[Junction, tuple[Junction, ...]], dict[Junction, int]]:
+    """Sorted successors over the arcs between junctions that reach t, and hops to t."""
+    hops = hops_to(pruned_arcs, t)
+    succ = adjacency((i, j) for (i, j) in pruned_arcs if i in hops and j in hops)
+    return succ, hops
+
+
 def enumerate_sequences(
     pruned_arcs: frozenset[tuple[Junction, Junction]] | set[tuple[Junction, Junction]],
     s: Junction,
@@ -83,8 +92,7 @@ def enumerate_sequences(
         raise DomainError("source and destination must differ")
     # Restricting to junctions that can still reach t changes nothing in the
     # output but avoids growing dead-end frontiers.
-    live = hops_to(pruned_arcs, t)
-    succ = adjacency((i, j) for (i, j) in pruned_arcs if i in live and j in live)
+    succ, _hops = _live_successors(pruned_arcs, t)
     frontier: list[JunctionSequence] = [(s,)]
     done: list[JunctionSequence] = []
     while frontier:
@@ -324,13 +332,23 @@ def enumerate_bounded(
     fixed inputs and seed. The completeness flag is true only when the whole
     path set fit within the limit.
     """
+    table = _SpanTable(accessibility, network, {r.route_id: r for r in routes})
+    succ, hops = _live_successors(pruned_arcs, t)
+    return _sample_bounded(succ, hops, table, s, t, limit, seed, detour_slack)
+
+
+def _sample_bounded(
+    succ: Mapping[Junction, tuple[Junction, ...]], hops: Mapping[Junction, int],
+    table: _SpanTable, s: Junction, t: Junction, limit: int, seed: int,
+    detour_slack: int | None = 3,
+) -> PathSet:
+    """``enumerate_bounded`` over ``_live_successors`` of the pruned arcs and the
+    span table, which depend only on the scenario: a sweep shares them across seeds.
+    """
     if limit < 1:
         raise DomainError("limit must be at least 1")
     if s == t:
         raise DomainError("source and destination must differ")
-    table = _SpanTable(accessibility, network, {r.route_id: r for r in routes})
-    hops = hops_to(pruned_arcs, t)
-    succ = adjacency((i, j) for (i, j) in pruned_arcs if i in hops and j in hops)
     rng = random.Random(seed)
     per_seq_cap = max(1, limit // 8)
     keyed: list[tuple[PathKey, EnergyPath]] = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 import numpy as np
 from scipy import sparse
@@ -20,12 +21,11 @@ from scipy.optimize import linprog
 
 from .energy import EnergyParams, PlanEntry, TransmissionPlan, loss_ratio, make_plan
 from .energy import window_cap as _window_cap
-from .errors import DomainError, SolverError
-from .network import VehicularNetwork, VehicularRoute, arc_flow_table
+from .errors import ConsistencyError, DomainError, SolverError
+from .network import ArcId, VehicularNetwork, VehicularRoute, arc_flow_table
 from .pathenum import PathSet
 
-OBJECTIVE_TOL = 1e-6
-FEASIBILITY_TOL = 1e-9
+RESIDUAL_TOL = 1e-6  # largest seen on the paper's grids and the corridor: 1.8e-12
 
 _HIGHS_OPTIONS = {"presolve": True, "primal_feasibility_tolerance": 1e-10}
 
@@ -67,6 +67,11 @@ class LpSolution:
 
 def build_lp(problem: LossMinProblem) -> LpInstance:
     """Assemble the LP; rows are ordered window caps, shared road arcs, target."""
+    return _assemble(problem, arc_flow_table(problem.routes))
+
+
+def _assemble(problem: LossMinProblem, arc_flows: Mapping[ArcId, float]) -> LpInstance:
+    """``build_lp`` given the arc-flow table of the problem's routes."""
     paths = problem.paths.paths
     params = problem.params
     w = params.packet_kwh
@@ -83,7 +88,6 @@ def build_lp(problem: LossMinProblem) -> LpInstance:
     path_of = np.repeat(cols, [len(p.arc_ids) for p in paths])
     used_arcs, arc_of = np.unique(arc_ids, return_inverse=True)
     arc_row, arc_col = np.divmod(np.unique(arc_of * m + path_of), m)
-    arc_flows = arc_flow_table(problem.routes)
 
     target_row = m + len(used_arcs)
     ri = np.concatenate([cols, cols, m + arc_row, np.full(m, target_row)])
@@ -108,6 +112,13 @@ def build_lp(problem: LossMinProblem) -> LpInstance:
     return LpInstance(c=c, a_ub=a_ub, b_ub=b_ub, bounds=tuple(bounds))
 
 
+def _retarget(lp: LpInstance, target_kwh: float) -> LpInstance:
+    """The same LP for another energy target: only the target row's bound changes."""
+    b_ub = lp.b_ub.copy()
+    b_ub[-1] = -target_kwh
+    return replace(lp, b_ub=b_ub)
+
+
 def _run_linprog(c, lp: LpInstance):
     return linprog(
         c,
@@ -121,13 +132,21 @@ def _run_linprog(c, lp: LpInstance):
 
 def solve_min_loss(problem: LossMinProblem) -> LpSolution:
     """Solve the loss-minimization LP; infeasibility is a verdict, not an error."""
+    return _solve(problem, build_lp(problem) if problem.paths.paths else None)
+
+
+def _solve(problem: LossMinProblem, lp: LpInstance | None) -> LpSolution:
+    """``solve_min_loss`` over ``lp``, the problem's LP as assembled (None without paths).
+
+    A solver point that violates a row or a rate bound by more than
+    ``RESIDUAL_TOL`` times max(1, target) raises ConsistencyError.
+    """
     paths = problem.paths.paths
     if not paths:
         if problem.target_kwh <= 0.0:
             plan = make_plan([], problem.params)
             return LpSolution("optimal", plan, 0.0, {"iterations": 0})
         return LpSolution("infeasible", None, None, {})
-    lp = build_lp(problem)
     t0 = time.perf_counter()
     res = _run_linprog(lp.c, lp)
     elapsed = time.perf_counter() - t0
@@ -136,18 +155,20 @@ def solve_min_loss(problem: LossMinProblem) -> LpSolution:
     if res.status != 0:
         raise SolverError(f"LP solver failure (status {res.status}): {res.message}")
     x = res.x
-
     m = len(paths)
+    rate_caps = np.array([ub for _, ub in lp.bounds[m:]])
+    residual = max(np.max(lp.a_ub @ x - lp.b_ub), np.max(x[m:] - rate_caps), 0.0)
+    if residual > RESIDUAL_TOL * max(1.0, problem.target_kwh):
+        raise ConsistencyError(f"LP solution violates its constraints by {residual:.3g}")
+
     entries = [
         PlanEntry(path=p, rate=max(0.0, float(x[m + j])), delivered_kwh=max(0.0, float(x[j])))
         for j, p in enumerate(paths)
     ]
     plan = make_plan(entries, problem.params)
-    rate_caps = np.array([ub for _, ub in lp.bounds[m:]])
-    residual = max(np.max(lp.a_ub @ x - lp.b_ub), np.max(x[m:] - rate_caps))
     diagnostics = {
         "iterations": int(getattr(res, "nit", 0)),
-        "max_residual": max(float(residual), 0.0),
+        "max_residual": float(residual),
         "solve_s": elapsed,
     }
     return LpSolution("optimal", plan, float(lp.c @ x), diagnostics)

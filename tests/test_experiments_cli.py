@@ -4,7 +4,22 @@ import hashlib
 
 import pytest
 
-from venroute import DomainError, energy, generate_grid, pathenum, run_compare, run_growth
+from venroute import (
+    DomainError,
+    LossMinProblem,
+    energy,
+    enumerate_bounded,
+    enumerate_paths,
+    generate_corridor,
+    generate_grid,
+    heuristic_min_loss,
+    pathenum,
+    plan_totals,
+    prepare,
+    run_compare,
+    run_growth,
+    solve_min_loss,
+)
 from venroute.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
 from venroute.experiments import COMPARE_HEADER, GROWTH_HEADER
 
@@ -55,6 +70,81 @@ class TestRunCompare:
         (row,) = table.rows
         assert row.status == "error:enumeration-cap"
         assert row.loss_kwh is None
+
+
+def per_call_rows(sc, targets, methods, limit, seeds):
+    """run_compare's rows, less wall_ms, from one public call per seed and target."""
+    routes, acc, pruned = prepare(sc)
+    net, s, t = sc.network, sc.source, sc.destination
+
+    def solve(pathset, target):
+        return solve_min_loss(LossMinProblem(pathset, sc.params, net, tuple(routes), target))
+
+    full = enumerate_paths(pruned, s, t, acc, net, routes) if "I" in methods else None
+    subsets = [
+        enumerate_bounded(pruned, s, t, acc, net, routes, limit=limit, seed=seed)
+        for seed in seeds
+    ] if "II" in methods else []
+    rows = []
+    for target in targets:
+        if "I" in methods:
+            sol = solve(full, target)
+            if sol.status == "optimal":
+                delivered, loss = plan_totals(sol.plan)
+                used = sum(1 for e in sol.plan.entries if e.delivered_kwh > 1e-9)
+                rows.append((target, "I", "optimal", loss, delivered, used))
+            else:
+                rows.append((target, "I", "infeasible", None, None, None))
+        if "II" in methods:
+            solved = [
+                (*plan_totals(sol.plan), len(ps.paths))
+                for ps in subsets
+                if (sol := solve(ps, target)).status == "optimal"
+            ]
+            if solved:
+                n = len(solved)
+                rows.append((
+                    target, "II", "optimal", sum(loss for _, loss, _ in solved) / n,
+                    sum(d for d, _, _ in solved) / n, sum(k for _, _, k in solved) / n,
+                ))
+            else:
+                rows.append((target, "II", "infeasible", None, None, None))
+        if "III" in methods:
+            h = heuristic_min_loss(net, list(routes), sc.params, target, s, t)
+            if h.status == "success":
+                rows.append((target, "III", "optimal", h.loss_kwh, h.delivered_kwh, h.paths_used))
+            else:
+                rows.append((target, "III", "infeasible", None, None, None))
+    return rows
+
+
+# the paper's grid and a reduced corridor; the last target of each is
+# infeasible for every method
+PARITY_CASES = {
+    "grid47": (
+        lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("uniform", 0.1, 0.3), seed=47),
+        (1.0, 500.0, 2457.0, 2900.0, 1e5), ("I", "II", "III"), 50, range(5),
+    ),
+    "corridor-small": (
+        lambda: generate_corridor(rows=6, cols=15, kept_edges=110, route_count=300, seed=0),
+        (200.0, 500.0, 16000.0, 1e6), ("II", "III"), 30, range(4),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PARITY_CASES))
+def test_sweep_equals_per_call_functions(case):
+    # the sweep derives its structures and LPs once; the public functions
+    # derive them on every call, and both must give the same rows exactly
+    make, targets, methods, limit, seeds = PARITY_CASES[case]
+    sc = make()
+    table = run_compare(sc, targets, methods, subset_limit=limit, subset_seeds=seeds)
+    got = [
+        (r.target_kwh, r.method, r.status, r.loss_kwh, r.delivered_kwh, r.paths_used)
+        for r in table.rows
+    ]
+    assert got == per_call_rows(sc, targets, methods, limit, seeds)
+    assert {r.status for r in table.rows if r.target_kwh == targets[-1]} == {"infeasible"}
 
 
 # run_growth([4, 6], [0.3, 0.5], 2, 0, enumeration_cap=8): two rows capped
@@ -119,10 +209,12 @@ class TestRunGrowth:
             dict(density_grid=[]),
             dict(n_values=[4, 4]),
             dict(density_grid=[0.5, 0.3]),
+            dict(density_grid=[0.2001, 0.2004]),
         ],
         ids=[
             "no-instances", "negative-instances", "nan-density", "inf-density",
             "no-sizes", "no-densities", "repeated-size", "decreasing-densities",
+            "colliding-densities",
         ],
     )
     def test_bad_inputs_rejected(self, kwargs):
@@ -256,8 +348,12 @@ class TestCli:
             ["--densities", "nan"],
             ["--n-values", ""],
             ["--n-values", "4,4"],
+            ["--densities", "0.2001,0.2004"],
         ],
-        ids=["no-instances", "negative-instances", "nan-density", "no-sizes", "repeated-size"],
+        ids=[
+            "no-instances", "negative-instances", "nan-density", "no-sizes", "repeated-size",
+            "colliding-densities",
+        ],
     )
     def test_bad_growth_inputs_are_an_error(self, argv, tmp_path, capsys):
         out = tmp_path / "growth.csv"

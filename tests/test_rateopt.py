@@ -1,11 +1,13 @@
 """Rate-assignment LP: construction, optimality, feasibility, diagnostics."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from venroute import (
+    ConsistencyError,
     DomainError,
     EnergyParams,
     LossMinProblem,
@@ -232,8 +234,60 @@ class TestRateBounds:
         assert sol.diagnostics["max_residual"] <= 1e-9
 
     def test_residual_counts_rate_bound_violations(self, monkeypatch):
-        # a point that satisfies every row but exceeds the rate bound by 0.05
-        fake = SimpleNamespace(status=0, x=np.array([0.0, 0.25]), nit=0)
+        # points that satisfy every row but exceed the rate bound 0.2: a
+        # violation within the tolerance is reported, a larger one rejected
+        fake = SimpleNamespace(status=0, x=np.array([0.0, 0.2 + 5e-7]), nit=0)
         monkeypatch.setattr(rateopt, "_run_linprog", lambda c, lp: fake)
         sol = solve_min_loss(two_segment_problem(0.0))
-        assert sol.diagnostics["max_residual"] == pytest.approx(0.05)
+        assert sol.diagnostics["max_residual"] == pytest.approx(5e-7)
+        fake.x = np.array([0.0, 0.25])
+        with pytest.raises(ConsistencyError, match="violates its constraints by 0.05"):
+            solve_min_loss(two_segment_problem(0.0))
+
+    def test_violating_solution_rejected(self, monkeypatch):
+        # the solver's own point, with every delivery scaled down by ``shrink``,
+        # misses the target by shrink * target; the tolerance is 1e-6 * target
+        problem, _ = parallel_problem(500.0)
+        m = len(problem.paths.paths)
+        run_linprog = rateopt._run_linprog
+
+        def perturbed(c, lp):
+            res = run_linprog(c, lp)
+            res.x = np.concatenate([res.x[:m] * (1 - shrink), res.x[m:]])
+            return res
+
+        monkeypatch.setattr(rateopt, "_run_linprog", perturbed)
+        shrink = 1e-7
+        sol = solve_min_loss(problem)
+        assert sol.diagnostics["max_residual"] == pytest.approx(500.0 * shrink, rel=1e-3)
+        shrink = 1e-5
+        with pytest.raises(ConsistencyError, match="violates its constraints"):
+            solve_min_loss(problem)
+
+
+class TestRetarget:
+    def test_retargeted_lp_equals_build_lp(self):
+        problem, _ = parallel_problem(100.0)
+        lp = build_lp(problem)
+        for target in (0.0, 250.0, 3000.0):
+            fresh = build_lp(replace(problem, target_kwh=target))
+            moved = rateopt._retarget(lp, target)
+            assert np.array_equal(moved.c, fresh.c)
+            assert moved.a_ub.shape == fresh.a_ub.shape
+            assert (moved.a_ub != fresh.a_ub).nnz == 0
+            assert moved.bounds == fresh.bounds
+            assert np.array_equal(moved.b_ub, fresh.b_ub)
+            # only the target row's bound depends on the target
+            assert np.array_equal(lp.b_ub[:-1], fresh.b_ub[:-1])
+            assert fresh.b_ub[-1] == -target
+        assert lp.b_ub[-1] == -100.0  # retargeting leaves the original alone
+
+    def test_solve_over_retargeted_lp_equals_solve_min_loss(self):
+        problem, _ = parallel_problem(0.0)
+        lp = build_lp(problem)
+        for target in (50.0, 1200.0, 2900.0, 10**5):
+            at = replace(problem, target_kwh=target)
+            got = rateopt._solve(at, rateopt._retarget(lp, target))
+            want = solve_min_loss(at)
+            assert (got.status, got.objective) == (want.status, want.objective)
+            assert got.plan == want.plan

@@ -28,14 +28,13 @@ from .errors import (
     StructuralError,
     VenError,
 )
-from .experiments import ResultRow, ResultTable, prepare, run_compare, run_growth
-from .heuristic import HeuristicResult, heuristic_min_loss, min_hop_sequence
+from .experiments import Instance, ResultRow, ResultTable, prepare, run_compare, run_growth
+from .heuristic import HeuristicResult, heuristic_min_loss
 from .network import (
     AccessibilityGraph,
     Arc,
     VehicularNetwork,
     VehicularRoute,
-    arc_flow,
     build_accessibility_graph,
     normalize_routes,
     prune_unreachable,

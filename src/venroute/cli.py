@@ -11,11 +11,8 @@ import sys
 
 from .energy import plan_totals
 from .errors import VenError
-from .experiments import prepare, run_compare, run_growth
-from .heuristic import heuristic_min_loss
-from .network import normalize_routes
-from .pathenum import DEFAULT_CAP, enumerate_bounded, enumerate_paths
-from .rateopt import LossMinProblem, solve_min_loss
+from .experiments import Instance, run_compare, run_growth
+from .pathenum import DEFAULT_CAP
 from .scenario_io import load_scenario, save_scenario
 from .scenarios import generate_grid, generate_random
 
@@ -107,18 +104,9 @@ def _cmd_gen_random(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    sc = load_scenario(args.scenario)
-    routes, accessibility, pruned = prepare(sc)
-    if args.limit is not None:
-        pathset = enumerate_bounded(
-            pruned, sc.source, sc.destination, accessibility, sc.network, routes,
-            limit=args.limit, seed=args.seed,
-        )
-    else:
-        pathset = enumerate_paths(
-            pruned, sc.source, sc.destination, accessibility, sc.network, routes,
-            cap=args.cap,
-        )
+    inst = Instance(load_scenario(args.scenario))
+    bounded = args.limit is not None
+    pathset = inst.sample(args.limit, args.seed) if bounded else inst.paths(args.cap)
     _write(args.out, _path_csv(pathset.paths, pathset.complete))
     return EXIT_OK
 
@@ -128,30 +116,15 @@ def _cmd_solve(args) -> int:
     target = args.target if args.target is not None else sc.target_kwh
     if target is None:
         raise VenError("no energy target: pass --target or set x_target_kwh in the file")
+    inst = Instance(sc)
     if args.method == "III":
-        routes = normalize_routes(sc.network, sc.routes)
-        result = heuristic_min_loss(
-            sc.network, list(routes), sc.params, target, sc.source, sc.destination
-        )
+        result = inst.greedy(target)
         entries = result.plan.entries
         _write(args.out, _plan_csv(entries, result.delivered_kwh, result.loss_kwh))
         return EXIT_OK if result.status == "success" else EXIT_INFEASIBLE
-    routes, accessibility, pruned = prepare(sc)
-    if args.method == "I":
-        pathset = enumerate_paths(
-            pruned, sc.source, sc.destination, accessibility, sc.network, routes,
-            cap=args.cap,
-        )
-    else:  # Method II
-        pathset = enumerate_bounded(
-            pruned, sc.source, sc.destination, accessibility, sc.network, routes,
-            limit=args.subset_limit, seed=args.seed,
-        )
-    problem = LossMinProblem(
-        paths=pathset, params=sc.params, network=sc.network,
-        routes=tuple(routes), target_kwh=target,
-    )
-    sol = solve_min_loss(problem)
+    exact = args.method == "I"  # else method II
+    pathset = inst.paths(args.cap) if exact else inst.sample(args.subset_limit, args.seed)
+    sol = inst.solve(inst.lp(pathset), target)
     if sol.status != "optimal":
         _write(args.out, "status,infeasible\n")
         return EXIT_INFEASIBLE

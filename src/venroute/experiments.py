@@ -1,16 +1,20 @@
 """Experiment drivers: method comparison sweeps and the path-count growth study.
 
-A comparison sweep derives what depends only on the scenario once and shares
-it across every subset seed and target: the live successor map with hops to
-the destination, the span table, the arc-flow table, the greedy's route
-index, and one assembled LP per path set, of which each target changes only
-the target row's bound.
+An ``Instance`` derives, each once and on first use, what one scenario's
+methods share: the normalized routes, the accessibility graph, the live
+successor map with hops to the destination, the span table, the arc-flow
+table and the greedy's route index. ``run_compare``, ``run_growth`` and the
+``ven`` commands call only its methods, so a sweep shares these across every
+subset seed and target, and a method-III run never builds the accessibility
+graph. No arcs are pruned: both enumerators keep only junctions that reach
+the destination over accessibility arcs, which follow roads.
 
 Results are plain rows rendered to CSV with units in the headers. Wall times
 are measured around computation only (no file I/O) and are emitted only on
-request, so default outputs are byte-stable across runs. A row's wall time
-adds its method's one-off costs to its own solve: enumeration or sampling
-and LP assembly for methods I and II, the route index for method III.
+request, so default outputs are byte-stable across runs. Route normalization
+and the accessibility build stay outside every row. A row's wall time adds
+its method's one-off costs to its own solve: enumeration or sampling and LP
+assembly for methods I and II, the route index for method III.
 """
 
 from __future__ import annotations
@@ -19,11 +23,12 @@ import io
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 from .energy import plan_totals
 from .errors import DomainError, EnumerationCapError
-from .heuristic import _greedy, _RouteIndex
+from .heuristic import HeuristicResult, _greedy, _RouteIndex
 from .network import arc_flow_table, build_accessibility_graph, normalize_routes, prune_unreachable
 from .pathenum import (
     DEFAULT_CAP,
@@ -35,8 +40,72 @@ from .pathenum import (
     enumerate_paths,
     enumerate_sequences,
 )
-from .rateopt import LossMinProblem, _assemble, _retarget, _solve
+from .rateopt import LossMinProblem, LpSolution, _assemble, _retarget, _solve
 from .scenarios import Scenario, generate_random
+
+METHODS = ("I", "II", "III")
+
+
+class Instance:
+    """One scenario's source-destination pair and what its methods share."""
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+
+    @cached_property
+    def routes(self):
+        return normalize_routes(self.scenario.network, self.scenario.routes)
+
+    @cached_property
+    def accessibility(self):
+        return build_accessibility_graph(self.scenario.network, self.routes)
+
+    @cached_property
+    def live_successors(self):
+        return _live_successors(self.accessibility.arcs, self.scenario.destination)
+
+    @cached_property
+    def span_table(self):
+        routes_by_id = {r.route_id: r for r in self.routes}
+        return _SpanTable(self.accessibility, self.scenario.network, routes_by_id)
+
+    @cached_property
+    def arc_flows(self):
+        return arc_flow_table(self.routes)
+
+    @cached_property
+    def route_index(self):
+        return _RouteIndex(self.scenario.network, self.routes)
+
+    def paths(self, cap: int = DEFAULT_CAP) -> PathSet:
+        """The full energy-path set (method I)."""
+        sc, acc = self.scenario, self.accessibility
+        return enumerate_paths(
+            acc.arcs, sc.source, sc.destination, acc, sc.network, self.routes, cap=cap
+        )
+
+    def sample(self, limit: int, seed: int) -> PathSet:
+        """A seeded subset of at most ``limit`` energy paths (method II)."""
+        succ, hops = self.live_successors
+        s, t = self.scenario.source, self.scenario.destination
+        return _sample_bounded(succ, hops, self.span_table, s, t, limit, seed)
+
+    def lp(self, pathset: PathSet):
+        """The path set's problem at target 0 and its LP (None without paths)."""
+        sc = self.scenario
+        problem = LossMinProblem(pathset, sc.params, sc.network, self.routes, 0.0)
+        return problem, _assemble(problem, self.arc_flows) if pathset.paths else None
+
+    def solve(self, lp, target: float) -> LpSolution:
+        """The min-loss plan at one energy target of what ``lp`` returned."""
+        problem, assembled = lp
+        assembled = None if assembled is None else _retarget(assembled, target)
+        return _solve(replace(problem, target_kwh=target), assembled)
+
+    def greedy(self, target: float) -> HeuristicResult:
+        """The greedy's plan at one energy target (method III)."""
+        sc = self.scenario
+        return _greedy(self.route_index, sc.network, sc.params, target, sc.source, sc.destination)
 
 
 @dataclass(frozen=True)
@@ -77,19 +146,17 @@ class ResultTable:
 
 
 def prepare(scenario: Scenario):
-    """Normalize routes and build the pruned accessibility structures once."""
-    routes = normalize_routes(scenario.network, scenario.routes)
-    accessibility = build_accessibility_graph(scenario.network, routes)
-    pruned, _blocked = prune_unreachable(
-        scenario.network, accessibility, scenario.destination
-    )
-    return routes, accessibility, pruned
+    """Normalized routes, the accessibility graph and its arcs whose head reaches t."""
+    inst = Instance(scenario)
+    net, acc = scenario.network, inst.accessibility
+    pruned, _blocked = prune_unreachable(net, acc, scenario.destination)
+    return inst.routes, acc, pruned
 
 
 def run_compare(
     scenario: Scenario,
     targets: Sequence[float],
-    methods: Sequence[str] = ("I", "II", "III"),
+    methods: Sequence[str] = METHODS,
     subset_limit: int = 50,
     subset_seeds: Sequence[int] = tuple(range(20)),
     enumeration_cap: int = DEFAULT_CAP,
@@ -97,62 +164,43 @@ def run_compare(
     """Run the requested methods over a sweep of energy targets.
 
     Method II is averaged over the given subset seeds. Per-cell failures are
-    recorded in their row and never abort the sweep. What depends only on the
-    scenario is derived once per call, as the module docstring lists.
+    recorded in their row and never abort the sweep; a malformed sweep (no,
+    unknown or repeated methods, no targets, method II without seeds) raises
+    DomainError. One ``Instance`` derives what the methods share.
     """
+    if not methods or len(set(methods)) < len(methods) or not set(methods) <= set(METHODS):
+        raise DomainError(f"methods must be distinct ones of {list(METHODS)}, got {list(methods)}")
+    if not targets:
+        raise DomainError("no energy targets")
+    if "II" in methods and not subset_seeds:
+        raise DomainError("method II needs at least one subset seed")
     rows: list[ResultRow] = []
-    net, s, t = scenario.network, scenario.source, scenario.destination
+    inst = Instance(scenario)
+    inst.routes  # normalization and the accessibility build stay outside every row
     if "I" in methods or "II" in methods:
-        routes, accessibility, pruned = prepare(scenario)
-        arc_flows = arc_flow_table(routes)
-    else:  # the greedy needs no accessibility graph
-        routes = normalize_routes(net, scenario.routes)
-    routes = tuple(routes)
+        inst.accessibility
+    once: dict[str, float] = {}  # each method's one-off seconds, added to each of its rows
 
-    def with_lp(pathset: PathSet):
-        """The path set's problem at target 0 and its LP (None without paths)."""
-        problem = LossMinProblem(pathset, scenario.params, net, routes, 0.0)
-        return problem, _assemble(problem, arc_flows) if pathset.paths else None
-
-    def solve(problem: LossMinProblem, lp, target: float):
-        lp = None if lp is None else _retarget(lp, target)
-        return _solve(replace(problem, target_kwh=target), lp)
-
-    def row(target: float, method: str, t0: float, once_s: float, totals) -> ResultRow:
+    def row(target: float, method: str, t0: float, totals) -> ResultRow:
         """The method's row; ``totals`` is (loss, delivered, paths used), None if infeasible."""
-        wall = (time.perf_counter() - t0 + once_s) * 1000.0
+        wall = (time.perf_counter() - t0 + once[method]) * 1000.0
         status = "infeasible" if totals is None else "optimal"
         return ResultRow(target, method, status, *(totals or (None, None, None)), wall)
 
     full = None
-    full_time = 0.0
-    if "I" in methods:
-        t0 = time.perf_counter()
-        try:
-            full = with_lp(
-                enumerate_paths(pruned, s, t, accessibility, net, routes, cap=enumeration_cap)
-            )
-        except EnumerationCapError:
-            pass
-        full_time = time.perf_counter() - t0
-
     subsets = []
-    subsets_time = 0.0
-    if "II" in methods:
+    for method in methods:
         t0 = time.perf_counter()
-        succ, hops = _live_successors(pruned, t)
-        table = _SpanTable(accessibility, net, {r.route_id: r for r in routes})
-        subsets = [
-            with_lp(_sample_bounded(succ, hops, table, s, t, subset_limit, seed))
-            for seed in subset_seeds
-        ]
-        subsets_time = time.perf_counter() - t0
-
-    index_time = 0.0
-    if "III" in methods:
-        t0 = time.perf_counter()
-        index = _RouteIndex(net, routes)
-        index_time = time.perf_counter() - t0
+        if method == "I":
+            try:
+                full = inst.lp(inst.paths(enumeration_cap))
+            except EnumerationCapError:
+                pass
+        elif method == "II":
+            subsets = [inst.lp(inst.sample(subset_limit, seed)) for seed in subset_seeds]
+        else:
+            inst.route_index
+        once[method] = time.perf_counter() - t0
 
     for target in targets:
         if "I" in methods:
@@ -162,31 +210,31 @@ def run_compare(
                 )
             else:
                 t0 = time.perf_counter()
-                sol = solve(*full, target)
+                sol = inst.solve(full, target)
                 totals = None
                 if sol.status == "optimal":
                     delivered, loss = plan_totals(sol.plan)
                     used = sum(1 for e in sol.plan.entries if e.delivered_kwh > 1e-9)
                     totals = (loss, delivered, used)
-                rows.append(row(target, "I", t0, full_time, totals))
+                rows.append(row(target, "I", t0, totals))
 
         if "II" in methods:
             t0 = time.perf_counter()
             solved = []  # (loss, delivered, paths) of each subset with a plan
-            for problem, lp in subsets:
-                sol = solve(problem, lp, target)
+            for lp in subsets:
+                sol = inst.solve(lp, target)
                 if sol.status == "optimal":
                     delivered, loss = plan_totals(sol.plan)
-                    solved.append((loss, delivered, len(problem.paths.paths)))
+                    solved.append((loss, delivered, len(lp[0].paths.paths)))
             means = [sum(col) / len(solved) for col in zip(*solved)] if solved else None
-            rows.append(row(target, "II", t0, subsets_time, means))
+            rows.append(row(target, "II", t0, means))
 
         if "III" in methods:
             t0 = time.perf_counter()
-            res = _greedy(index, net, scenario.params, target, s, t)
+            res = inst.greedy(target)
             ok = res.status == "success"
             totals = (res.loss_kwh, res.delivered_kwh, res.paths_used) if ok else None
-            rows.append(row(target, "III", t0, index_time, totals))
+            rows.append(row(target, "III", t0, totals))
 
     return ResultTable(rows)
 
@@ -239,17 +287,19 @@ def run_growth(
                     route_count=GROWTH_ROUTE_COUNT_FACTOR * n,
                     seed=inst_seed,
                 )
-                routes, accessibility, pruned = prepare(sc)
+                inst = Instance(sc)
                 denom = n * (n - 1)
-                acc_density = len(accessibility.arcs) / denom if denom else 0.0
+                acc_density = len(inst.accessibility.arcs) / denom if denom else 0.0
                 capped = False
                 n_paths = 0
                 try:
                     sequences = enumerate_sequences(
-                        pruned, sc.source, sc.destination, cap=enumeration_cap
+                        inst.accessibility.arcs, sc.source, sc.destination,
+                        cap=enumeration_cap,
                     )
                     n_paths = count_paths(
-                        sequences, accessibility, sc.network, routes, cap=enumeration_cap
+                        sequences, inst.accessibility, sc.network, inst.routes,
+                        cap=enumeration_cap,
                     )
                 except EnumerationCapError:
                     capped = True

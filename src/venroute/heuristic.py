@@ -302,21 +302,6 @@ def _pick_path(
     return seq, [(rid, *segments[(i, j)][rid]) for rid, i, j in zip(rids, seq, seq[1:])], delta
 
 
-def min_hop_sequence(
-    network: VehicularNetwork,
-    routes: Iterable[VehicularRoute],
-    s: Junction,
-    t: Junction,
-) -> tuple[Junction, ...] | None:
-    """Fewest-hop s-t sequence over the routes carrying flow, or None if unreachable.
-
-    Ties are broken by the larger bottleneck flow of the induced path, then
-    lexicographically by junction ids: the greedy's first pick.
-    """
-    picked = _pick_path(_ActiveRoutes(_RouteIndex(network, routes)), s, t)
-    return None if isinstance(picked, str) else picked[0]
-
-
 def heuristic_min_loss(
     network: VehicularNetwork,
     routes: Sequence[VehicularRoute],

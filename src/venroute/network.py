@@ -303,11 +303,3 @@ def arc_flow_table(routes: Iterable[VehicularRoute]) -> dict[ArcId, float]:
             table[a] = table.get(a, 0.0) + r.flow
     return table
 
-
-def arc_flow(
-    network: VehicularNetwork, routes: Iterable[VehicularRoute], arc_id: ArcId
-) -> float:
-    """Total EV flow over a road arc: sum of flows of routes traversing it."""
-    if arc_id not in network.arc_by_id:
-        raise DomainError(f"unknown arc id {arc_id!r}")
-    return arc_flow_table(routes).get(arc_id, 0.0)

@@ -6,13 +6,17 @@ import pytest
 
 from venroute import (
     DomainError,
+    Instance,
     LossMinProblem,
     energy,
+    experiments,
     enumerate_bounded,
     enumerate_paths,
     generate_corridor,
     generate_grid,
+    generate_random,
     heuristic_min_loss,
+    network,
     pathenum,
     plan_totals,
     prepare,
@@ -70,6 +74,29 @@ class TestRunCompare:
         (row,) = table.rows
         assert row.status == "error:enumeration-cap"
         assert row.loss_kwh is None
+
+
+@pytest.mark.parametrize(
+    "kwargs, argv",
+    [
+        (dict(methods=("IV",)), ["--methods", "IV"]),
+        (dict(methods=("I", "IV")), ["--methods", "I,IV"]),
+        (dict(methods=("I", "I")), ["--methods", "I,I"]),
+        (dict(methods=()), ["--methods", ""]),
+        (dict(targets=[]), ["--targets", ""]),
+        (dict(subset_seeds=[]), ["--subset-seeds", ""]),
+    ],
+    ids=["unknown", "one-unknown", "repeated", "no-methods", "no-targets", "no-subset-seeds"],
+)
+def test_malformed_sweep_is_an_error(kwargs, argv, small_scenario, tmp_path, capsys):
+    with pytest.raises(DomainError):
+        run_compare(small_scenario, **{"targets": [1.0], **kwargs})
+    scen, out = tmp_path / "grid.txt", tmp_path / "table.csv"
+    main(["gen-grid", "--seed", "4", "--flow", "const:0.1", "--out", str(scen)])
+    argv = ["compare", "--scenario", str(scen), "--targets", "1", *argv, "--out", str(out)]
+    assert main(argv) == EXIT_ERROR
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def per_call_rows(sc, targets, methods, limit, seeds):
@@ -145,6 +172,76 @@ def test_sweep_equals_per_call_functions(case):
     ]
     assert got == per_call_rows(sc, targets, methods, limit, seeds)
     assert {r.status for r in table.rows if r.target_kwh == targets[-1]} == {"infeasible"}
+
+
+def test_pruning_leaves_the_live_successor_map_unchanged():
+    # both enumerators keep only junctions that reach t over accessibility
+    # arcs, which follow roads, so the drivers skip pruning
+    scenarios = [
+        generate_random(n, density, 3, 2 * n, seed)
+        for n in (5, 8, 10) for density in (0.2, 0.35, 0.5) for seed in range(20)
+    ]
+    scenarios.append(generate_corridor(rows=6, cols=15, kept_edges=110, route_count=300, seed=0))
+    pruned_any = False
+    for sc in scenarios:
+        _routes, acc, pruned = prepare(sc)
+        pruned_any = pruned_any or pruned != acc.arcs
+        t = sc.destination
+        assert pathenum._live_successors(pruned, t) == pathenum._live_successors(acc.arcs, t)
+    assert pruned_any
+
+
+def test_instance_equals_pinned_functions():
+    sc = generate_grid(4, 4, 10.0, 60.0, 20, ("uniform", 0.1, 0.3), seed=47)
+    routes, acc, pruned = prepare(sc)
+    net, s, t = sc.network, sc.source, sc.destination
+    inst = Instance(sc)
+    full = enumerate_paths(pruned, s, t, acc, net, routes)
+    assert inst.paths() == full
+    pathsets = [full]
+    for seed in range(5):
+        subset = enumerate_bounded(pruned, s, t, acc, net, routes, limit=20, seed=seed)
+        assert inst.sample(20, seed) == subset
+        pathsets.append(subset)
+    for target in (1.0, 500.0, 2457.0, 2900.0, 1e5):
+        for pathset in pathsets:
+            got = inst.solve(inst.lp(pathset), target)
+            want = solve_min_loss(LossMinProblem(pathset, sc.params, net, routes, target))
+            assert (got.status, got.objective, got.plan) == (want.status, want.objective, want.plan)
+        assert inst.greedy(target) == heuristic_min_loss(net, list(routes), sc.params, target, s, t)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("called on a path that must not need it")
+
+
+def test_method_iii_never_builds_the_accessibility_graph(monkeypatch, small_scenario, tmp_path):
+    scen = tmp_path / "grid.txt"
+    main(["gen-grid", "--seed", "4", "--flow", "const:0.1", "--out", str(scen)])
+    monkeypatch.setattr(network, "build_accessibility_graph", refuse)
+    monkeypatch.setattr(experiments, "build_accessibility_graph", refuse)
+    table = run_compare(small_scenario, targets=[1.0, 200.0], methods=("III",))
+    assert {r.status for r in table.rows} == {"optimal"}
+    argv = ["solve", "--scenario", str(scen), "--method", "III", "--target", "50"]
+    assert main([*argv, "--out", str(tmp_path / "plan.csv")]) == EXIT_OK
+
+
+def test_drivers_and_commands_never_prune(monkeypatch, small_scenario, tmp_path):
+    scen = tmp_path / "grid.txt"
+    main(["gen-grid", "--seed", "4", "--flow", "const:0.1", "--out", str(scen)])
+    monkeypatch.setattr(network, "prune_unreachable", refuse)
+    monkeypatch.setattr(experiments, "prune_unreachable", refuse)
+    table = run_compare(small_scenario, targets=[1.0, 200.0], subset_seeds=range(2))
+    assert {r.status for r in table.rows} == {"optimal"}
+    assert run_growth([4, 6], [0.3, 0.5], 2, 0, enumeration_cap=8) == SMALL_CAPPED_GROWTH_CSV
+    for argv in (
+        ["solve", "--method", "I", "--target", "50"],
+        ["solve", "--method", "II", "--target", "50"],
+        ["solve", "--method", "III", "--target", "50"],
+        ["enumerate"],
+        ["enumerate", "--limit", "10"],
+    ):
+        assert main([*argv, "--scenario", str(scen), "--out", str(tmp_path / "x.csv")]) == EXIT_OK
 
 
 # run_growth([4, 6], [0.3, 0.5], 2, 0, enumeration_cap=8): two rows capped

@@ -11,7 +11,6 @@ from venroute import (
     VehicularRoute,
     generate_corridor,
     heuristic_min_loss,
-    min_hop_sequence,
     normalize_routes,
     plan_totals,
 )
@@ -39,10 +38,15 @@ def diamond(flow_a=0.1, flow_b=0.1):
     return net, routes
 
 
+def first_path(network, routes, s="s", t="t"):
+    """The greedy's first committed path, as its boundary junctions."""
+    res = heuristic_min_loss(network, list(routes), PARAMS, 1e-3, s, t)
+    return res.plan.entries[0].path.boundaries
+
+
 class TestMinHopSequence:
     def test_prefers_fewest_hops(self):
         net, routes = diamond()
-        direct = routes + (VehicularRoute("rd", (), 0.0),)
         net2 = VehicularNetwork.build(
             ["a", "b", "s", "t"],
             [
@@ -54,19 +58,20 @@ class TestMinHopSequence:
             ],
         )
         routes2 = routes + (VehicularRoute("rd", ("st",), 0.01),)
-        assert min_hop_sequence(net2, routes2, "s", "t") == ("s", "t")
+        assert first_path(net2, routes2) == ("s", "t")
 
     def test_tie_breaks_by_bottleneck_flow(self):
         net, routes = diamond(flow_a=0.1, flow_b=0.3)
-        assert min_hop_sequence(net, routes, "s", "t") == ("s", "b", "t")
+        assert first_path(net, routes) == ("s", "b", "t")
 
     def test_equal_flows_tie_break_lexicographic(self):
         net, routes = diamond(flow_a=0.2, flow_b=0.2)
-        assert min_hop_sequence(net, routes, "s", "t") == ("s", "a", "t")
+        assert first_path(net, routes) == ("s", "a", "t")
 
-    def test_unreachable_returns_none(self):
+    def test_unreachable_commits_no_path(self):
         net, routes = diamond()
-        assert min_hop_sequence(net, routes, "t", "s") is None
+        res = heuristic_min_loss(net, list(routes), PARAMS, 1e-3, "t", "s")
+        assert res.plan.entries == () and res.stop_reason == "no-path"
 
 
 class TestHeuristic:

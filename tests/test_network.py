@@ -9,11 +9,11 @@ from venroute import (
     StructuralError,
     VehicularNetwork,
     VehicularRoute,
-    arc_flow,
     build_accessibility_graph,
     normalize_routes,
     prune_unreachable,
 )
+from venroute.network import arc_flow_table
 
 from helpers import random_instance
 
@@ -231,12 +231,9 @@ class TestArcFlow:
             VehicularRoute("r1", ("a0", "a1"), 0.1),
             VehicularRoute("r2", ("a1",), 0.25),
         ]
-        assert arc_flow(net, routes, "a1") == pytest.approx(0.35)
-        assert arc_flow(net, routes, "a2") == 0.0
-
-    def test_unknown_arc_raises(self):
-        with pytest.raises(DomainError):
-            arc_flow(line_network(), [], "zz")
+        table = arc_flow_table(routes)
+        assert table == pytest.approx({"a0": 0.1, "a1": 0.35})
+        assert "a2" not in table
 
 
 @settings(max_examples=40, deadline=None)

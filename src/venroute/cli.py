@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen-grid, gen-random, enumerate, solve, compare, growth.
-Exit codes: 0 success, 3 when the only problem was infeasibility, 1 on error.
+Exit codes: 0 success, 3 when the only problem was infeasibility, 1 on error
+(for compare, when any row is an error; the table is still written).
 """
 
 from __future__ import annotations
@@ -146,6 +147,8 @@ def _cmd_compare(args) -> int:
     )
     _write(args.out, table.to_csv(include_timings=args.timings))
     statuses = {r.status for r in table.rows}
+    if any(status.startswith("error") for status in statuses):
+        return EXIT_ERROR
     if statuses and statuses <= {"infeasible"}:
         return EXIT_INFEASIBLE
     return EXIT_OK

@@ -47,8 +47,6 @@ class EnergyPath:
     """
 
     segments: tuple[tuple[RouteId, int, int], ...]
-    source: Junction
-    destination: Junction
     boundaries: tuple[Junction, ...]
     arc_ids: tuple[str, ...]
     delay_s: float
@@ -97,10 +95,8 @@ def segment_span(
     )
 
 
-def assemble_energy_path(
-    spans: Sequence[SegmentSpan], source: Junction, destination: Junction
-) -> EnergyPath:
-    """The energy path along spans already checked to chain loop-free from source to destination."""
+def assemble_energy_path(spans: Sequence[SegmentSpan], source: Junction) -> EnergyPath:
+    """The energy path along spans already checked to chain loop-free from source."""
     arc_ids: tuple[str, ...] = ()
     delay = 0.0
     bottleneck = math.inf
@@ -111,8 +107,6 @@ def assemble_energy_path(
             bottleneck = sp.flow
     return EnergyPath(
         segments=tuple([sp.segment for sp in spans]),
-        source=source,
-        destination=destination,
         boundaries=(source, *[sp.head for sp in spans]),
         arc_ids=arc_ids,
         delay_s=delay,
@@ -146,7 +140,7 @@ def build_energy_path(
         prev_head = sp.head
     if prev_head != destination:
         raise StructuralError(f"path ends at {prev_head}, expected destination {destination}")
-    path = assemble_energy_path(spans, source, destination)
+    path = assemble_energy_path(spans, source)
     if len(set(path.boundaries)) != len(path.boundaries):
         raise StructuralError("segment boundary junctions repeat; path is not loop-free")
     return path

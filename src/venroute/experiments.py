@@ -33,11 +33,12 @@ from .network import arc_flow_table, build_accessibility_graph, normalize_routes
 from .pathenum import (
     DEFAULT_CAP,
     PathSet,
+    _expand,
     _live_successors,
     _sample_bounded,
+    _sequences,
     _SpanTable,
     count_paths,
-    enumerate_paths,
     enumerate_sequences,
 )
 from .rateopt import LossMinProblem, LpSolution, _assemble, _retarget, _solve
@@ -79,10 +80,9 @@ class Instance:
 
     def paths(self, cap: int = DEFAULT_CAP) -> PathSet:
         """The full energy-path set (method I)."""
-        sc, acc = self.scenario, self.accessibility
-        return enumerate_paths(
-            acc.arcs, sc.source, sc.destination, acc, sc.network, self.routes, cap=cap
-        )
+        succ, _hops = self.live_successors
+        sequences = _sequences(succ, self.scenario.source, self.scenario.destination, cap)
+        return _expand(sequences, self.span_table, cap)
 
     def sample(self, limit: int, seed: int) -> PathSet:
         """A seeded subset of at most ``limit`` energy paths (method II)."""

@@ -84,88 +84,79 @@ class _RouteIndex:
                     self.visits.setdefault(j, []).append((rid, p))
 
 
-class _ActiveRoutes:
-    """An index's routes that still carry flow, with the flows one greedy call works on."""
+def _levels(
+    index: _RouteIndex, flows: Mapping[RouteId, float], start: Junction, goal: Junction,
+    forward: bool,
+) -> dict[Junction, int]:
+    """Fewest hops over the routes in ``flows`` from ``start`` to each junction
+    (to ``start`` if not ``forward``), in the order the junctions were reached.
 
-    def __init__(self, index: _RouteIndex):
-        self.routes, self.seqs, self.visits = index.routes, index.seqs, index.visits
-        self.flows = dict(index.flows)
-
-    def use(self, rid: RouteId, delta: float) -> None:
-        """Take ``delta`` off the route's flow; a route left without flow drops out."""
-        flow = self.flows[rid] - delta
-        if flow <= FLOW_EPS:
-            del self.flows[rid]
-        else:
-            self.flows[rid] = flow
-
-    def levels(self, start: Junction, goal: Junction, forward: bool) -> dict[Junction, int]:
-        """Fewest hops from ``start`` to each junction (to ``start`` if not ``forward``).
-
-        Boarding a route at position p reaches every later position (every
-        earlier one, backward). Each route remembers the earliest position it
-        was boarded at (the latest, backward), so each route position is
-        scanned at most once. The search stops once the level holding
-        ``goal`` is complete.
-        """
-        dist = {start: 0}
-        frontier = [start]
-        boarded: dict[RouteId, int] = {}
-        level = 0
-        while frontier and goal not in dist:
-            level += 1
-            nxt = []
-            for u in frontier:
-                for rid, p in self.visits.get(u, ()):
-                    if rid not in self.flows:
+    Boarding a route at position p reaches every later position (every
+    earlier one, backward). Each route remembers the earliest position it
+    was boarded at (the latest, backward), so each route position is
+    scanned at most once. The search stops once the level holding
+    ``goal`` is complete.
+    """
+    dist = {start: 0}
+    frontier = [start]
+    boarded: dict[RouteId, int] = {}
+    level = 0
+    while frontier and goal not in dist:
+        level += 1
+        nxt = []
+        for u in frontier:
+            for rid, p in index.visits.get(u, ()):
+                if rid not in flows:
+                    continue
+                seq = index.seqs[rid]
+                if forward:
+                    edge = boarded.get(rid, len(seq))
+                    if p >= edge:
                         continue
-                    seq = self.seqs[rid]
-                    if forward:
-                        edge = boarded.get(rid, len(seq))
-                        if p >= edge:
-                            continue
-                        reached = seq[p + 1 : edge]
-                    else:
-                        edge = boarded.get(rid, -1)
-                        if p <= edge:
-                            continue
-                        reached = seq[edge + 1 : p]
-                    boarded[rid] = p
-                    for v in reached:
-                        if v not in dist:
-                            dist[v] = level
-                            nxt.append(v)
-            frontier = nxt
-        return dist
+                    reached = seq[p + 1 : edge]
+                else:
+                    edge = boarded.get(rid, -1)
+                    if p <= edge:
+                        continue
+                    reached = seq[edge + 1 : p]
+                boarded[rid] = p
+                for v in reached:
+                    if v not in dist:
+                        dist[v] = level
+                        nxt.append(v)
+        frontier = nxt
+    return dist
 
 
 def _shortest_dag(
-    routes: _ActiveRoutes, s: Junction, t: Junction
-) -> tuple[Segments, dict[Junction, tuple[Junction, ...]]] | None:
-    """Accessibility arcs lying on some fewest-hop s-t sequence, with their segments."""
-    dist_s = routes.levels(s, t, forward=True)
+    index: _RouteIndex, flows: Mapping[RouteId, float], s: Junction, t: Junction
+) -> tuple[Segments, dict[Junction, tuple[Junction, ...]], dict[Junction, int]] | None:
+    """Accessibility arcs lying on some fewest-hop s-t sequence with their
+    segments, the same arcs as a DAG, and the hops from s to each junction.
+    """
+    dist_s = _levels(index, flows, s, t, forward=True)
     if t not in dist_s:
         return None
-    dist_t = routes.levels(t, s, forward=False)
+    dist_t = _levels(index, flows, t, s, forward=False)
     hops = dist_s[t]
     on_dag: dict[RouteId, list[int]] = {}
     for j, d in dist_s.items():
         if dist_t.get(j, hops + 1) + d == hops:
-            for rid, p in routes.visits[j]:
-                if rid in routes.flows:
+            for rid, p in index.visits[j]:
+                if rid in flows:
                     on_dag.setdefault(rid, []).append(p)
     # a route arc between two DAG junctions lies on a fewest-hop sequence
     # exactly when it climbs one BFS level
     segments: dict[tuple[Junction, Junction], dict[RouteId, tuple[int, int]]] = {}
     for rid, positions in on_dag.items():
-        seq = routes.seqs[rid]
+        seq = index.seqs[rid]
         positions.sort()
         for k, p in enumerate(positions):
             level = dist_s[seq[p]] + 1
             for q in positions[k + 1 :]:
                 if dist_s[seq[q]] == level:
                     segments.setdefault((seq[p], seq[q]), {})[rid] = (p + 1, q)
-    return segments, adjacency(segments)
+    return segments, adjacency(segments), dist_s
 
 
 def _arc_weight(
@@ -178,35 +169,23 @@ def _widest_sequence(
     segments: Segments,
     flows: Mapping[RouteId, float],
     dag: Mapping[Junction, Sequence[Junction]],
+    dist_s: Mapping[Junction, int],
     s: Junction,
     t: Junction,
 ) -> tuple[Junction, ...]:
     """Max-bottleneck fewest-hop sequence; lexicographically smallest among ties."""
     best: dict[Junction, float] = {t: float("inf")}
-    # fixed-point pass over the layered DAG; converges in at most |layers| sweeps
-    changed = True
-    while changed:
-        changed = False
-        for u in dag:
-            width = max(
-                (
-                    min(_arc_weight(segments, flows, u, v), best[v])
-                    for v in dag[u]
-                    if v in best
-                ),
-                default=None,
-            )
-            if width is not None and width != best.get(u):
-                best[u] = width
-                changed = True
+    # every DAG arc climbs one level and every DAG junction but t has a DAG
+    # successor, so one pass down the levels sets each width from finished ones
+    for u in reversed(dist_s):
+        if u in dag:
+            best[u] = max(min(_arc_weight(segments, flows, u, v), best[v]) for v in dag[u])
     target_width = best[s]
     seq = [s]
     width_so_far = float("inf")
     u = s
     while u != t:
         for v in dag[u]:  # sorted: first admissible choice is lexicographic min
-            if v not in best:
-                continue
             achievable = min(width_so_far, _arc_weight(segments, flows, u, v), best[v])
             if achievable >= target_width - FLOW_EPS:
                 width_so_far = min(width_so_far, _arc_weight(segments, flows, u, v))
@@ -271,15 +250,14 @@ def _all_min_hop_sequences(
 
 
 def _pick_path(
-    routes: _ActiveRoutes, s: Junction, t: Junction
+    index: _RouteIndex, flows: Mapping[RouteId, float], s: Junction, t: Junction
 ) -> tuple[tuple[Junction, ...], list[tuple[RouteId, int, int]], float] | str:
     """(junction sequence, path segments, bottleneck flow) of the next path, or why none."""
-    found = _shortest_dag(routes, s, t)
+    found = _shortest_dag(index, flows, s, t)
     if found is None:
         return NO_PATH
-    segments, dag = found
-    flows = routes.flows
-    seq = _widest_sequence(segments, flows, dag, s, t)
+    segments, dag, dist_s = found
+    seq = _widest_sequence(segments, flows, dag, dist_s, s, t)
     assigned = _assign_routes(segments, flows, seq)
     if isinstance(assigned, str):
         # Greedy sequence had no distinct-route assignment (interleaved reuse of
@@ -333,11 +311,11 @@ def _greedy(
         plan = make_plan([], params)
         return HeuristicResult("success", plan, 0.0, 0.0, TARGET_MET)
 
-    active = _ActiveRoutes(index)
+    flows = dict(index.flows)  # what each route has left, dropped once spent
     entries: list[PlanEntry] = []
     delivered = 0.0
     while True:
-        picked = _pick_path(active, s, t)
+        picked = _pick_path(index, flows, s, t)
         if isinstance(picked, str):
             break
         _, segments, delta = picked
@@ -345,7 +323,7 @@ def _greedy(
         path = build_energy_path(
             network,
             {
-                rid: VehicularRoute(rid, active.routes[rid].arcs, active.flows[rid])
+                rid: VehicularRoute(rid, index.routes[rid].arcs, flows[rid])
                 for rid, _, _ in segments
             },
             segments,
@@ -359,7 +337,9 @@ def _greedy(
             delivered += x
             entries.append(PlanEntry(path=path, rate=g, delivered_kwh=x))
             for rid, _, _ in segments:
-                active.use(rid, delta)
+                flows[rid] -= delta
+                if flows[rid] <= FLOW_EPS:
+                    del flows[rid]
             continue
         residual = target_kwh - delivered
         if cap_coeff <= 0.0:

@@ -149,7 +149,6 @@ class AccessibilityGraph:
     indices within that route.
     """
 
-    junctions: frozenset[Junction]
     arcs: frozenset[tuple[Junction, Junction]]
     segments: Mapping[tuple[Junction, Junction], Mapping[RouteId, tuple[int, int]]] = field(
         repr=False
@@ -268,11 +267,7 @@ def build_accessibility_graph(
                     raise StructuralError(f"duplicate route id {r.route_id!r}")
                 # sub-route spans arcs p+1..q, 1-based
                 per_route[r.route_id] = (p + 1, q)
-    return AccessibilityGraph(
-        junctions=network.junctions,
-        arcs=frozenset(segments),
-        segments=segments,
-    )
+    return AccessibilityGraph(arcs=frozenset(segments), segments=segments)
 
 
 def prune_unreachable(

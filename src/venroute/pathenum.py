@@ -85,14 +85,24 @@ def enumerate_sequences(
 ) -> tuple[JunctionSequence, ...]:
     """All loop-free junction sequences from s to t on the pruned accessibility arcs.
 
-    Returned in lexicographic order. Raises EnumerationCapError if more than
-    ``cap`` sequences would be produced.
+    Returned in lexicographic order. ``cap`` bounds the sequences held at
+    once: EnumerationCapError is raised as soon as the complete sequences
+    plus the partial ones waiting to be extended exceed it. That bounds
+    memory and fails fast on a blow-up, but an instance with exactly ``cap``
+    sequences can still raise.
     """
-    if s == t:
-        raise DomainError("source and destination must differ")
     # Restricting to junctions that can still reach t changes nothing in the
     # output but avoids growing dead-end frontiers.
     succ, _hops = _live_successors(pruned_arcs, t)
+    return _sequences(succ, s, t, cap)
+
+
+def _sequences(
+    succ: Mapping[Junction, tuple[Junction, ...]], s: Junction, t: Junction, cap: int
+) -> tuple[JunctionSequence, ...]:
+    """``enumerate_sequences`` over ``_live_successors`` of the pruned arcs."""
+    if s == t:
+        raise DomainError("source and destination must differ")
     frontier: list[JunctionSequence] = [(s,)]
     done: list[JunctionSequence] = []
     while frontier:
@@ -186,9 +196,8 @@ def _combo_paths(
     """
     seq = tuple(seq)
     combos = _route_combos(seq, table)
-    source, destination = seq[0], seq[-1]
     for rids, spans in itertools.islice(combos, skip, None):
-        yield (seq, rids), assemble_energy_path(spans, source, destination)
+        yield (seq, rids), assemble_energy_path(spans, seq[0])
 
 
 def expand_to_paths(
@@ -200,6 +209,11 @@ def expand_to_paths(
 ) -> PathSet:
     """Expand junction sequences into the full set of concrete energy paths."""
     table = _SpanTable(accessibility, network, {r.route_id: r for r in routes})
+    return _expand(sequences, table, cap)
+
+
+def _expand(sequences: Iterable[JunctionSequence], table: _SpanTable, cap: int) -> PathSet:
+    """``expand_to_paths`` over the span table of its graph, network and routes."""
     by_key: dict[PathKey, EnergyPath] = {}
     for seq in sequences:
         for key, path in _combo_paths(seq, table):

@@ -244,6 +244,16 @@ def test_drivers_and_commands_never_prune(monkeypatch, small_scenario, tmp_path)
         assert main([*argv, "--scenario", str(scen), "--out", str(tmp_path / "x.csv")]) == EXIT_OK
 
 
+def test_paths_reuse_the_instance_structures(monkeypatch):
+    sc = generate_grid(4, 4, 10.0, 60.0, 20, ("uniform", 0.1, 0.3), seed=47)
+    want = Instance(sc).paths()
+    inst = Instance(sc)
+    inst.live_successors, inst.span_table  # derived here, so paths() needs no new ones
+    monkeypatch.setattr(pathenum, "_live_successors", refuse)
+    monkeypatch.setattr(pathenum, "_SpanTable", refuse)
+    assert inst.paths() == want
+
+
 # run_growth([4, 6], [0.3, 0.5], 2, 0, enumeration_cap=8): two rows capped
 SMALL_CAPPED_GROWTH_CSV = """\
 n_junctions,road_density,seed,accessibility_density,n_paths,capped
@@ -368,6 +378,18 @@ class TestCli:
         code = main(["solve", "--scenario", str(scen), "--method", "I"])
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
+
+    def test_compare_exit_codes(self, tmp_path):
+        scen, out = tmp_path / "grid.txt", tmp_path / "table.csv"
+        main(["gen-grid", "--seed", "4", "--flow", "const:0.1", "--out", str(scen)])
+        argv = ["compare", "--scenario", str(scen), "--cap", "5", "--out", str(out)]
+        # any error row is an error; the table is still written
+        for methods in ("I", "I,III"):
+            assert main([*argv, "--targets", "1,200", "--methods", methods]) == EXIT_ERROR
+            rows = out.read_text().splitlines()[1:]
+            assert sum(",I,error:enumeration-cap," in row for row in rows) == 2
+        assert main([*argv, "--targets", "1,200", "--methods", "III"]) == EXIT_OK
+        assert main([*argv, "--targets", "1e9", "--methods", "III"]) == EXIT_INFEASIBLE
 
     @pytest.mark.parametrize("method", ["I", "III"])
     @pytest.mark.parametrize("target", ["nan", "inf"])

@@ -12,6 +12,7 @@ from venroute import (
     DomainError,
     EnergyPath,
     EnumerationCapError,
+    Instance,
     StructuralError,
     VehicularNetwork,
     VehicularRoute,
@@ -24,6 +25,8 @@ from venroute import (
     expand_to_paths,
     f_bound,
     f_closed_bound,
+    generate_corridor,
+    generate_random,
 )
 
 from helpers import oracle_expand, oracle_sequences, prepared, random_instance
@@ -122,6 +125,20 @@ class TestSequences:
         norm, acc, pruned, _ = prepared(network, routes, "n5")
         with pytest.raises(EnumerationCapError):
             enumerate_sequences(pruned, "n0", "n5", cap=10)
+
+    def test_cap_counts_partial_sequences(self):
+        # complete plus partial sequences exceed a cap equal to the final count
+        sc = generate_random(8, 0.4, 3, 24, seed=0)
+        arcs = Instance(sc).accessibility.arcs
+        assert len(enumerate_sequences(arcs, sc.source, sc.destination)) == 35
+        with pytest.raises(EnumerationCapError):
+            enumerate_sequences(arcs, sc.source, sc.destination, cap=35)
+
+    def test_cap_fails_fast_on_a_blow_up(self):
+        sc = generate_corridor(rows=6, cols=15, kept_edges=110, route_count=300, seed=0)
+        arcs = Instance(sc).accessibility.arcs
+        with pytest.raises(EnumerationCapError):
+            enumerate_sequences(arcs, sc.source, sc.destination, cap=10_000)
 
 
 class TestExpansion:

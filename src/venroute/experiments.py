@@ -1,20 +1,20 @@
 """Experiment drivers: method comparison sweeps and the path-count growth study.
 
 An ``Instance`` derives, each once and on first use, what one scenario's
-methods share: the normalized routes, the accessibility graph, the live
-successor map with hops to the destination, the span table, the arc-flow
-table and the greedy's route index. ``run_compare``, ``run_growth`` and the
-``ven`` commands call only its methods, so a sweep shares these across every
-subset seed and target, and a method-III run never builds the accessibility
-graph. No arcs are pruned: both enumerators keep only junctions that reach
-the destination over accessibility arcs, which follow roads.
+methods share: the normalized routes, the accessibility graph (the
+junction-route incidence the greedy searches), the live successor map with
+hops to the destination, the span table and the arc-flow table.
+``run_compare``, ``run_growth`` and the ``ven`` commands call only its
+methods, so a sweep shares these across every subset seed and target; a
+method-III run derives no accessibility arc. No arcs are pruned: both
+enumerators keep only junctions that reach t over arcs, which follow roads.
 
 Results are plain rows rendered to CSV with units in the headers. Wall times
 are measured around computation only (no file I/O) and are emitted only on
 request, so default outputs are byte-stable across runs. Route normalization
-and the accessibility build stay outside every row. A row's wall time adds
-its method's one-off costs to its own solve: enumeration or sampling and LP
-assembly for methods I and II, the route index for method III.
+and the incidence build stay outside every row. A row's wall time adds its
+method's one-off costs to its own solve: deriving the arcs, enumeration or
+sampling, and LP assembly for methods I and II; method III has none.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .energy import plan_totals
 from .errors import DomainError, EnumerationCapError
-from .heuristic import HeuristicResult, _greedy, _RouteIndex
+from .heuristic import HeuristicResult, _greedy
 from .network import arc_flow_table, build_accessibility_graph, normalize_routes, prune_unreachable
 from .pathenum import (
     DEFAULT_CAP,
@@ -67,16 +67,11 @@ class Instance:
 
     @cached_property
     def span_table(self):
-        routes_by_id = {r.route_id: r for r in self.routes}
-        return _SpanTable(self.accessibility, self.scenario.network, routes_by_id)
+        return _SpanTable(self.accessibility, self.scenario.network, self.accessibility.routes)
 
     @cached_property
     def arc_flows(self):
         return arc_flow_table(self.routes)
-
-    @cached_property
-    def route_index(self):
-        return _RouteIndex(self.scenario.network, self.routes)
 
     def paths(self, cap: int = DEFAULT_CAP) -> PathSet:
         """The full energy-path set (method I)."""
@@ -105,7 +100,7 @@ class Instance:
     def greedy(self, target: float) -> HeuristicResult:
         """The greedy's plan at one energy target (method III)."""
         sc = self.scenario
-        return _greedy(self.route_index, sc.network, sc.params, target, sc.source, sc.destination)
+        return _greedy(self.accessibility, sc.network, sc.params, target, sc.source, sc.destination)
 
 
 @dataclass(frozen=True)
@@ -176,9 +171,7 @@ def run_compare(
         raise DomainError("method II needs at least one subset seed")
     rows: list[ResultRow] = []
     inst = Instance(scenario)
-    inst.routes  # normalization and the accessibility build stay outside every row
-    if "I" in methods or "II" in methods:
-        inst.accessibility
+    inst.accessibility  # normalization and the incidence build stay outside every row
     once: dict[str, float] = {}  # each method's one-off seconds, added to each of its rows
 
     def row(target: float, method: str, t0: float, totals) -> ResultRow:
@@ -198,8 +191,6 @@ def run_compare(
                 pass
         elif method == "II":
             subsets = [inst.lp(inst.sample(subset_limit, seed)) for seed in subset_seeds]
-        else:
-            inst.route_index
         once[method] = time.perf_counter() - t0
 
     for target in targets:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .energy import (
     EnergyParams,
@@ -28,12 +28,14 @@ from .energy import (
 )
 from .errors import ConsistencyError, DomainError
 from .network import (
+    AccessibilityGraph,
     Junction,
     RouteId,
+    Segments,
     VehicularNetwork,
     VehicularRoute,
     adjacency,
-    simple_sequence,
+    build_accessibility_graph,
 )
 
 FLOW_EPS = 1e-12
@@ -44,9 +46,6 @@ _SEQUENCE_FALLBACK_CAP = 5000
 TARGET_MET = "target-met"
 NO_PATH = "no-path"
 COMBINATION_CAP = "combination-cap"  # a safety cap cut the path search short
-
-# accessibility arc (i, j) -> route id -> 1-based (start, end) arc indices
-Segments = Mapping[tuple[Junction, Junction], Mapping[RouteId, tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -62,30 +61,8 @@ class HeuristicResult:
         object.__setattr__(self, "paths_used", len(self.plan.entries))
 
 
-class _RouteIndex:
-    """Routes that carry flow, with their initial flows and each junction's
-    (route, position) visits. Never changed, so one serves a sweep's targets.
-    """
-
-    def __init__(self, network: VehicularNetwork, routes: Iterable[VehicularRoute]):
-        by_id = {r.route_id: r for r in routes}
-        self.routes: dict[RouteId, VehicularRoute] = {}
-        self.flows: dict[RouteId, float] = {}
-        self.seqs: dict[RouteId, tuple[Junction, ...]] = {}
-        self.visits: dict[Junction, list[tuple[RouteId, int]]] = {}
-        for rid in sorted(by_id):
-            r = by_id[rid]
-            if r.flow > FLOW_EPS and r.arcs:
-                seq = simple_sequence(network, r)
-                self.routes[rid] = r
-                self.flows[rid] = r.flow
-                self.seqs[rid] = seq
-                for p, j in enumerate(seq):
-                    self.visits.setdefault(j, []).append((rid, p))
-
-
 def _levels(
-    index: _RouteIndex, flows: Mapping[RouteId, float], start: Junction, goal: Junction,
+    acc: AccessibilityGraph, flows: Mapping[RouteId, float], start: Junction, goal: Junction,
     forward: bool,
 ) -> dict[Junction, int]:
     """Fewest hops over the routes in ``flows`` from ``start`` to each junction
@@ -105,10 +82,10 @@ def _levels(
         level += 1
         nxt = []
         for u in frontier:
-            for rid, p in index.visits.get(u, ()):
+            for rid, p in acc.visits.get(u, ()):
                 if rid not in flows:
                     continue
-                seq = index.seqs[rid]
+                seq = acc.seqs[rid]
                 if forward:
                     edge = boarded.get(rid, len(seq))
                     if p >= edge:
@@ -129,33 +106,20 @@ def _levels(
 
 
 def _shortest_dag(
-    index: _RouteIndex, flows: Mapping[RouteId, float], s: Junction, t: Junction
+    acc: AccessibilityGraph, flows: Mapping[RouteId, float], s: Junction, t: Junction
 ) -> tuple[Segments, dict[Junction, tuple[Junction, ...]], dict[Junction, int]] | None:
     """Accessibility arcs lying on some fewest-hop s-t sequence with their
     segments, the same arcs as a DAG, and the hops from s to each junction.
     """
-    dist_s = _levels(index, flows, s, t, forward=True)
+    dist_s = _levels(acc, flows, s, t, forward=True)
     if t not in dist_s:
         return None
-    dist_t = _levels(index, flows, t, s, forward=False)
+    dist_t = _levels(acc, flows, t, s, forward=False)
     hops = dist_s[t]
-    on_dag: dict[RouteId, list[int]] = {}
-    for j, d in dist_s.items():
-        if dist_t.get(j, hops + 1) + d == hops:
-            for rid, p in index.visits[j]:
-                if rid in flows:
-                    on_dag.setdefault(rid, []).append(p)
-    # a route arc between two DAG junctions lies on a fewest-hop sequence
-    # exactly when it climbs one BFS level
-    segments: dict[tuple[Junction, Junction], dict[RouteId, tuple[int, int]]] = {}
-    for rid, positions in on_dag.items():
-        seq = index.seqs[rid]
-        positions.sort()
-        for k, p in enumerate(positions):
-            level = dist_s[seq[p]] + 1
-            for q in positions[k + 1 :]:
-                if dist_s[seq[q]] == level:
-                    segments.setdefault((seq[p], seq[q]), {})[rid] = (p + 1, q)
+    on_dag = {j: d for j, d in dist_s.items() if dist_t.get(j, hops + 1) + d == hops}
+    # an arc between two DAG junctions lies on a fewest-hop sequence exactly
+    # when it climbs one BFS level
+    segments = acc.climbing_index_sets(on_dag, flows)
     return segments, adjacency(segments), dist_s
 
 
@@ -250,10 +214,10 @@ def _all_min_hop_sequences(
 
 
 def _pick_path(
-    index: _RouteIndex, flows: Mapping[RouteId, float], s: Junction, t: Junction
+    acc: AccessibilityGraph, flows: Mapping[RouteId, float], s: Junction, t: Junction
 ) -> tuple[tuple[Junction, ...], list[tuple[RouteId, int, int]], float] | str:
     """(junction sequence, path segments, bottleneck flow) of the next path, or why none."""
-    found = _shortest_dag(index, flows, s, t)
+    found = _shortest_dag(acc, flows, s, t)
     if found is None:
         return NO_PATH
     segments, dag, dist_s = found
@@ -294,14 +258,14 @@ def heuristic_min_loss(
     when the remaining routes cannot meet the target; ``stop_reason`` says
     whether no path was left or a safety cap cut the path search short.
     """
-    return _greedy(_RouteIndex(network, routes), network, params, target_kwh, s, t)
+    return _greedy(build_accessibility_graph(network, routes), network, params, target_kwh, s, t)
 
 
 def _greedy(
-    index: _RouteIndex, network: VehicularNetwork, params: EnergyParams,
+    acc: AccessibilityGraph, network: VehicularNetwork, params: EnergyParams,
     target_kwh: float, s: Junction, t: Junction,
 ) -> HeuristicResult:
-    """``heuristic_min_loss`` over the route index of its network and routes."""
+    """``heuristic_min_loss`` over the accessibility graph of its network and routes."""
     if not (0.0 <= target_kwh < math.inf):
         raise DomainError("energy target must be finite and nonnegative")
     if s == t or s not in network.junctions or t not in network.junctions:
@@ -311,11 +275,12 @@ def _greedy(
         plan = make_plan([], params)
         return HeuristicResult("success", plan, 0.0, 0.0, TARGET_MET)
 
-    flows = dict(index.flows)  # what each route has left, dropped once spent
+    # what each route has left, dropped once spent
+    flows = {rid: r.flow for rid, r in acc.routes.items() if r.flow > FLOW_EPS}
     entries: list[PlanEntry] = []
     delivered = 0.0
     while True:
-        picked = _pick_path(index, flows, s, t)
+        picked = _pick_path(acc, flows, s, t)
         if isinstance(picked, str):
             break
         _, segments, delta = picked
@@ -323,7 +288,7 @@ def _greedy(
         path = build_energy_path(
             network,
             {
-                rid: VehicularRoute(rid, index.routes[rid].arcs, flows[rid])
+                rid: VehicularRoute(rid, acc.routes[rid].arcs, flows[rid])
                 for rid, _, _ in segments
             },
             segments,

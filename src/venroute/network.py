@@ -2,9 +2,10 @@
 
 The road network is a directed graph of junctions and arcs with per-arc
 traversal delays. Vehicular routes are connected arc sequences with an EV
-flow rate. The accessibility graph has an arc (i, j) whenever some route
-visits junction i strictly before junction j; its per-arc index sets record
-which routes realize the arc and with which sub-route.
+flow rate. The accessibility graph is held as the junction-route incidence:
+arc (i, j) exists whenever some route visits junction i strictly before j,
+and its index set, which records the routes realizing it and with which
+sub-routes, is derived from the incidence on demand.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, combinations
+from operator import attrgetter
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import DomainError, StructuralError
 
@@ -140,45 +143,35 @@ class VehicularRoute:
         return (arc_objs[0].tail,) + tuple(a.head for a in arc_objs)
 
 
-@dataclass(frozen=True)
-class AccessibilityGraph:
-    """Junction-accessibility digraph with per-arc route index sets.
-
-    ``segments[(i, j)]`` maps each route id realizing the accessibility arc
-    (i, j) to its sub-route endpoints (n, m): 1-based start and end arc
-    indices within that route.
+def _route_sequence(network: VehicularNetwork, route: VehicularRoute) -> tuple[Junction, ...]:
+    """The route's junction sequence, checked to chain known arcs and to carry
+    a finite, nonnegative flow.
     """
-
-    arcs: frozenset[tuple[Junction, Junction]]
-    segments: Mapping[tuple[Junction, Junction], Mapping[RouteId, tuple[int, int]]] = field(
-        repr=False
-    )
-
-
-def _check_connected(network: VehicularNetwork, route_id: RouteId, arcs: Sequence[ArcId]) -> None:
-    if not arcs:
-        raise StructuralError(f"route {route_id!r}: empty arc sequence")
-    for k in range(len(arcs) - 1):
-        a, b = network.arc_by_id.get(arcs[k]), network.arc_by_id.get(arcs[k + 1])
+    rid = route.route_id
+    if not (0.0 <= route.flow < math.inf):
+        raise StructuralError(
+            f"route {rid!r}: flow must be finite and nonnegative, got {route.flow}"
+        )
+    if not route.arcs:
+        raise StructuralError(f"route {rid!r}: empty arc sequence")
+    arcs: list[Arc] = []
+    for arc_id in route.arcs:
+        a = network.arc_by_id.get(arc_id)
         if a is None:
-            raise DomainError(f"route {route_id!r}: unknown arc id {arcs[k]!r}")
-        if b is None:
-            raise DomainError(f"route {route_id!r}: unknown arc id {arcs[k + 1]!r}")
-        if a.head != b.tail:
+            raise DomainError(f"route {rid!r}: unknown arc id {arc_id!r}")
+        if arcs and arcs[-1].head != a.tail:
             raise StructuralError(
-                f"route {route_id!r}: arcs {a.arc_id!r} and {b.arc_id!r} are not connected "
-                f"({a.head} != {b.tail})"
+                f"route {rid!r}: arcs {arcs[-1].arc_id!r} and {arc_id!r} are not connected "
+                f"({arcs[-1].head} != {a.tail})"
             )
-    if arcs[-1] not in network.arc_by_id:
-        raise DomainError(f"route {route_id!r}: unknown arc id {arcs[-1]!r}")
+        arcs.append(a)
+    return (arcs[0].tail, *[a.head for a in arcs])
 
 
-def _split_loops(network: VehicularNetwork, arcs: tuple[ArcId, ...]) -> list[tuple[ArcId, ...]]:
-    """Split an arc sequence at its first junction revisit; recurse on the suffix.
-
-    The prefix before the loop entry is loop-free by construction.
+def _split_loops(arcs: tuple[ArcId, ...], seq: tuple[Junction, ...]) -> list[tuple[ArcId, ...]]:
+    """Split arcs with junction sequence ``seq`` at the first junction revisit;
+    recurse on the suffix. The prefix before the loop entry is loop-free.
     """
-    seq = [network.arc_by_id[arcs[0]].tail] + [network.arc_by_id[a].head for a in arcs]
     first_pos: dict[Junction, int] = {}
     for q, j in enumerate(seq):
         p = first_pos.get(j)
@@ -187,7 +180,7 @@ def _split_loops(network: VehicularNetwork, arcs: tuple[ArcId, ...]) -> list[tup
             if p > 0:
                 pieces.append(arcs[:p])
             if q < len(arcs):
-                pieces.extend(_split_loops(network, arcs[q:]))
+                pieces.extend(_split_loops(arcs[q:], seq[q:]))
             return pieces
         first_pos[j] = q
     return [arcs]
@@ -207,12 +200,7 @@ def normalize_routes(
     """
     out: list[VehicularRoute] = []
     for r in routes:
-        if not (0.0 <= r.flow < math.inf):
-            raise StructuralError(
-                f"route {r.route_id!r}: flow must be finite and nonnegative, got {r.flow}"
-            )
-        _check_connected(network, r.route_id, r.arcs)
-        pieces = _split_loops(network, r.arcs)
+        pieces = _split_loops(r.arcs, _route_sequence(network, r))
         if pieces == [r.arcs]:
             out.append(r)
         elif len(pieces) == 1:
@@ -229,45 +217,101 @@ def normalize_routes(
 
 
 def simple_sequence(network: VehicularNetwork, route: VehicularRoute) -> tuple[Junction, ...]:
-    """The route's junction sequence, checked to realize each junction pair (i, j) once.
+    """The route's checked junction sequence, checked also to realize each pair once.
 
     A route that revisits a junction realizes some pair twice, unless its only
     revisit closes a loop from its first junction back to it at the end.
     """
-    seq = route.junction_sequence(network)
+    seq = _route_sequence(network, route)
     if len(set(seq)) < len(seq):
         seen: set[tuple[Junction, Junction]] = set()
-        for p in range(len(seq) - 1):
-            for q in range(p + 1, len(seq)):
-                key = (seq[p], seq[q])
-                if key in seen:
-                    raise StructuralError(
-                        f"route {route.route_id!r} yields two sub-routes for {key}; "
-                        "route is not simple"
-                    )
-                seen.add(key)
+        for key in combinations(seq, 2):
+            if key in seen:
+                raise StructuralError(
+                    f"route {route.route_id!r} yields two sub-routes for {key}; "
+                    "route is not simple"
+                )
+            seen.add(key)
     return seq
+
+
+# accessibility arc (i, j) -> route id -> 1-based (start, end) arc indices
+Segments = Mapping[tuple[Junction, Junction], Mapping[RouteId, tuple[int, int]]]
+
+
+@dataclass(frozen=True)
+class AccessibilityGraph:
+    """The junction-route incidence; accessibility arcs and index sets derive from it on demand.
+
+    ``routes``, ``seqs`` and ``visits`` hold, in route-id order, each route,
+    its junction sequence and each junction's (route id, 0-based position)
+    visits. Arc (i, j) exists when some route visits i before j; its index
+    set maps each such route to its sub-route's 1-based (start, end) arcs.
+    Nothing cached here points back at the graph, which would keep it alive
+    until the cyclic collector runs.
+    """
+
+    routes: Mapping[RouteId, VehicularRoute] = field(repr=False)
+    seqs: Mapping[RouteId, tuple[Junction, ...]] = field(repr=False)
+    visits: Mapping[Junction, Sequence[tuple[RouteId, int]]] = field(repr=False)
+
+    @cached_property
+    def arcs(self) -> frozenset[tuple[Junction, Junction]]:
+        return frozenset(chain.from_iterable(combinations(seq, 2) for seq in self.seqs.values()))
+
+    @cached_property
+    def segments(self) -> Segments:
+        """Every arc's index set, built in full; the solvers ask ``index_set``."""
+        return {arc: self.index_set(*arc) for arc in self.arcs}
+
+    def index_set(self, i: Junction, j: Junction) -> dict[RouteId, tuple[int, int]]:
+        """Routes visiting i before j, each with its sub-route from its first visit of i."""
+        first = dict(reversed(self.visits.get(i, [])))  # each route's first visit wins
+        # a route revisits only its first junction, at its end: the last visit of j wins
+        return {
+            rid: (first[rid] + 1, q) for rid, q in self.visits.get(j, ()) if first.get(rid, q) < q
+        }
+
+    def climbing_index_sets(
+        self, levels: Mapping[Junction, int], routes: Collection[RouteId]
+    ) -> Segments:
+        """Index sets, over ``routes`` only, of the arcs between junctions of
+        ``levels`` whose head lies exactly one level above their tail.
+        """
+        on: dict[RouteId, list[int]] = {}
+        for j in levels:
+            for rid, p in self.visits[j]:
+                if rid in routes:
+                    on.setdefault(rid, []).append(p)
+        out: dict[tuple[Junction, Junction], dict[RouteId, tuple[int, int]]] = {}
+        for rid, positions in on.items():
+            seq = self.seqs[rid]
+            positions.sort()
+            for k, p in enumerate(positions):
+                level = levels[seq[p]] + 1
+                for q in positions[k + 1 :]:
+                    if levels[seq[q]] == level:
+                        out.setdefault((seq[p], seq[q]), {})[rid] = (p + 1, q)
+        return out
 
 
 def build_accessibility_graph(
     network: VehicularNetwork, routes: Iterable[VehicularRoute]
 ) -> AccessibilityGraph:
-    """Accessibility arc (i, j) exists iff some route visits i strictly before j.
+    """The junction-route incidence of ``routes``, each checked as it enters.
 
-    Routes must be normalized (loop-free); a route realizing the same (i, j)
-    twice is a structural error.
+    Each route must chain known arcs, carry a finite, nonnegative flow and
+    realize each junction pair once (normalized routes do), under a unique id.
     """
-    segments: dict[tuple[Junction, Junction], dict[RouteId, tuple[int, int]]] = {}
-    for r in routes:
-        seq = simple_sequence(network, r)
-        for p in range(len(seq) - 1):
-            for q in range(p + 1, len(seq)):
-                per_route = segments.setdefault((seq[p], seq[q]), {})
-                if r.route_id in per_route:
-                    raise StructuralError(f"duplicate route id {r.route_id!r}")
-                # sub-route spans arcs p+1..q, 1-based
-                per_route[r.route_id] = (p + 1, q)
-    return AccessibilityGraph(arcs=frozenset(segments), segments=segments)
+    graph = AccessibilityGraph({}, {}, {})
+    for r in sorted(routes, key=attrgetter("route_id")):
+        if r.route_id in graph.routes:
+            raise StructuralError(f"duplicate route id {r.route_id!r}")
+        graph.routes[r.route_id] = r
+        graph.seqs[r.route_id] = seq = simple_sequence(network, r)
+        for p, j in enumerate(seq):
+            graph.visits.setdefault(j, []).append((r.route_id, p))
+    return graph
 
 
 def prune_unreachable(

@@ -1,6 +1,6 @@
 """Exhaustive and bounded construction of the energy-path set.
 
-Junction sequences are grown on the pruned accessibility graph by frontier
+Junction sequences are grown over the accessibility arcs by frontier
 expansion; each completed sequence is expanded into concrete energy paths by
 taking the Cartesian product of its per-arc route index sets and dropping
 combinations that reuse a route. A randomized depth-first variant yields
@@ -69,11 +69,11 @@ def f_closed_bound(n: int) -> float:
 
 
 def _live_successors(
-    pruned_arcs: Collection[tuple[Junction, Junction]], t: Junction
+    arcs: Collection[tuple[Junction, Junction]], t: Junction
 ) -> tuple[dict[Junction, tuple[Junction, ...]], dict[Junction, int]]:
     """Sorted successors over the arcs between junctions that reach t, and hops to t."""
-    hops = hops_to(pruned_arcs, t)
-    succ = adjacency((i, j) for (i, j) in pruned_arcs if i in hops and j in hops)
+    hops = hops_to(arcs, t)
+    succ = adjacency((i, j) for (i, j) in arcs if i in hops and j in hops)
     return succ, hops
 
 
@@ -83,7 +83,7 @@ def enumerate_sequences(
     t: Junction,
     cap: int = DEFAULT_CAP,
 ) -> tuple[JunctionSequence, ...]:
-    """All loop-free junction sequences from s to t on the pruned accessibility arcs.
+    """All loop-free junction sequences from s to t over the given accessibility arcs.
 
     Returned in lexicographic order. ``cap`` bounds the sequences held at
     once: EnumerationCapError is raised as soon as the complete sequences
@@ -92,7 +92,7 @@ def enumerate_sequences(
     sequences can still raise.
     """
     # Restricting to junctions that can still reach t changes nothing in the
-    # output but avoids growing dead-end frontiers.
+    # output but avoids growing dead-end frontiers, as pruning the arcs would.
     succ, _hops = _live_successors(pruned_arcs, t)
     return _sequences(succ, s, t, cap)
 
@@ -100,7 +100,7 @@ def enumerate_sequences(
 def _sequences(
     succ: Mapping[Junction, tuple[Junction, ...]], s: Junction, t: Junction, cap: int
 ) -> tuple[JunctionSequence, ...]:
-    """``enumerate_sequences`` over ``_live_successors`` of the pruned arcs."""
+    """``enumerate_sequences`` over ``_live_successors`` of its arcs."""
     if s == t:
         raise DomainError("source and destination must differ")
     frontier: list[JunctionSequence] = [(s,)]
@@ -127,8 +127,8 @@ def _sequences(
 class _SpanTable(dict):
     """Route ids and checked segment spans per accessibility arc, sorted by route id.
 
-    An arc's entry is derived on first use and shared by every sequence that
-    crosses the arc. Each span is checked once to run from i to j.
+    An arc's entry comes from the graph's ``index_set`` on first use and is
+    shared by every sequence crossing the arc. Each span is checked to run i to j.
     """
 
     def __init__(
@@ -146,7 +146,7 @@ class _SpanTable(dict):
         self, arc: tuple[Junction, Junction]
     ) -> tuple[tuple[RouteId, ...], tuple[SegmentSpan, ...]]:
         i, j = arc
-        per_route = self._accessibility.segments.get(arc)
+        per_route = self._accessibility.index_set(i, j)
         if not per_route:
             raise ConsistencyError(f"no index set for accessibility arc ({i}, {j})")
         rids = tuple(sorted(per_route))
@@ -356,8 +356,8 @@ def _sample_bounded(
     table: _SpanTable, s: Junction, t: Junction, limit: int, seed: int,
     detour_slack: int | None = 3,
 ) -> PathSet:
-    """``enumerate_bounded`` over ``_live_successors`` of the pruned arcs and the
-    span table, which depend only on the scenario: a sweep shares them across seeds.
+    """``enumerate_bounded`` over ``_live_successors`` of its arcs and the span
+    table, which depend only on the scenario: a sweep shares them across seeds.
     """
     if limit < 1:
         raise DomainError("limit must be at least 1")

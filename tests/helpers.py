@@ -63,6 +63,19 @@ def oracle_expand(sequences, accessibility):
     return out
 
 
+def oracle_segments(network, routes):
+    """Index sets of every accessibility arc, by the eager loop over each
+    route's position pairs: arc -> route id -> 1-based (start, end) arcs.
+    """
+    segments = {}
+    for r in routes:
+        seq = r.junction_sequence(network)
+        for p in range(len(seq) - 1):
+            for q in range(p + 1, len(seq)):
+                segments.setdefault((seq[p], seq[q]), {})[r.route_id] = (p + 1, q)
+    return segments
+
+
 # ---------------------------------------------------------------------------
 # dense grid-search LP oracle (instances with per-path-independent caps)
 

@@ -1,6 +1,8 @@
 """Experiment drivers and the command-line front end."""
 
+import gc
 import hashlib
+import weakref
 
 import pytest
 
@@ -216,14 +218,34 @@ def refuse(*args, **kwargs):
 
 
 def test_method_iii_never_builds_the_accessibility_graph(monkeypatch, small_scenario, tmp_path):
+    # the greedy searches the junction-route incidence: it neither derives
+    # the accessibility arcs nor asks for an index set
     scen = tmp_path / "grid.txt"
     main(["gen-grid", "--seed", "4", "--flow", "const:0.1", "--out", str(scen)])
-    monkeypatch.setattr(network, "build_accessibility_graph", refuse)
-    monkeypatch.setattr(experiments, "build_accessibility_graph", refuse)
+    monkeypatch.setattr(network.AccessibilityGraph, "arcs", property(refuse))
+    monkeypatch.setattr(network.AccessibilityGraph, "index_set", refuse)
     table = run_compare(small_scenario, targets=[1.0, 200.0], methods=("III",))
     assert {r.status for r in table.rows} == {"optimal"}
     argv = ["solve", "--scenario", str(scen), "--method", "III", "--target", "50"]
     assert main([*argv, "--out", str(tmp_path / "plan.csv")]) == EXIT_OK
+
+
+def test_instance_frees_its_graph_without_the_cyclic_collector():
+    # a reference cycle through the graph would keep every instance's
+    # incidence alive until the cyclic collector runs, raising peak memory
+    sc = generate_grid(4, 4, 10.0, 60.0, 20, ("uniform", 0.1, 0.3), seed=47)
+    gc.collect()
+    gc.disable()
+    try:
+        inst = Instance(sc)
+        inst.sample(20, 0)
+        inst.paths()
+        inst.greedy(500.0)
+        graph = weakref.ref(inst.accessibility)
+        del inst
+        assert graph() is None
+    finally:
+        gc.enable()
 
 
 def test_drivers_and_commands_never_prune(monkeypatch, small_scenario, tmp_path):

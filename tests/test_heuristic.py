@@ -9,6 +9,7 @@ from venroute import (
     StructuralError,
     VehicularNetwork,
     VehicularRoute,
+    build_accessibility_graph,
     generate_corridor,
     heuristic_min_loss,
     normalize_routes,
@@ -137,21 +138,21 @@ class TestHeuristic:
         assert all("r_direct" not in seq for seq in used[1:])
 
     def test_shared_route_index_matches_fresh_calls(self):
-        # targets A, B, A over one index, where B exhausts every route: a
+        # targets A, B, A over one graph, where B exhausts every route: a
         # later call sees none of the flow an earlier one used up
         sc = generate_corridor(rows=6, cols=15, kept_edges=110, route_count=300, seed=0)
         net, params, s, t = sc.network, sc.params, sc.source, sc.destination
         routes = normalize_routes(net, sc.routes)
-        index = heuristic._RouteIndex(net, routes)
-        initial = dict(index.flows)
+        acc = build_accessibility_graph(net, routes)
+        initial = {rid: r.flow for rid, r in acc.routes.items()}
         results = []
         for target in (16000.0, 1e6, 16000.0):
-            shared = heuristic._greedy(index, net, params, target, s, t)
+            shared = heuristic._greedy(acc, net, params, target, s, t)
             assert shared == heuristic_min_loss(net, list(routes), params, target, s, t)
             results.append(shared)
         assert [r.status for r in results] == ["success", "infeasible", "success"]
         assert results[0].paths_used > 1
-        assert index.flows == initial
+        assert {rid: r.flow for rid, r in acc.routes.items()} == initial
 
     def test_invalid_inputs(self):
         network, routes, params, s, t = parallel_paths_instance()

@@ -6,16 +6,20 @@ from hypothesis import strategies as st
 
 from venroute import (
     DomainError,
+    EnergyParams,
     StructuralError,
     VehicularNetwork,
     VehicularRoute,
     build_accessibility_graph,
+    generate_corridor,
+    generate_random,
+    heuristic_min_loss,
     normalize_routes,
     prune_unreachable,
 )
 from venroute.network import arc_flow_table
 
-from helpers import random_instance
+from helpers import oracle_segments, random_instance
 
 
 def line_network(n=4, delay=600.0):
@@ -187,15 +191,76 @@ class TestAccessibilityGraph:
     def test_matches_pairwise_oracle_on_random_instances(self):
         for seed in range(30):
             network, routes, _s, _t = random_instance(seed)
-            norm = normalize_routes(network, routes)
-            acc = build_accessibility_graph(network, norm)
-            expected = set()
-            for r in norm:
-                seq = r.junction_sequence(network)
-                for a in range(len(seq) - 1):
-                    for b in range(a + 1, len(seq)):
-                        expected.add((seq[a], seq[b]))
-            assert acc.arcs == expected
+            assert_matches_oracle(network, normalize_routes(network, routes))
+
+    def test_loop_closing_route_keeps_its_spans(self):
+        # the only revisit closes a loop back to the first junction, so each
+        # index set starts from that junction's first visit
+        net = VehicularNetwork.build(
+            ["a", "b", "c"], [("ab", "a", "b", 60.0), ("bc", "b", "c", 60.0), ("ca", "c", "a", 60.0)]
+        )
+        acc = assert_matches_oracle(net, [VehicularRoute("r", ("ab", "bc", "ca"), 0.1)])
+        assert acc.index_set("a", "a") == {"r": (1, 3)}
+        assert acc.index_set("b", "a") == {"r": (2, 3)}
+
+    def test_matches_pairwise_oracle_on_the_reduced_corridor(self):
+        sc = generate_corridor(rows=6, cols=15, kept_edges=110, route_count=300, seed=0)
+        assert_matches_oracle(sc.network, normalize_routes(sc.network, sc.routes))
+
+
+def assert_matches_oracle(network, routes):
+    """Check the graph's arcs, segments and every index set against the eager loop."""
+    acc = build_accessibility_graph(network, routes)
+    expected = oracle_segments(network, routes)
+    assert acc.arcs == set(expected)
+    assert acc.segments == expected
+    pairs = [(i, j) for i in network.junctions for j in network.junctions]
+    assert {(i, j): acc.index_set(i, j) for i, j in pairs if acc.index_set(i, j)} == expected
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=10),
+    st.floats(min_value=0.05, max_value=1.0),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_graph_matches_pairwise_oracle_on_generated_scenarios(n, density, cap, count, seed):
+    sc = generate_random(n, density, cap, count, seed)
+    assert_matches_oracle(sc.network, normalize_routes(sc.network, sc.routes))
+
+
+LINE = VehicularNetwork.build(
+    ["a", "b", "c"], [("ab", "a", "b", 60.0), ("bc", "b", "c", 60.0)]
+)
+ENTRY_POINTS = (
+    lambda routes: build_accessibility_graph(LINE, routes),
+    lambda routes: heuristic_min_loss(
+        LINE, routes, EnergyParams(1.0, 0.9, 1.0, 18000.0), 1.0, "a", "c"
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "routes, error, match",
+    [
+        ([VehicularRoute("r", ("ab",), 0.1), VehicularRoute("r", ("ab", "bc"), 0.2)],
+         StructuralError, "duplicate route id 'r'"),
+        ([VehicularRoute("r", (), 0.1)], StructuralError, "empty arc sequence"),
+        ([VehicularRoute("r", ("ab", "zz"), 0.1)], DomainError, "unknown arc id 'zz'"),
+        ([VehicularRoute("r", ("bc", "ab"), 0.1)], StructuralError, "not connected"),
+        ([VehicularRoute("r", ("ab", "bc"), float("nan"))], StructuralError, "flow must be"),
+        ([VehicularRoute("r", ("ab", "bc"), -0.1)], StructuralError, "flow must be"),
+    ],
+    ids=["duplicate-id", "empty", "unknown-arc", "disconnected", "nan-flow", "negative-flow"],
+)
+def test_bad_routes_rejected_where_they_enter(routes, error, match):
+    # every method's routes enter through the accessibility graph
+    for enter in ENTRY_POINTS:
+        with pytest.raises(error, match=match):
+            enter(routes)
 
 
 class TestPruning:

@@ -1,5 +1,6 @@
 """Path enumeration: counting bounds, exhaustive expansion, bounded sampling."""
 
+import copy
 import dataclasses
 import math
 
@@ -214,9 +215,11 @@ class TestExpansion:
     )
     def test_corrupted_segment_rejected(self, arc, rid, span):
         network, norm, acc = chain_with_through_route()
-        segments = {key: dict(per_route) for key, per_route in acc.segments.items()}
-        segments[arc][rid] = span
-        bad = dataclasses.replace(acc, segments=segments)
+        bad = copy.copy(acc)
+        corrupt = {rid: span}
+        object.__setattr__(
+            bad, "index_set", lambda i, j: {**acc.index_set(i, j), **(corrupt if (i, j) == arc else {})}
+        )
         seqs = enumerate_sequences(acc.arcs, "s", "t")
         for n_paths in PATH_COUNTERS:
             with pytest.raises(StructuralError):

@@ -196,11 +196,14 @@ def normalize_routes(
     inheriting the original flow. Split pieces stay adjacent in the output and
     get ids ``<orig>.1``, ``<orig>.2``, ... Already loop-free routes pass
     through unchanged (idempotent). Output ids must be unique, so a split
-    piece may not collide with another route's id.
+    piece may not collide with another route's id. A route that is all loop
+    leaves no piece and raises StructuralError.
     """
     out: list[VehicularRoute] = []
     for r in routes:
         pieces = _split_loops(r.arcs, _route_sequence(network, r))
+        if not pieces:
+            raise StructuralError(f"route {r.route_id!r} is a closed loop: no loop-free piece")
         if pieces == [r.arcs]:
             out.append(r)
         elif len(pieces) == 1:

@@ -6,6 +6,9 @@ bottleneck flow, the least EV flow of the routes it rides. The rows, in
 order, cap x_j by the window capacity at rate g_j, cap the aggregate rate
 per road arc by its total flow, and require the delivered total to meet the
 energy target.
+
+Each LP is one cold call to HiGHS's dual simplex (Huangfu & Hall 2018) through
+SciPy's own binding ``scipy.optimize._highspy._core``, there from SciPy 1.15.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from .energy import EnergyParams, PlanEntry, TransmissionPlan, loss_ratio, make_plan
 from .energy import window_cap as _window_cap
@@ -27,7 +30,13 @@ from .pathenum import PathSet
 
 RESIDUAL_TOL = 1e-6  # largest seen on the paper's grids and the corridor: 1.8e-12
 
-_HIGHS_OPTIONS = {"presolve": True, "primal_feasibility_tolerance": 1e-10}
+_HIGHS_OPTIONS = highs.HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.primal_feasibility_tolerance = 1e-10
+_HIGHS_OPTIONS.simplex_strategy = 1  # dual
+_HIGHS_OPTIONS.highs_debug_level = 0
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.log_to_console = False
 
 
 @dataclass(frozen=True)
@@ -45,16 +54,17 @@ class LossMinProblem:
 
 @dataclass(frozen=True)
 class LpInstance:
-    """Assembled LP: minimize c @ v s.t. A_ub @ v <= b_ub, bounds on v.
+    """Assembled LP: minimize c @ v s.t. A_ub @ v <= b_ub, 0 <= v <= upper.
 
     Variables are ordered [x_0..x_{m-1}, g_0..g_{m-1}]; rows are ordered
     window caps (one per path), shared road arcs (sorted by arc id), target.
+    ``upper`` holds inf where a variable has no upper bound.
     """
 
     c: np.ndarray
-    a_ub: sparse.csr_matrix
+    a_ub: sparse.csc_matrix
     b_ub: np.ndarray
-    bounds: tuple[tuple[float, float | None], ...]
+    upper: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,7 @@ def _assemble(problem: LossMinProblem, arc_flows: Mapping[ArcId, float]) -> LpIn
         np.full(len(arc_row), 1.0 / w),
         np.full(m, -1.0),  # delivery target: -sum x_j <= -target
     ])
-    a_ub = sparse.csr_matrix((data, (ri, ci)), shape=(target_row + 1, 2 * m))
+    a_ub = sparse.csc_matrix((data, (ri, ci)), shape=(target_row + 1, 2 * m))
     b_ub = np.concatenate([
         np.zeros(m),
         [arc_flows.get(a, 0.0) for a in used_arcs],
@@ -107,9 +117,11 @@ def _assemble(problem: LossMinProblem, arc_flows: Mapping[ArcId, float]) -> LpIn
 
     # paths past the window carry nothing, but stay in the instance; a rate
     # is capped by every route it rides, so by the path's bottleneck flow
-    bounds = [(0.0, 0.0) if cap == 0.0 else (0.0, None) for cap in caps]
-    bounds.extend((0.0, w * p.bottleneck_flow) for p in paths)
-    return LpInstance(c=c, a_ub=a_ub, b_ub=b_ub, bounds=tuple(bounds))
+    upper = np.concatenate([
+        np.where(caps == 0.0, 0.0, highs.kHighsInf),
+        [w * p.bottleneck_flow for p in paths],
+    ])
+    return LpInstance(c=c, a_ub=a_ub, b_ub=b_ub, upper=upper)
 
 
 def _retarget(lp: LpInstance, target_kwh: float) -> LpInstance:
@@ -119,15 +131,36 @@ def _retarget(lp: LpInstance, target_kwh: float) -> LpInstance:
     return replace(lp, b_ub=b_ub)
 
 
-def _run_linprog(c, lp: LpInstance):
-    return linprog(
-        c,
-        A_ub=lp.a_ub,
-        b_ub=lp.b_ub,
-        bounds=lp.bounds,
-        method="highs",
-        options=_HIGHS_OPTIONS,
-    )
+def _run_highs(c, lp: LpInstance) -> tuple[str, np.ndarray | None, int]:
+    """(status, point, simplex iterations) of one cold HiGHS solve of ``lp`` under cost ``c``.
+
+    The status is "optimal" or "infeasible" (no point); any other raises SolverError.
+    """
+    rows, cols = lp.a_ub.shape
+    model = highs.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = cols
+    model.num_row_ = model.a_matrix_.num_row_ = rows
+    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    model.a_matrix_.start_ = lp.a_ub.indptr
+    model.a_matrix_.index_ = lp.a_ub.indices
+    model.a_matrix_.value_ = lp.a_ub.data
+    model.col_cost_ = c
+    model.col_lower_ = np.zeros(cols)
+    model.col_upper_ = lp.upper
+    model.row_lower_ = np.full(rows, -highs.kHighsInf)
+    model.row_upper_ = lp.b_ub
+    solver = highs._Highs()
+    solver.passOptions(_HIGHS_OPTIONS)
+    status = highs.HighsModelStatus.kModelError  # a model HiGHS refuses must not be run
+    if solver.passModel(model) != highs.HighsStatus.kError:
+        solver.run()
+        status = solver.getModelStatus()
+    if status == highs.HighsModelStatus.kInfeasible:
+        return "infeasible", None, 0
+    if status != highs.HighsModelStatus.kOptimal:
+        raise SolverError(f"LP solver failure: {solver.modelStatusToString(status)}")
+    x = np.array(solver.getSolution().col_value)
+    return "optimal", x, solver.getInfo().simplex_iteration_count
 
 
 def solve_min_loss(problem: LossMinProblem) -> LpSolution:
@@ -148,16 +181,12 @@ def _solve(problem: LossMinProblem, lp: LpInstance | None) -> LpSolution:
             return LpSolution("optimal", plan, 0.0, {"iterations": 0})
         return LpSolution("infeasible", None, None, {})
     t0 = time.perf_counter()
-    res = _run_linprog(lp.c, lp)
+    status, x, iterations = _run_highs(lp.c, lp)
     elapsed = time.perf_counter() - t0
-    if res.status == 2:
+    if status == "infeasible":
         return LpSolution("infeasible", None, None, {"solve_s": elapsed})
-    if res.status != 0:
-        raise SolverError(f"LP solver failure (status {res.status}): {res.message}")
-    x = res.x
     m = len(paths)
-    rate_caps = np.array([ub for _, ub in lp.bounds[m:]])
-    residual = max(np.max(lp.a_ub @ x - lp.b_ub), np.max(x[m:] - rate_caps), 0.0)
+    residual = max(np.max(lp.a_ub @ x - lp.b_ub), np.max(x[m:] - lp.upper[m:]), 0.0)
     if residual > RESIDUAL_TOL * max(1.0, problem.target_kwh):
         raise ConsistencyError(f"LP solution violates its constraints by {residual:.3g}")
 
@@ -167,7 +196,7 @@ def _solve(problem: LossMinProblem, lp: LpInstance | None) -> LpSolution:
     ]
     plan = make_plan(entries, problem.params)
     diagnostics = {
-        "iterations": int(getattr(res, "nit", 0)),
+        "iterations": iterations,
         "max_residual": float(residual),
         "solve_s": elapsed,
     }
@@ -182,8 +211,8 @@ def max_deliverable(problem: LossMinProblem) -> float:
     lp = build_lp(replace(problem, target_kwh=0.0))
     goal = np.zeros(2 * len(paths))
     goal[: len(paths)] = -1.0
-    res = _run_linprog(goal, lp)
-    if res.status != 0:
-        raise SolverError(f"capacity LP failure: {res.message}")
-    return float(-res.fun)
+    status, x, _ = _run_highs(goal, lp)
+    if status != "optimal":
+        raise SolverError("capacity LP failure: infeasible")
+    return float(x[: len(paths)].sum())
 

@@ -133,8 +133,9 @@ class TestNormalization:
     def test_pure_cycle_has_no_loop_free_pieces(self):
         net = looped_network()
         # p -> q -> r -> p: no prefix before the loop entry and nothing after
-        # the loop exit, so nothing survives normalization
-        assert normalize_routes(net, [VehicularRoute("r", ("pq", "qr", "rp"), 0.1)]) == ()
+        # the loop exit, so nothing survives normalization and its flow would vanish
+        with pytest.raises(StructuralError, match="'r' is a closed loop"):
+            normalize_routes(net, [VehicularRoute("r", ("pq", "qr", "rp"), 0.1)])
 
     def test_loop_collapses_to_suffix(self):
         net = looped_network()

@@ -5,17 +5,21 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from venroute import (
     ConsistencyError,
     DomainError,
     EnergyParams,
+    Instance,
+    SolverError,
     LossMinProblem,
     VehicularNetwork,
     VehicularRoute,
     build_energy_path,
     build_lp,
     enumerate_paths,
+    generate_grid,
     max_deliverable,
     plan_totals,
     solve_min_loss,
@@ -72,8 +76,7 @@ class TestBuildLp:
             paths=ps, params=tight, network=network, routes=norm, target_kwh=0.5
         )
         lp = build_lp(problem)
-        pinned = [b for b in lp.bounds[: len(ps.paths)] if b == (0.0, 0.0)]
-        assert len(pinned) == 2
+        assert np.count_nonzero(lp.upper[: len(ps.paths)] == 0.0) == 2
         sol = solve_min_loss(problem)
         assert sol.status == "optimal"
         # everything must ride the one in-window path (1 cycle)
@@ -196,7 +199,7 @@ class TestSharedArcCoupling:
         np.testing.assert_allclose(row[2:], [1.0, 1.0])
         assert lp.b_ub[arc_row] == pytest.approx(0.4)
         # each rate is bounded by w times its path's bottleneck flow
-        assert lp.bounds[2:] == tuple((0.0, 1.0 * p.bottleneck_flow) for p in ps.paths)
+        assert lp.upper[2:].tolist() == [1.0 * p.bottleneck_flow for p in ps.paths]
 
 
 def two_segment_problem(target):
@@ -224,7 +227,7 @@ class TestRateBounds:
     def test_bottleneck_flow_is_a_bound_not_rows(self):
         lp = build_lp(two_segment_problem(0.0))
         m, used_arcs = 1, 2
-        assert lp.bounds[m] == (0.0, 2.0 * 0.1)
+        assert lp.upper[m] == 2.0 * 0.1
         assert lp.a_ub.shape[0] == m + used_arcs + 1
         # at the two-cycle capacity the rate sits on its bound
         capacity = (18000.0 - 1200.0) * 0.9**2 * 0.2
@@ -236,8 +239,8 @@ class TestRateBounds:
     def test_residual_counts_rate_bound_violations(self, monkeypatch):
         # points that satisfy every row but exceed the rate bound 0.2: a
         # violation within the tolerance is reported, a larger one rejected
-        fake = SimpleNamespace(status=0, x=np.array([0.0, 0.2 + 5e-7]), nit=0)
-        monkeypatch.setattr(rateopt, "_run_linprog", lambda c, lp: fake)
+        fake = SimpleNamespace(x=np.array([0.0, 0.2 + 5e-7]))
+        monkeypatch.setattr(rateopt, "_run_highs", lambda c, lp: ("optimal", fake.x, 0))
         sol = solve_min_loss(two_segment_problem(0.0))
         assert sol.diagnostics["max_residual"] == pytest.approx(5e-7)
         fake.x = np.array([0.0, 0.25])
@@ -249,14 +252,13 @@ class TestRateBounds:
         # misses the target by shrink * target; the tolerance is 1e-6 * target
         problem, _ = parallel_problem(500.0)
         m = len(problem.paths.paths)
-        run_linprog = rateopt._run_linprog
+        run_highs = rateopt._run_highs
 
         def perturbed(c, lp):
-            res = run_linprog(c, lp)
-            res.x = np.concatenate([res.x[:m] * (1 - shrink), res.x[m:]])
-            return res
+            status, x, iterations = run_highs(c, lp)
+            return status, np.concatenate([x[:m] * (1 - shrink), x[m:]]), iterations
 
-        monkeypatch.setattr(rateopt, "_run_linprog", perturbed)
+        monkeypatch.setattr(rateopt, "_run_highs", perturbed)
         shrink = 1e-7
         sol = solve_min_loss(problem)
         assert sol.diagnostics["max_residual"] == pytest.approx(500.0 * shrink, rel=1e-3)
@@ -275,7 +277,7 @@ class TestRetarget:
             assert np.array_equal(moved.c, fresh.c)
             assert moved.a_ub.shape == fresh.a_ub.shape
             assert (moved.a_ub != fresh.a_ub).nnz == 0
-            assert moved.bounds == fresh.bounds
+            assert np.array_equal(moved.upper, fresh.upper)
             assert np.array_equal(moved.b_ub, fresh.b_ub)
             # only the target row's bound depends on the target
             assert np.array_equal(lp.b_ub[:-1], fresh.b_ub[:-1])
@@ -291,3 +293,48 @@ class TestRetarget:
             want = solve_min_loss(at)
             assert (got.status, got.objective) == (want.status, want.objective)
             assert got.plan == want.plan
+
+
+class TestSolverStatuses:
+    def test_malformed_model_is_an_error_not_a_verdict(self):
+        problem, _ = parallel_problem(100.0)
+        lp = build_lp(problem)
+        bad = lp.a_ub.copy()
+        bad.indices[0] = bad.shape[0] + 5  # a row the model does not have
+        with pytest.raises(SolverError, match="Model error"):
+            rateopt._run_highs(lp.c, replace(lp, a_ub=bad))
+
+    def test_unbounded_or_infeasible_is_an_error_not_a_verdict(self, monkeypatch):
+        class Undecided(rateopt.highs._Highs):
+            def getModelStatus(self):
+                return rateopt.highs.HighsModelStatus.kUnboundedOrInfeasible
+
+        monkeypatch.setattr(rateopt.highs, "_Highs", Undecided)
+        problem, _ = parallel_problem(100.0)
+        lp = build_lp(problem)
+        with pytest.raises(SolverError, match="infeasible or unbounded"):
+            rateopt._run_highs(lp.c, lp)
+        with pytest.raises(SolverError):
+            solve_min_loss(problem)
+
+
+@pytest.mark.parametrize(
+    "flow, seed", [(("const", 0.1), 4), (("uniform", 0.1, 0.3), 47)], ids=["grid4", "grid47"]
+)
+def test_direct_highs_matches_linprog(flow, seed):
+    # every LP the comparison sweep assembles, at every paper target and one
+    # infeasible one: the direct call returns linprog's verdict and exact point
+    inst = Instance(generate_grid(4, 4, 10.0, 60.0, 20, flow, seed=seed))
+    pathsets = [inst.paths()] + [inst.sample(50, k) for k in range(20)]
+    for pathset in pathsets:
+        _problem, lp = inst.lp(pathset)
+        bounds = [(0.0, u if np.isfinite(u) else None) for u in lp.upper]
+        for target in (1.0, 500.0, 2457.0, 2900.0, 3500.0):
+            at = rateopt._retarget(lp, target)
+            want = linprog(
+                at.c, A_ub=at.a_ub.tocsr(), b_ub=at.b_ub, bounds=bounds, method="highs",
+                options={"presolve": True, "primal_feasibility_tolerance": 1e-10},
+            )
+            status, x, _ = rateopt._run_highs(at.c, at)
+            assert (status, want.status) in (("optimal", 0), ("infeasible", 2))
+            assert np.array_equal(x, want.x)

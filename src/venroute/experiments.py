@@ -1,20 +1,25 @@
 """Experiment drivers: method comparison sweeps and the path-count growth study.
 
 An ``Instance`` derives, each once and on first use, what one scenario's
-methods share: the normalized routes, the accessibility graph (the
-junction-route incidence the greedy searches), the live successor map with
-hops to the destination, the span table and the arc-flow table.
-``run_compare``, ``run_growth`` and the ``ven`` commands call only its
-methods, so a sweep shares these across every subset seed and target; a
-method-III run derives no accessibility arc. No arcs are pruned: both
+methods share: the normalized routes and the accessibility graph (the
+junction-route incidence), from one walk per route; the live successor map
+with hops to the destination, both from the incidence; the span table; the
+arc-flow table; and the greedy's trajectory. ``run_compare``, ``run_growth``
+and the ``ven`` commands call only its methods, so a sweep shares these
+across every subset seed and target. No method derives the accessibility
+arcs: only ``prepare`` and ``run_growth`` do. No arcs are pruned: both
 enumerators keep only junctions that reach t over arcs, which follow roads.
+The greedy's picks do not depend on the target, so every target's plan is a
+prefix of one trajectory, extended only when a target needs more paths.
 
 Results are plain rows rendered to CSV with units in the headers. Wall times
 are measured around computation only (no file I/O) and are emitted only on
 request, so default outputs are byte-stable across runs. Route normalization
 and the incidence build stay outside every row. A row's wall time adds its
-method's one-off costs to its own solve: deriving the arcs, enumeration or
-sampling, and LP assembly for methods I and II; method III has none.
+method's one-off costs to its own solve: the successors, enumeration or
+sampling, and LP assembly for methods I and II. A method-III row counts only
+the picks it adds to the shared trajectory, so a target that an earlier one
+covers costs almost nothing.
 """
 
 from __future__ import annotations
@@ -28,15 +33,15 @@ from typing import Sequence
 
 from .energy import plan_totals
 from .errors import DomainError, EnumerationCapError
-from .heuristic import HeuristicResult, _greedy
-from .network import arc_flow_table, build_accessibility_graph, normalize_routes, prune_unreachable
+from .heuristic import HeuristicResult, _levels, _Trajectory
+from .network import _incidence, _walk_routes, arc_flow_table, prune_unreachable
 from .pathenum import (
     DEFAULT_CAP,
     PathSet,
     _expand,
-    _live_successors,
     _sample_bounded,
     _sequences,
+    _Successors,
     _SpanTable,
     count_paths,
     enumerate_sequences,
@@ -54,16 +59,24 @@ class Instance:
         self.scenario = scenario
 
     @cached_property
+    def _walked(self):
+        # each route is walked once, for normalization and the incidence both
+        return _walk_routes(self.scenario.network, self.scenario.routes)
+
+    @cached_property
     def routes(self):
-        return normalize_routes(self.scenario.network, self.scenario.routes)
+        return self._walked[0]
 
     @cached_property
     def accessibility(self):
-        return build_accessibility_graph(self.scenario.network, self.routes)
+        return _incidence(*self._walked)
 
     @cached_property
     def live_successors(self):
-        return _live_successors(self.accessibility.arcs, self.scenario.destination)
+        """Successors among the junctions that reach t, and hops to t, from the incidence."""
+        acc = self.accessibility
+        hops = _levels(acc, acc.routes, self.scenario.destination, None, forward=False)
+        return _Successors(acc, hops), hops
 
     @cached_property
     def span_table(self):
@@ -97,10 +110,16 @@ class Instance:
         assembled = None if assembled is None else _retarget(assembled, target)
         return _solve(replace(problem, target_kwh=target), assembled)
 
-    def greedy(self, target: float) -> HeuristicResult:
-        """The greedy's plan at one energy target (method III)."""
+    @cached_property
+    def _trajectory(self):
         sc = self.scenario
-        return _greedy(self.accessibility, sc.network, sc.params, target, sc.source, sc.destination)
+        return _Trajectory(self.accessibility, sc.network, sc.params, sc.source, sc.destination)
+
+    def greedy(self, target: float) -> HeuristicResult:
+        """The greedy's plan at one energy target (method III), picking only the
+        paths that no earlier target of this instance has picked.
+        """
+        return self._trajectory.result(target)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .energy import (
     EnergyParams,
@@ -62,8 +62,8 @@ class HeuristicResult:
 
 
 def _levels(
-    acc: AccessibilityGraph, flows: Mapping[RouteId, float], start: Junction, goal: Junction,
-    forward: bool,
+    acc: AccessibilityGraph, flows: Collection[RouteId], start: Junction,
+    goal: Junction | None, forward: bool,
 ) -> dict[Junction, int]:
     """Fewest hops over the routes in ``flows`` from ``start`` to each junction
     (to ``start`` if not ``forward``), in the order the junctions were reached.
@@ -72,7 +72,7 @@ def _levels(
     earlier one, backward). Each route remembers the earliest position it
     was boarded at (the latest, backward), so each route position is
     scanned at most once. The search stops once the level holding
-    ``goal`` is complete.
+    ``goal`` is complete; with no goal, once every junction is reached.
     """
     dist = {start: 0}
     frontier = [start]
@@ -258,66 +258,87 @@ def heuristic_min_loss(
     when the remaining routes cannot meet the target; ``stop_reason`` says
     whether no path was left or a safety cap cut the path search short.
     """
-    return _greedy(build_accessibility_graph(network, routes), network, params, target_kwh, s, t)
+    acc = build_accessibility_graph(network, routes)
+    return _Trajectory(acc, network, params, s, t).result(target_kwh)
 
 
-def _greedy(
-    acc: AccessibilityGraph, network: VehicularNetwork, params: EnergyParams,
-    target_kwh: float, s: Junction, t: Junction,
-) -> HeuristicResult:
-    """``heuristic_min_loss`` over the accessibility graph of its network and routes."""
-    if not (0.0 <= target_kwh < math.inf):
-        raise DomainError("energy target must be finite and nonnegative")
-    if s == t or s not in network.junctions or t not in network.junctions:
-        raise DomainError("source and destination must be distinct junctions")
-    w = params.packet_kwh
-    if target_kwh == 0.0:
-        plan = make_plan([], params)
-        return HeuristicResult("success", plan, 0.0, 0.0, TARGET_MET)
+class _Trajectory:
+    """The greedy's paths from s to t, each committed at its full rate, picked on demand.
 
-    # what each route has left, dropped once spent
-    flows = {rid: r.flow for rid, r in acc.routes.items() if r.flow > FLOW_EPS}
-    entries: list[PlanEntry] = []
-    delivered = 0.0
-    while True:
-        picked = _pick_path(acc, flows, s, t)
+    The picks do not depend on the target: a target decides only where its
+    plan stops and what its last path carries. So one trajectory serves
+    every target, whose plan is a prefix of the committed steps plus one
+    residual entry, and a sweep picks each path once.
+    """
+
+    def __init__(
+        self, acc: AccessibilityGraph, network: VehicularNetwork, params: EnergyParams,
+        s: Junction, t: Junction,
+    ):
+        self._acc, self._network, self._params, self._s, self._t = acc, network, params, s, t
+        # what each route has left, dropped once spent
+        self._flows = {rid: r.flow for rid, r in acc.routes.items() if r.flow > FLOW_EPS}
+        self._steps: list[tuple[PlanEntry, float]] = []  # (full-rate entry, window coefficient)
+        self._stop: str | None = None  # why no path follows the last step
+
+    def _extend(self) -> bool:
+        """Commit the next path at its full rate; False once none is left."""
+        if self._stop is not None:
+            return False
+        acc, flows = self._acc, self._flows
+        picked = _pick_path(acc, flows, self._s, self._t)
         if isinstance(picked, str):
-            break
+            self._stop = picked
+            return False
         _, segments, delta = picked
         # the path's flows come from the working routes, not the originals
         path = build_energy_path(
-            network,
+            self._network,
             {
                 rid: VehicularRoute(rid, acc.routes[rid].arcs, flows[rid])
                 for rid, _, _ in segments
             },
             segments,
-            s,
-            t,
+            self._s,
+            self._t,
         )
-        cap_coeff = window_cap(path, params)
-        g = w * delta
-        x = cap_coeff * g
-        if delivered + x < target_kwh:
-            delivered += x
-            entries.append(PlanEntry(path=path, rate=g, delivered_kwh=x))
-            for rid, _, _ in segments:
-                flows[rid] -= delta
-                if flows[rid] <= FLOW_EPS:
-                    del flows[rid]
-            continue
-        residual = target_kwh - delivered
-        if cap_coeff <= 0.0:
-            raise ConsistencyError("residual path has no usable window")
-        g_last = residual / cap_coeff
-        if g_last > g + 1e-9:
-            raise ConsistencyError("reduced rate exceeds the bottleneck rate")
-        entries.append(PlanEntry(path=path, rate=g_last, delivered_kwh=residual))
-        delivered = target_kwh
+        cap_coeff = window_cap(path, self._params)
+        g = self._params.packet_kwh * delta
+        self._steps.append((PlanEntry(path=path, rate=g, delivered_kwh=cap_coeff * g), cap_coeff))
+        for rid, _, _ in segments:
+            flows[rid] -= delta
+            if flows[rid] <= FLOW_EPS:
+                del flows[rid]
+        return True
+
+    def result(self, target_kwh: float) -> HeuristicResult:
+        """The greedy's plan at one energy target."""
+        if not (0.0 <= target_kwh < math.inf):
+            raise DomainError("energy target must be finite and nonnegative")
+        s, t, network = self._s, self._t, self._network
+        if s == t or s not in network.junctions or t not in network.junctions:
+            raise DomainError("source and destination must be distinct junctions")
+        params = self._params
+        if target_kwh == 0.0:
+            return HeuristicResult("success", make_plan([], params), 0.0, 0.0, TARGET_MET)
+        entries: list[PlanEntry] = []
+        delivered = 0.0
+        while len(entries) < len(self._steps) or self._extend():
+            entry, cap_coeff = self._steps[len(entries)]
+            if delivered + entry.delivered_kwh < target_kwh:
+                delivered += entry.delivered_kwh
+                entries.append(entry)
+                continue
+            residual = target_kwh - delivered
+            if cap_coeff <= 0.0:
+                raise ConsistencyError("residual path has no usable window")
+            g_last = residual / cap_coeff
+            if g_last > entry.rate + 1e-9:
+                raise ConsistencyError("reduced rate exceeds the bottleneck rate")
+            entries.append(PlanEntry(path=entry.path, rate=g_last, delivered_kwh=residual))
+            plan = make_plan(entries, params)
+            _, loss = plan_totals(plan)
+            return HeuristicResult("success", plan, target_kwh, loss, TARGET_MET)
         plan = make_plan(entries, params)
         _, loss = plan_totals(plan)
-        return HeuristicResult("success", plan, delivered, loss, TARGET_MET)
-
-    plan = make_plan(entries, params)
-    _, loss = plan_totals(plan)
-    return HeuristicResult("infeasible", plan, delivered, loss, picked)
+        return HeuristicResult("infeasible", plan, delivered, loss, self._stop)

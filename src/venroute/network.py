@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
-from operator import attrgetter
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import DomainError, StructuralError
@@ -137,13 +136,11 @@ class VehicularRoute:
     def __post_init__(self):
         object.__setattr__(self, "arcs", tuple(self.arcs))
 
-    def junction_sequence(self, network: VehicularNetwork) -> tuple[Junction, ...]:
-        """Junctions visited in order: tail of the first arc, then each head."""
-        arc_objs = [network.arc_by_id[a] for a in self.arcs]
-        return (arc_objs[0].tail,) + tuple(a.head for a in arc_objs)
+
+JunctionSequence = tuple[Junction, ...]
 
 
-def _route_sequence(network: VehicularNetwork, route: VehicularRoute) -> tuple[Junction, ...]:
+def _route_sequence(network: VehicularNetwork, route: VehicularRoute) -> JunctionSequence:
     """The route's junction sequence, checked to chain known arcs and to carry
     a finite, nonnegative flow.
     """
@@ -168,22 +165,59 @@ def _route_sequence(network: VehicularNetwork, route: VehicularRoute) -> tuple[J
     return (arcs[0].tail, *[a.head for a in arcs])
 
 
-def _split_loops(arcs: tuple[ArcId, ...], seq: tuple[Junction, ...]) -> list[tuple[ArcId, ...]]:
-    """Split arcs with junction sequence ``seq`` at the first junction revisit;
-    recurse on the suffix. The prefix before the loop entry is loop-free.
+def _loop_free_pieces(seq: JunctionSequence) -> list[tuple[int, int]]:
+    """(start, end) junction positions of the loop-free pieces of ``seq``.
+
+    The sequence is split at its first junction revisit and the suffix from
+    the revisit on is split again. The part before the loop entry is a piece
+    when it has an arc; the loop itself is dropped.
     """
+    if len(set(seq)) == len(seq):
+        return [(0, len(seq) - 1)]
+    pieces: list[tuple[int, int]] = []
+    start = 0
     first_pos: dict[Junction, int] = {}
     for q, j in enumerate(seq):
         p = first_pos.get(j)
         if p is not None:
-            pieces: list[tuple[ArcId, ...]] = []
-            if p > 0:
-                pieces.append(arcs[:p])
-            if q < len(arcs):
-                pieces.extend(_split_loops(arcs[q:], seq[q:]))
-            return pieces
+            if p > start:
+                pieces.append((start, p))
+            start, first_pos = q, {}
         first_pos[j] = q
-    return [arcs]
+    if start < len(seq) - 1:
+        pieces.append((start, len(seq) - 1))
+    return pieces
+
+
+def _walk_routes(
+    network: VehicularNetwork, routes: Iterable[VehicularRoute]
+) -> tuple[tuple[VehicularRoute, ...], tuple[JunctionSequence, ...]]:
+    """``normalize_routes`` and each output route's checked junction sequence.
+
+    Each input route is walked once; a split piece takes its slice of the
+    parent's sequence.
+    """
+    out: list[VehicularRoute] = []
+    seqs: list[JunctionSequence] = []
+    for r in routes:
+        seq = _route_sequence(network, r)
+        pieces = _loop_free_pieces(seq)
+        if not pieces:
+            raise StructuralError(f"route {r.route_id!r} is a closed loop: no loop-free piece")
+        if pieces == [(0, len(r.arcs))]:
+            out.append(r)
+            seqs.append(seq)
+            continue
+        for k, (a, b) in enumerate(pieces, start=1):
+            rid = r.route_id if len(pieces) == 1 else f"{r.route_id}.{k}"
+            out.append(VehicularRoute(rid, r.arcs[a:b], r.flow))
+            seqs.append(seq[a : b + 1])
+    seen: set[RouteId] = set()
+    for r in out:
+        if r.route_id in seen:
+            raise StructuralError(f"duplicate route id {r.route_id!r}")
+        seen.add(r.route_id)
+    return tuple(out), tuple(seqs)
 
 
 def normalize_routes(
@@ -199,42 +233,17 @@ def normalize_routes(
     piece may not collide with another route's id. A route that is all loop
     leaves no piece and raises StructuralError.
     """
-    out: list[VehicularRoute] = []
-    for r in routes:
-        pieces = _split_loops(r.arcs, _route_sequence(network, r))
-        if not pieces:
-            raise StructuralError(f"route {r.route_id!r} is a closed loop: no loop-free piece")
-        if pieces == [r.arcs]:
-            out.append(r)
-        elif len(pieces) == 1:
-            out.append(VehicularRoute(r.route_id, pieces[0], r.flow))
-        else:
-            for k, piece in enumerate(pieces, start=1):
-                out.append(VehicularRoute(f"{r.route_id}.{k}", piece, r.flow))
-    seen: set[RouteId] = set()
-    for r in out:
-        if r.route_id in seen:
-            raise StructuralError(f"duplicate route id {r.route_id!r}")
-        seen.add(r.route_id)
-    return tuple(out)
+    return _walk_routes(network, routes)[0]
 
 
-def simple_sequence(network: VehicularNetwork, route: VehicularRoute) -> tuple[Junction, ...]:
-    """The route's checked junction sequence, checked also to realize each pair once.
-
-    A route that revisits a junction realizes some pair twice, unless its only
-    revisit closes a loop from its first junction back to it at the end.
-    """
+def _loop_free_sequence(network: VehicularNetwork, route: VehicularRoute) -> JunctionSequence:
+    """The route's checked junction sequence, checked also to visit each junction once."""
     seq = _route_sequence(network, route)
     if len(set(seq)) < len(seq):
-        seen: set[tuple[Junction, Junction]] = set()
-        for key in combinations(seq, 2):
-            if key in seen:
-                raise StructuralError(
-                    f"route {route.route_id!r} yields two sub-routes for {key}; "
-                    "route is not simple"
-                )
-            seen.add(key)
+        j = next(j for k, j in enumerate(seq) if j in seq[:k])
+        raise StructuralError(
+            f"route {route.route_id!r} revisits junction {j!r}; route is not loop-free"
+        )
     return seq
 
 
@@ -248,14 +257,15 @@ class AccessibilityGraph:
 
     ``routes``, ``seqs`` and ``visits`` hold, in route-id order, each route,
     its junction sequence and each junction's (route id, 0-based position)
-    visits. Arc (i, j) exists when some route visits i before j; its index
+    visits. Every route is loop-free, so it visits a junction at most once.
+    Arc (i, j) exists when some route visits i before j; its index
     set maps each such route to its sub-route's 1-based (start, end) arcs.
     Nothing cached here points back at the graph, which would keep it alive
     until the cyclic collector runs.
     """
 
     routes: Mapping[RouteId, VehicularRoute] = field(repr=False)
-    seqs: Mapping[RouteId, tuple[Junction, ...]] = field(repr=False)
+    seqs: Mapping[RouteId, JunctionSequence] = field(repr=False)
     visits: Mapping[Junction, Sequence[tuple[RouteId, int]]] = field(repr=False)
 
     @cached_property
@@ -268,11 +278,10 @@ class AccessibilityGraph:
         return {arc: self.index_set(*arc) for arc in self.arcs}
 
     def index_set(self, i: Junction, j: Junction) -> dict[RouteId, tuple[int, int]]:
-        """Routes visiting i before j, each with its sub-route from its first visit of i."""
-        first = dict(reversed(self.visits.get(i, [])))  # each route's first visit wins
-        # a route revisits only its first junction, at its end: the last visit of j wins
+        """Routes visiting i before j, each with its sub-route from i to j."""
+        at_i = dict(self.visits.get(i, ()))
         return {
-            rid: (first[rid] + 1, q) for rid, q in self.visits.get(j, ()) if first.get(rid, q) < q
+            rid: (at_i[rid] + 1, q) for rid, q in self.visits.get(j, ()) if at_i.get(rid, q) < q
         }
 
     def climbing_index_sets(
@@ -304,14 +313,23 @@ def build_accessibility_graph(
     """The junction-route incidence of ``routes``, each checked as it enters.
 
     Each route must chain known arcs, carry a finite, nonnegative flow and
-    realize each junction pair once (normalized routes do), under a unique id.
+    visit each junction once (normalized routes do), under a unique id.
     """
+    routes = list(routes)
+    return _incidence(routes, [_loop_free_sequence(network, r) for r in routes])
+
+
+def _incidence(
+    routes: Sequence[VehicularRoute], seqs: Sequence[JunctionSequence]
+) -> AccessibilityGraph:
+    """The incidence of loop-free routes, under unique ids, given their checked sequences."""
     graph = AccessibilityGraph({}, {}, {})
-    for r in sorted(routes, key=attrgetter("route_id")):
+    for k in sorted(range(len(routes)), key=lambda k: routes[k].route_id):
+        r, seq = routes[k], seqs[k]
         if r.route_id in graph.routes:
             raise StructuralError(f"duplicate route id {r.route_id!r}")
         graph.routes[r.route_id] = r
-        graph.seqs[r.route_id] = seq = simple_sequence(network, r)
+        graph.seqs[r.route_id] = seq
         for p, j in enumerate(seq):
             graph.visits.setdefault(j, []).append((r.route_id, p))
     return graph

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Mapping
@@ -31,6 +32,7 @@ from .errors import ConsistencyError, DomainError, EnumerationCapError, Structur
 from .network import (
     AccessibilityGraph,
     Junction,
+    JunctionSequence,
     RouteId,
     VehicularNetwork,
     VehicularRoute,
@@ -40,7 +42,6 @@ from .network import (
 
 DEFAULT_CAP = 10**6
 
-JunctionSequence = tuple[Junction, ...]
 # (boundary junctions, route ids): equal to EnergyPath.sort_key() of the path
 PathKey = tuple[JunctionSequence, tuple[RouteId, ...]]
 
@@ -71,10 +72,37 @@ def f_closed_bound(n: int) -> float:
 def _live_successors(
     arcs: Collection[tuple[Junction, Junction]], t: Junction
 ) -> tuple[dict[Junction, tuple[Junction, ...]], dict[Junction, int]]:
-    """Sorted successors over the arcs between junctions that reach t, and hops to t."""
+    """Sorted successors over the arcs between junctions that reach t, and hops to t.
+
+    A junction with no such successor maps to ().
+    """
     hops = hops_to(arcs, t)
     succ = adjacency((i, j) for (i, j) in arcs if i in hops and j in hops)
-    return succ, hops
+    return defaultdict(tuple, succ), hops
+
+
+class _Successors(dict):
+    """The live successor map of the graph's arcs, derived junction by junction
+    from the incidence on first read.
+
+    A junction in ``hops`` (those that reach t) maps to the sorted junctions
+    in ``hops`` that follow it on some route through it; any other maps to ().
+    Read it with ``[]``: ``dict.get`` derives nothing.
+    """
+
+    def __init__(self, accessibility: AccessibilityGraph, hops: Mapping[Junction, int]):
+        super().__init__()
+        self._accessibility = accessibility
+        self._hops = hops
+
+    def __missing__(self, i: Junction) -> tuple[Junction, ...]:
+        acc, hops = self._accessibility, self._hops
+        later: set[Junction] = set()
+        if i in hops:
+            for rid, p in acc.visits.get(i, ()):
+                later.update(acc.seqs[rid][p + 1 :])
+        self[i] = succ = tuple(sorted(j for j in later if j in hops))
+        return succ
 
 
 def enumerate_sequences(
@@ -100,7 +128,7 @@ def enumerate_sequences(
 def _sequences(
     succ: Mapping[Junction, tuple[Junction, ...]], s: Junction, t: Junction, cap: int
 ) -> tuple[JunctionSequence, ...]:
-    """``enumerate_sequences`` over ``_live_successors`` of its arcs."""
+    """``enumerate_sequences`` over the live successors of its arcs, read with ``[]``."""
     if s == t:
         raise DomainError("source and destination must differ")
     frontier: list[JunctionSequence] = [(s,)]
@@ -108,7 +136,7 @@ def _sequences(
     while frontier:
         nxt: list[JunctionSequence] = []
         for seq in frontier:
-            for j in succ.get(seq[-1], ()):
+            for j in succ[seq[-1]]:
                 if j in seq:
                     continue
                 extended = seq + (j,)
@@ -296,7 +324,7 @@ def _random_sequence_dfs(
     """
 
     def shuffled(node: Junction) -> list[Junction]:
-        order = list(succ.get(node, ()))
+        order = list(succ[node])
         rng.shuffle(order)
         order.sort(key=lambda j: hops[j] + (1 if rng.random() < 0.3 else 0))
         return order
@@ -356,8 +384,9 @@ def _sample_bounded(
     table: _SpanTable, s: Junction, t: Junction, limit: int, seed: int,
     detour_slack: int | None = 3,
 ) -> PathSet:
-    """``enumerate_bounded`` over ``_live_successors`` of its arcs and the span
-    table, which depend only on the scenario: a sweep shares them across seeds.
+    """``enumerate_bounded`` over the live successors of its arcs, read with
+    ``[]``, and the span table, which depend only on the scenario: a sweep
+    shares them across seeds.
     """
     if limit < 1:
         raise DomainError("limit must be at least 1")

@@ -21,6 +21,7 @@ from venroute import (
     normalize_routes,
     prune_unreachable,
 )
+from venroute.network import _route_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +70,7 @@ def oracle_segments(network, routes):
     """
     segments = {}
     for r in routes:
-        seq = r.junction_sequence(network)
+        seq = _route_sequence(network, r)
         for p in range(len(seq) - 1):
             for q in range(p + 1, len(seq)):
                 segments.setdefault((seq[p], seq[q]), {})[r.route_id] = (p + 1, q)

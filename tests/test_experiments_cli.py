@@ -17,8 +17,10 @@ from venroute import (
     generate_corridor,
     generate_grid,
     generate_random,
+    heuristic,
     heuristic_min_loss,
     network,
+    normalize_routes,
     pathenum,
     plan_totals,
     prepare,
@@ -222,12 +224,41 @@ def test_method_iii_never_builds_the_accessibility_graph(monkeypatch, small_scen
     # the accessibility arcs nor asks for an index set
     scen = tmp_path / "grid.txt"
     main(["gen-grid", "--seed", "4", "--flow", "const:0.1", "--out", str(scen)])
+    index_set = network.AccessibilityGraph.index_set
     monkeypatch.setattr(network.AccessibilityGraph, "arcs", property(refuse))
     monkeypatch.setattr(network.AccessibilityGraph, "index_set", refuse)
     table = run_compare(small_scenario, targets=[1.0, 200.0], methods=("III",))
     assert {r.status for r in table.rows} == {"optimal"}
     argv = ["solve", "--scenario", str(scen), "--method", "III", "--target", "50"]
     assert main([*argv, "--out", str(tmp_path / "plan.csv")]) == EXIT_OK
+    # methods I and II ask for index sets, but their successors and hops to t
+    # come from the incidence too, so no method derives the arcs
+    monkeypatch.setattr(network.AccessibilityGraph, "index_set", index_set)
+    table = run_compare(small_scenario, targets=[1.0, 200.0], subset_seeds=range(2))
+    assert {r.status for r in table.rows} == {"optimal"}
+
+
+def test_one_greedy_trajectory_serves_every_target(monkeypatch):
+    # the greedy's picks do not depend on the target, so an instance picks
+    # each path once for all its targets, in whatever order they come
+    sc = generate_corridor(rows=6, cols=15, kept_edges=110, route_count=300, seed=0)
+    routes = normalize_routes(sc.network, sc.routes)
+    picks = []
+    pick = heuristic._pick_path
+    monkeypatch.setattr(heuristic, "_pick_path", lambda *args: picks.append(1) or pick(*args))
+    targets = [500.0, 16000.0, 0.0, 200.0, 1e6, 500.0, 2000.0, 1e6]
+    fresh, fresh_picks = [], []
+    for target in targets:
+        picks.clear()
+        args = (sc.network, routes, sc.params, target, sc.source, sc.destination)
+        fresh.append(heuristic_min_loss(*args))
+        fresh_picks.append(len(picks))
+    picks.clear()
+    inst = Instance(sc)
+    assert [inst.greedy(target) for target in targets] == fresh
+    assert len(picks) == max(fresh_picks) < sum(fresh_picks)
+    assert [r.status for r in fresh].count("infeasible") == 2
+    assert fresh[1].paths_used > 1
 
 
 def test_instance_frees_its_graph_without_the_cyclic_collector():

@@ -147,7 +147,7 @@ class TestHeuristic:
         initial = {rid: r.flow for rid, r in acc.routes.items()}
         results = []
         for target in (16000.0, 1e6, 16000.0):
-            shared = heuristic._greedy(acc, net, params, target, s, t)
+            shared = heuristic._Trajectory(acc, net, params, s, t).result(target)
             assert shared == heuristic_min_loss(net, list(routes), params, target, s, t)
             results.append(shared)
         assert [r.status for r in results] == ["success", "infeasible", "success"]
@@ -168,7 +168,7 @@ class TestHeuristic:
             ["p", "q"], [("pq", "p", "q", 60.0), ("qp", "q", "p", 60.0)]
         )
         looped = VehicularRoute("r", ("pq", "qp", "pq"), 0.1)
-        msg = r"route 'r' yields two sub-routes for \('p', 'q'\); route is not simple"
+        msg = r"route 'r' revisits junction 'p'; route is not loop-free"
         with pytest.raises(StructuralError, match=msg):
             heuristic_min_loss(net, [looped], PARAMS, 1.0, "p", "q")
 

@@ -17,7 +17,7 @@ from venroute import (
     normalize_routes,
     prune_unreachable,
 )
-from venroute.network import arc_flow_table
+from venroute.network import _route_sequence, arc_flow_table
 
 from helpers import oracle_segments, random_instance
 
@@ -69,7 +69,7 @@ class TestRoutes:
     def test_junction_sequence(self):
         net = line_network()
         r = VehicularRoute("r", ("a0", "a1"), 0.1)
-        assert r.junction_sequence(net) == ("n0", "n1", "n2")
+        assert _route_sequence(net, r) == ("n0", "n1", "n2")
 
     def test_disconnected_route_rejected(self):
         net = line_network()
@@ -194,15 +194,15 @@ class TestAccessibilityGraph:
             network, routes, _s, _t = random_instance(seed)
             assert_matches_oracle(network, normalize_routes(network, routes))
 
-    def test_loop_closing_route_keeps_its_spans(self):
-        # the only revisit closes a loop back to the first junction, so each
-        # index set starts from that junction's first visit
-        net = VehicularNetwork.build(
-            ["a", "b", "c"], [("ab", "a", "b", 60.0), ("bc", "b", "c", 60.0), ("ca", "c", "a", 60.0)]
-        )
-        acc = assert_matches_oracle(net, [VehicularRoute("r", ("ab", "bc", "ca"), 0.1)])
-        assert acc.index_set("a", "a") == {"r": (1, 3)}
-        assert acc.index_set("b", "a") == {"r": (2, 3)}
+    def test_closed_loop_route_rejected(self):
+        # normalization rejects a route that is one closed loop, and so does
+        # the incidence: every route in it visits each junction once
+        net = looped_network()
+        closed = VehicularRoute("r", ("pq", "qr", "rp"), 0.1)
+        with pytest.raises(StructuralError, match="'r' revisits junction 'p'"):
+            build_accessibility_graph(net, [closed])
+        with pytest.raises(StructuralError, match="'r' is a closed loop"):
+            normalize_routes(net, [closed])
 
     def test_matches_pairwise_oracle_on_the_reduced_corridor(self):
         sc = generate_corridor(rows=6, cols=15, kept_edges=110, route_count=300, seed=0)
@@ -310,5 +310,5 @@ def test_normalization_idempotent_on_random_instances(seed):
     assert normalize_routes(network, once) == once
     # every normalized route is loop-free
     for r in once:
-        seq = r.junction_sequence(network)
+        seq = _route_sequence(network, r)
         assert len(set(seq)) == len(seq)

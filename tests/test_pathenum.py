@@ -27,8 +27,11 @@ from venroute import (
     f_bound,
     f_closed_bound,
     generate_corridor,
+    generate_grid,
     generate_random,
 )
+from venroute.heuristic import _levels
+from venroute.pathenum import _live_successors, _Successors
 
 from helpers import oracle_expand, oracle_sequences, prepared, random_instance
 
@@ -302,3 +305,60 @@ def test_sequence_count_never_exceeds_f_bound(seed):
     norm, acc, pruned, _ = prepared(network, routes, t)
     seqs = enumerate_sequences(pruned, s, t)
     assert len(seqs) <= f_bound(len(network.junctions) - 1)
+
+
+def assert_incidence_successors_match_the_arcs(acc, junctions, t):
+    """The successors and hops derived from the incidence equal those of its arcs."""
+    hops = _levels(acc, acc.routes, t, None, forward=False)
+    want_succ, want_hops = _live_successors(acc.arcs, t)
+    assert hops == want_hops
+    succ = _Successors(acc, hops)
+    assert [succ[j] for j in junctions] == [want_succ[j] for j in junctions]
+
+
+def without_flow(sc):
+    """The scenario with every third route's flow set to zero."""
+    routes = tuple(
+        dataclasses.replace(r, flow=0.0) if k % 3 == 0 else r for k, r in enumerate(sc.routes)
+    )
+    return dataclasses.replace(sc, routes=routes)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("const", 0.1), seed=4),
+        lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("uniform", 0.1, 0.3), seed=47),
+        lambda: generate_corridor(rows=6, cols=15, kept_edges=110, route_count=300, seed=0),
+        # a route without flow still realizes its arcs
+        lambda: without_flow(generate_grid(4, 4, 10.0, 60.0, 20, ("const", 0.1), seed=47)),
+    ],
+    ids=["grid4", "grid47", "corridor-small", "grid47-some-routes-without-flow"],
+)
+def test_instance_successors_match_the_arc_set(make):
+    sc = make()
+    inst = Instance(sc)
+    succ, hops = inst.live_successors
+    junctions = sorted(sc.network.junctions)
+    want_succ, want_hops = _live_successors(inst.accessibility.arcs, sc.destination)
+    assert hops == want_hops
+    # every junction, read in an order no enumerator follows
+    assert [succ[j] for j in reversed(junctions)] == [want_succ[j] for j in reversed(junctions)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=10),
+    st.floats(min_value=0.05, max_value=1.0),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_incidence_successors_match_the_arc_set_on_generated_scenarios(
+    n, density, cap, count, seed
+):
+    sc = generate_random(n, density, cap, count, seed)
+    acc = Instance(sc).accessibility
+    junctions = sorted(sc.network.junctions)
+    for t in junctions:
+        assert_incidence_successors_match_the_arcs(acc, junctions, t)

@@ -5,16 +5,17 @@ expansion; each completed sequence is expanded into concrete energy paths by
 taking the Cartesian product of its per-arc route index sets and dropping
 combinations that reuse a route. A randomized depth-first variant yields
 seeded subsets for the sampled-LP method. ``count_paths`` counts those
-combinations without building any path, which is all the growth study needs.
+combinations without building any path, which is all the growth study needs:
+a small dynamic program over each sequence's index sets.
 
 Each call derives the segment span (arcs, end junctions, delay, flow) of a
 route on an accessibility arc once, checked to run along that arc, and
 shares it across every sequence crossing the arc. Expansion, counting and
-sampling draw their combinations from one generator over those spans, and
-paths are assembled from them. Because every span runs along its arc and
-every sequence is checked to be loop-free, each path chains from source to
-destination without a repeated junction, as ``build_energy_path`` would
-check.
+sampling read one table of those spans; expansion and sampling draw their
+combinations from one generator over it, and paths are assembled from them.
+Because every span runs along its arc and every sequence is checked to be
+loop-free, each path chains from source to destination without a repeated
+junction, as ``build_energy_path`` would check.
 """
 
 from __future__ import annotations
@@ -192,25 +193,68 @@ class _SpanTable(dict):
         return entry
 
 
-def _route_combos(
+def _entries(
     seq: JunctionSequence, table: _SpanTable
-) -> Iterator[tuple[tuple[RouteId, ...], tuple[SegmentSpan, ...]]]:
-    """Route-distinct (route ids, spans) combinations of one junction sequence.
+) -> list[tuple[tuple[RouteId, ...], tuple[SegmentSpan, ...]]]:
+    """Span-table entries of one junction sequence's arcs, in order.
 
     The sequence is checked to have at least one arc and to be loop-free, and
     each arc's entry comes from the span table, so every span used runs along
-    its arc. A combination that reuses a route forms no energy path.
+    its arc.
     """
     if len(seq) < 2:
         raise StructuralError("an energy path needs at least one segment")
     if len(set(seq)) != len(seq):
         raise StructuralError("segment boundary junctions repeat; path is not loop-free")
-    entries = [table[arc] for arc in zip(seq, seq[1:])]
+    return [table[arc] for arc in zip(seq, seq[1:])]
+
+
+def _route_combos(
+    seq: JunctionSequence, table: _SpanTable
+) -> Iterator[tuple[tuple[RouteId, ...], tuple[SegmentSpan, ...]]]:
+    """Route-distinct (route ids, spans) combinations of one junction sequence,
+    from its checked entries. A combination that reuses a route forms no energy path.
+    """
+    entries = _entries(seq, table)
     combos = zip(
         itertools.product(*(rids for rids, _ in entries)),
         itertools.product(*(spans for _, spans in entries)),
     )
     return ((rids, spans) for rids, spans in combos if len(set(rids)) == len(rids))
+
+
+def _count_distinct(route_sets: list[tuple[RouteId, ...]]) -> int:
+    """Number of ways to pick one route from each set, no route twice.
+
+    A dynamic program over the sets in order. Its state is the set of routes
+    picked so far that appear in a later set; a route in no later set adds to
+    the multiplicity of a step, not to the states.
+    """
+    suffix = []  # per set, the routes of the sets after it
+    seen: frozenset[RouteId] = frozenset()
+    for rids in reversed(route_sets):
+        suffix.append(seen)
+        seen = seen.union(rids)
+    if len(seen) == sum(map(len, route_sets)):
+        return math.prod(map(len, route_sets))  # no route in two sets
+    states = {frozenset(): 1}  # picked routes that appear later -> ways
+    for rids, later in zip(route_sets, reversed(suffix)):
+        nxt: dict[frozenset[RouteId], int] = {}
+        for state, ways in states.items():
+            kept = state & later
+            free = 0
+            for r in rids:
+                if r in state:
+                    continue
+                if r in later:
+                    key = kept | {r}
+                    nxt[key] = nxt.get(key, 0) + ways
+                else:
+                    free += 1
+            if free:
+                nxt[kept] = nxt.get(kept, 0) + ways * free
+        states = nxt
+    return sum(states.values())
 
 
 def _combo_paths(
@@ -271,9 +315,8 @@ def count_paths(
     total = 0
     for seq in sequences:
         seq = tuple(seq)
-        # one past the room left is enough to tell that the cap is exceeded
+        n = _count_distinct([rids for rids, _ in _entries(seq, table)])
         room = max(cap - total, 0)
-        n = sum(1 for _ in itertools.islice(_route_combos(seq, table), room + 1))
         # checked in expansion's order: a full set raises the cap first
         if n and room and seq in seen:
             raise ConsistencyError(f"junction sequence repeated: {seq}")

@@ -9,6 +9,12 @@ energy target.
 
 Each LP is one cold call to HiGHS's dual simplex (Huangfu & Hall 2018) through
 SciPy's own binding ``scipy.optimize._highspy._core``, there from SciPy 1.15.
+
+This is the only module that uses NumPy or SciPy, and it imports them on the
+first LP it builds or solves, through ``_lp_backend``. Enumeration, the
+greedy and the growth study never load them. ``run_compare`` calls the
+loader once before its first row when method I or II is requested, so the
+import never lands inside a ``--timings`` row.
 """
 
 from __future__ import annotations
@@ -16,11 +22,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Mapping
-
-import numpy as np
-from scipy import sparse
-from scipy.optimize._highspy import _core as highs
+from functools import cache
+from typing import TYPE_CHECKING, Mapping
 
 from .energy import EnergyParams, PlanEntry, TransmissionPlan, loss_ratio, make_plan
 from .energy import window_cap as _window_cap
@@ -28,15 +31,30 @@ from .errors import ConsistencyError, DomainError, SolverError
 from .network import ArcId, VehicularNetwork, VehicularRoute, arc_flow_table
 from .pathenum import PathSet
 
+if TYPE_CHECKING:
+    import numpy as np
+    from scipy import sparse
+
 RESIDUAL_TOL = 1e-6  # largest seen on the paper's grids and the corridor: 1.8e-12
 
-_HIGHS_OPTIONS = highs.HighsOptions()
-_HIGHS_OPTIONS.presolve = "on"
-_HIGHS_OPTIONS.primal_feasibility_tolerance = 1e-10
-_HIGHS_OPTIONS.simplex_strategy = 1  # dual
-_HIGHS_OPTIONS.highs_debug_level = 0
-_HIGHS_OPTIONS.output_flag = False
-_HIGHS_OPTIONS.log_to_console = False
+
+@cache
+def _lp_backend():
+    """(numpy, scipy.sparse, the HiGHS binding, the options every solve passes),
+    imported and built on first use.
+    """
+    import numpy as np
+    from scipy import sparse
+    from scipy.optimize._highspy import _core as highs
+
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.primal_feasibility_tolerance = 1e-10
+    options.simplex_strategy = 1  # dual
+    options.highs_debug_level = 0
+    options.output_flag = False
+    options.log_to_console = False
+    return np, sparse, highs, options
 
 
 @dataclass(frozen=True)
@@ -82,6 +100,7 @@ def build_lp(problem: LossMinProblem) -> LpInstance:
 
 def _assemble(problem: LossMinProblem, arc_flows: Mapping[ArcId, float]) -> LpInstance:
     """``build_lp`` given the arc-flow table of the problem's routes."""
+    np, sparse, highs, _options = _lp_backend()
     paths = problem.paths.paths
     params = problem.params
     w = params.packet_kwh
@@ -136,6 +155,7 @@ def _run_highs(c, lp: LpInstance) -> tuple[str, np.ndarray | None, int]:
 
     The status is "optimal" or "infeasible" (no point); any other raises SolverError.
     """
+    np, _sparse, highs, options = _lp_backend()
     rows, cols = lp.a_ub.shape
     model = highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = cols
@@ -150,7 +170,7 @@ def _run_highs(c, lp: LpInstance) -> tuple[str, np.ndarray | None, int]:
     model.row_lower_ = np.full(rows, -highs.kHighsInf)
     model.row_upper_ = lp.b_ub
     solver = highs._Highs()
-    solver.passOptions(_HIGHS_OPTIONS)
+    solver.passOptions(options)
     status = highs.HighsModelStatus.kModelError  # a model HiGHS refuses must not be run
     if solver.passModel(model) != highs.HighsStatus.kError:
         solver.run()
@@ -186,7 +206,7 @@ def _solve(problem: LossMinProblem, lp: LpInstance | None) -> LpSolution:
     if status == "infeasible":
         return LpSolution("infeasible", None, None, {"solve_s": elapsed})
     m = len(paths)
-    residual = max(np.max(lp.a_ub @ x - lp.b_ub), np.max(x[m:] - lp.upper[m:]), 0.0)
+    residual = max((lp.a_ub @ x - lp.b_ub).max(), (x[m:] - lp.upper[m:]).max(), 0.0)
     if residual > RESIDUAL_TOL * max(1.0, problem.target_kwh):
         raise ConsistencyError(f"LP solution violates its constraints by {residual:.3g}")
 
@@ -208,6 +228,7 @@ def max_deliverable(problem: LossMinProblem) -> float:
     paths = problem.paths.paths
     if not paths:
         return 0.0
+    np = _lp_backend()[0]
     lp = build_lp(replace(problem, target_kwh=0.0))
     goal = np.zeros(2 * len(paths))
     goal[: len(paths)] = -1.0

@@ -96,6 +96,8 @@ def _make_routes(
     max_km: float | None = None,
     arc_km: dict[str, float] | None = None,
 ) -> tuple[VehicularRoute, ...]:
+    if count < 0:
+        raise DomainError(f"route count must be nonnegative, got {count}")
     if not all(0.0 <= float(v) < math.inf for v in flow_spec[1:]):
         raise DomainError(f"flow spec values must be finite and nonnegative, got {flow_spec!r}")
     width = max(2, len(str(count)))

@@ -238,6 +238,24 @@ def test_method_iii_never_builds_the_accessibility_graph(monkeypatch, small_scen
     assert {r.status for r in table.rows} == {"optimal"}
 
 
+@pytest.mark.parametrize(
+    "methods, loads", [(("I", "II", "III"), True), (("III", "II"), True), (("III",), False)]
+)
+def test_compare_imports_the_lp_backend_before_any_method_runs(
+    monkeypatch, small_scenario, methods, loads
+):
+    # importing NumPy and SciPy stays outside every row's wall time
+    calls = []
+    monkeypatch.setattr(experiments, "_lp_backend", lambda: calls.append("load"))
+    for name in ("paths", "sample", "greedy"):
+        real = getattr(Instance, name)
+        spy = lambda self, *args, _real=real, _name=name: calls.append(_name) or _real(self, *args)
+        monkeypatch.setattr(Instance, name, spy)
+    run_compare(small_scenario, targets=[1.0, 200.0], methods=methods, subset_seeds=range(2))
+    assert calls.count("load") == int(loads)
+    assert calls[0] == ("load" if loads else "greedy")
+
+
 def test_one_greedy_trajectory_serves_every_target(monkeypatch):
     # the greedy's picks do not depend on the target, so an instance picks
     # each path once for all its targets, in whatever order they come
@@ -370,11 +388,13 @@ class TestRunGrowth:
             dict(n_values=[4, 4]),
             dict(density_grid=[0.5, 0.3]),
             dict(density_grid=[0.2001, 0.2004]),
+            dict(enumeration_cap=0),
+            dict(enumeration_cap=-1),
         ],
         ids=[
             "no-instances", "negative-instances", "nan-density", "inf-density",
             "no-sizes", "no-densities", "repeated-size", "decreasing-densities",
-            "colliding-densities",
+            "colliding-densities", "zero-cap", "negative-cap",
         ],
     )
     def test_bad_inputs_rejected(self, kwargs):
@@ -521,10 +541,11 @@ class TestCli:
             ["--n-values", ""],
             ["--n-values", "4,4"],
             ["--densities", "0.2001,0.2004"],
+            ["--cap", "-1"],
         ],
         ids=[
             "no-instances", "negative-instances", "nan-density", "no-sizes", "repeated-size",
-            "colliding-densities",
+            "colliding-densities", "negative-cap",
         ],
     )
     def test_bad_growth_inputs_are_an_error(self, argv, tmp_path, capsys):
@@ -542,6 +563,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["gen-grid", "--flow", spec, "--out", "x"])
         assert "flow spec must be const:<c> or uniform:<lo>,<hi>" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen-grid", "gen-random"])
+    def test_negative_route_count_is_an_error(self, command, tmp_path, capsys):
+        scen = tmp_path / "s.txt"
+        assert main([command, "--routes", "-2", "--out", str(scen)]) == EXIT_ERROR
+        assert "error: route count must be nonnegative" in capsys.readouterr().err
+        assert not scen.exists()
 
     @pytest.mark.parametrize("spec", ["const:nan", "const:-1", "uniform:0.1,inf"])
     def test_bad_flow_values_are_an_error(self, spec, tmp_path, capsys):

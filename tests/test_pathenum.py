@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -31,7 +32,13 @@ from venroute import (
     generate_random,
 )
 from venroute.heuristic import _levels
-from venroute.pathenum import _live_successors, _Successors
+from venroute.pathenum import (
+    _count_distinct,
+    _live_successors,
+    _route_combos,
+    _SpanTable,
+    _Successors,
+)
 
 from helpers import oracle_expand, oracle_sequences, prepared, random_instance
 
@@ -362,3 +369,59 @@ def test_incidence_successors_match_the_arc_set_on_generated_scenarios(
     junctions = sorted(sc.network.junctions)
     for t in junctions:
         assert_incidence_successors_match_the_arcs(acc, junctions, t)
+
+
+def combo_outcome(seqs, acc, network, routes, cap):
+    """count_paths' outcome with each count drawn from the combination
+    generator: the path count, or the error's type and message.
+    """
+    table = _SpanTable(acc, network, {r.route_id: r for r in routes})
+    seen, total = set(), 0
+    try:
+        for seq in seqs:
+            n = sum(1 for _ in _route_combos(seq, table))
+            room = max(cap - total, 0)
+            if n and room and seq in seen:
+                raise ConsistencyError(f"junction sequence repeated: {seq}")
+            if n > room:
+                raise EnumerationCapError(f"path expansion exceeded the cap of {cap}")
+            seen.add(seq)
+            total += n
+    except (ConsistencyError, EnumerationCapError) as exc:
+        return type(exc), str(exc)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=8),
+    st.floats(min_value=0.2, max_value=1.0),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=25),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["as-is", "reversed", "repeated"]),
+    st.sampled_from([0, 1, 2, 5, 20, 10**6]),
+)
+def test_count_matches_the_combination_generator(
+    n, density, route_cap, count, seed, order, cap
+):
+    sc = generate_random(n, density, route_cap, count, seed)
+    inst = Instance(sc)
+    try:
+        seqs = enumerate_sequences(inst.accessibility.arcs, sc.source, sc.destination, cap=2000)
+    except EnumerationCapError:
+        return
+    seqs = {"as-is": seqs, "reversed": seqs[::-1], "repeated": seqs + seqs[:2]}[order]
+    args = (seqs, inst.accessibility, sc.network, inst.routes)
+    try:
+        got = count_paths(*args, cap=cap)
+    except (ConsistencyError, EnumerationCapError) as exc:
+        got = type(exc), str(exc)
+    assert got == combo_outcome(*args, cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sets(st.sampled_from("abcdef")).map(sorted).map(tuple), max_size=6))
+def test_distinct_route_count_matches_brute_force(route_sets):
+    want = sum(1 for c in itertools.product(*route_sets) if len(set(c)) == len(c))
+    assert _count_distinct(route_sets) == want

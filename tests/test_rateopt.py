@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from venroute import (
     ConsistencyError,
@@ -305,11 +306,11 @@ class TestSolverStatuses:
             rateopt._run_highs(lp.c, replace(lp, a_ub=bad))
 
     def test_unbounded_or_infeasible_is_an_error_not_a_verdict(self, monkeypatch):
-        class Undecided(rateopt.highs._Highs):
+        class Undecided(highs._Highs):
             def getModelStatus(self):
-                return rateopt.highs.HighsModelStatus.kUnboundedOrInfeasible
+                return highs.HighsModelStatus.kUnboundedOrInfeasible
 
-        monkeypatch.setattr(rateopt.highs, "_Highs", Undecided)
+        monkeypatch.setattr(highs, "_Highs", Undecided)
         problem, _ = parallel_problem(100.0)
         lp = build_lp(problem)
         with pytest.raises(SolverError, match="infeasible or unbounded"):

@@ -68,6 +68,20 @@ class TestGenerators:
         with pytest.raises(DomainError):
             generate_random(6, 0.5, 3, 10, seed=0, flow_spec=flow_spec)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda count: generate_grid(4, 4, 10.0, 60.0, count, ("const", 0.1), seed=0),
+            lambda count: generate_random(6, 0.5, 3, count, seed=0),
+            lambda count: generate_corridor(rows=6, cols=15, kept_edges=110, route_count=count),
+        ],
+        ids=["grid", "random", "corridor"],
+    )
+    def test_route_count_validated(self, make):
+        with pytest.raises(DomainError, match="route count must be nonnegative, got -2"):
+            make(-2)
+        assert make(0).routes == ()
+
     def test_random_validates_density(self):
         with pytest.raises(DomainError):
             generate_random(6, 0.0, 3, 5, seed=0)

@@ -217,7 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset-limit", type=int, default=50)
     p.add_argument("--subset-seeds", type=_csv_ints, default=list(range(20)))
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    timings = "wall times; I and II rows add one-off costs, III rows only the picks they add"
+    timings = (
+        "wall times; I and II rows add one-off costs (II: sampling every seed, one LP and "
+        "one solve per distinct subset), III rows only the picks they add"
+    )
     p.add_argument("--timings", action="store_true", help=timings)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_compare)

@@ -4,9 +4,11 @@ An ``Instance`` derives, each once and on first use, what one scenario's
 methods share: the normalized routes and the accessibility graph (the
 junction-route incidence), from one walk per route; the live successor map
 with hops to the destination, both from the incidence; the span table; the
-arc-flow table; and the greedy's trajectory. ``run_compare``, ``run_growth``
-and the ``ven`` commands call only its methods, so a sweep shares these
-across every subset seed and target. No method derives the accessibility
+arc-flow table; the greedy's trajectory; and each junction sequence's
+sampled energy paths, as far as any sample has read them (a full enumeration
+streams and keeps none). ``run_compare``, ``run_growth`` and the ``ven``
+commands call only its methods, so a sweep shares these across every subset
+seed and target. No method derives the accessibility
 arcs: only ``prepare`` and ``run_growth`` do. No arcs are pruned: both
 enumerators keep only junctions that reach t over arcs, which follow roads.
 The greedy's picks do not depend on the target, so every target's plan is a
@@ -17,9 +19,10 @@ are measured around computation only (no file I/O) and are emitted only on
 request, so default outputs are byte-stable across runs. Route normalization
 and the incidence build stay outside every row. A row's wall time adds its
 method's one-off costs to its own solve: the successors, enumeration or
-sampling, and LP assembly for methods I and II. A method-III row counts only
-the picks it adds to the shared trajectory, so a target that an earlier one
-covers costs almost nothing.
+sampling, and LP assembly for methods I and II. Method II samples every
+seed but assembles each distinct subset once and solves it once per target.
+A method-III row counts only the picks it adds to the shared trajectory, so
+a target that an earlier one covers costs almost nothing.
 
 NumPy and SciPy are imported by ``rateopt`` on the first LP, not with the
 package. ``run_compare`` loads them once, before its first row, when method I
@@ -44,6 +47,7 @@ from .pathenum import (
     DEFAULT_CAP,
     PathSet,
     _expand,
+    _PathCache,
     _sample_bounded,
     _sequences,
     _Successors,
@@ -91,8 +95,15 @@ class Instance:
     def arc_flows(self):
         return arc_flow_table(self.routes)
 
+    @cached_property
+    def _sampled_paths(self):
+        # only the sampler keeps what it assembles: a full enumeration streams
+        return _PathCache(self.span_table)
+
     def paths(self, cap: int = DEFAULT_CAP) -> PathSet:
         """The full energy-path set (method I)."""
+        if cap < 1:
+            raise DomainError("enumeration cap must be at least 1")
         succ, _hops = self.live_successors
         sequences = _sequences(succ, self.scenario.source, self.scenario.destination, cap)
         return _expand(sequences, self.span_table, cap)
@@ -101,7 +112,7 @@ class Instance:
         """A seeded subset of at most ``limit`` energy paths (method II)."""
         succ, hops = self.live_successors
         s, t = self.scenario.source, self.scenario.destination
-        return _sample_bounded(succ, hops, self.span_table, s, t, limit, seed)
+        return _sample_bounded(succ, hops, self._sampled_paths, s, t, limit, seed)
 
     def lp(self, pathset: PathSet):
         """The path set's problem at target 0 and its LP (None without paths)."""
@@ -182,17 +193,26 @@ def run_compare(
 ) -> ResultTable:
     """Run the requested methods over a sweep of energy targets.
 
-    Method II is averaged over the given subset seeds. Per-cell failures are
-    recorded in their row and never abort the sweep; a malformed sweep (no,
-    unknown or repeated methods, no targets, method II without seeds) raises
-    DomainError. One ``Instance`` derives what the methods share.
+    Method II is averaged over the given subset seeds; seeds that draw the
+    same subset share one LP and one solve per target. Per-cell failures are
+    recorded in their row and never abort the sweep. A malformed sweep raises
+    DomainError before any work: no, unknown or repeated methods or targets,
+    a negative or non-finite target, no or repeated seeds for method II, a
+    limit or cap below 1. One ``Instance`` derives what the methods share.
     """
     if not methods or len(set(methods)) < len(methods) or not set(methods) <= set(METHODS):
         raise DomainError(f"methods must be distinct ones of {list(METHODS)}, got {list(methods)}")
     if not targets:
         raise DomainError("no energy targets")
-    if "II" in methods and not subset_seeds:
-        raise DomainError("method II needs at least one subset seed")
+    if not all(0.0 <= x < math.inf for x in targets) or len(set(targets)) < len(targets):
+        raise DomainError(f"targets must be distinct, finite and nonnegative, got {list(targets)}")
+    if "II" in methods:
+        if not subset_seeds or len(set(subset_seeds)) < len(subset_seeds):
+            raise DomainError(f"method II needs distinct subset seeds, got {list(subset_seeds)}")
+        if subset_limit < 1:
+            raise DomainError("limit must be at least 1")
+    if enumeration_cap < 1:
+        raise DomainError("enumeration cap must be at least 1")
     rows: list[ResultRow] = []
     inst = Instance(scenario)
     inst.accessibility  # normalization and the incidence build stay outside every row
@@ -207,7 +227,8 @@ def run_compare(
         return ResultRow(target, method, status, *(totals or (None, None, None)), wall)
 
     full = None
-    subsets = []
+    subsets = []  # the LP of each distinct subset, in order of first draw
+    which = []  # per seed, the index of its subset
     for method in methods:
         t0 = time.perf_counter()
         if method == "I":
@@ -216,7 +237,10 @@ def run_compare(
             except EnumerationCapError:
                 pass
         elif method == "II":
-            subsets = [inst.lp(inst.sample(subset_limit, seed)) for seed in subset_seeds]
+            index: dict[PathSet, int] = {}
+            for seed in subset_seeds:
+                which.append(index.setdefault(inst.sample(subset_limit, seed), len(index)))
+            subsets = [inst.lp(pathset) for pathset in index]
         once[method] = time.perf_counter() - t0
 
     for target in targets:
@@ -237,12 +261,16 @@ def run_compare(
 
         if "II" in methods:
             t0 = time.perf_counter()
-            solved = []  # (loss, delivered, paths) of each subset with a plan
+            per_subset = []  # (loss, delivered, paths) of each subset, None without a plan
             for lp in subsets:
                 sol = inst.solve(lp, target)
+                totals = None
                 if sol.status == "optimal":
                     delivered, loss = plan_totals(sol.plan)
-                    solved.append((loss, delivered, len(lp[0].paths.paths)))
+                    totals = (loss, delivered, len(lp[0].paths.paths))
+                per_subset.append(totals)
+            # every seed counts, in seed order, so the sums are those of one solve per seed
+            solved = [per_subset[k] for k in which if per_subset[k] is not None]
             means = [sum(col) / len(solved) for col in zip(*solved)] if solved else None
             rows.append(row(target, "II", t0, means))
 

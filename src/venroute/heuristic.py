@@ -63,7 +63,7 @@ class HeuristicResult:
 
 def _levels(
     acc: AccessibilityGraph, flows: Collection[RouteId], start: Junction,
-    goal: Junction | None, forward: bool,
+    goal: Junction | None, forward: bool, band: Mapping[Junction, int] | None = None,
 ) -> dict[Junction, int]:
     """Fewest hops over the routes in ``flows`` from ``start`` to each junction
     (to ``start`` if not ``forward``), in the order the junctions were reached.
@@ -73,7 +73,12 @@ def _levels(
     was boarded at (the latest, backward), so each route position is
     scanned at most once. The search stops once the level holding
     ``goal`` is complete; with no goal, once every junction is reached.
+
+    With a ``band``, the hops from the other end, a junction reached at level
+    L is kept only if its band value plus L is ``band[start]``: only
+    junctions on a fewest-hop walk between the ends are kept.
     """
+    total = band[start] if band is not None else 0
     dist = {start: 0}
     frontier = [start]
     boarded: dict[RouteId, int] = {}
@@ -98,7 +103,8 @@ def _levels(
                     reached = seq[edge + 1 : p]
                 boarded[rid] = p
                 for v in reached:
-                    if v not in dist:
+                    # a junction outside the band gets band value ``total``, never kept
+                    if v not in dist and (band is None or band.get(v, total) + level == total):
                         dist[v] = level
                         nxt.append(v)
         frontier = nxt
@@ -114,9 +120,10 @@ def _shortest_dag(
     dist_s = _levels(acc, flows, s, t, forward=True)
     if t not in dist_s:
         return None
-    dist_t = _levels(acc, flows, t, s, forward=False)
-    hops = dist_s[t]
-    on_dag = {j: d for j, d in dist_s.items() if dist_t.get(j, hops + 1) + d == hops}
+    # a fewest-hop walk from a DAG junction to t stays on the DAG, so the
+    # banded search reaches exactly the DAG, each at its true hops to t
+    dist_t = _levels(acc, flows, t, s, forward=False, band=dist_s)
+    on_dag = {j: d for j, d in dist_s.items() if j in dist_t}
     # an arc between two DAG junctions lies on a fewest-hop sequence exactly
     # when it climbs one BFS level
     segments = acc.climbing_index_sets(on_dag, flows)

@@ -258,18 +258,42 @@ def _count_distinct(route_sets: list[tuple[RouteId, ...]]) -> int:
 
 
 def _combo_paths(
-    seq: JunctionSequence, table: _SpanTable, skip: int = 0
+    seq: JunctionSequence, table: _SpanTable
 ) -> Iterator[tuple[PathKey, EnergyPath]]:
     """Expand one junction sequence into (sort key, energy path) pairs, combo by combo.
 
-    The first ``skip`` paths are passed over without being assembled. Every
-    span runs along its arc and the sequence is loop-free, so each path
+    Every span runs along its arc and the sequence is loop-free, so each path
     chains from seq[0] to seq[-1] without repeating a boundary junction.
     """
     seq = tuple(seq)
-    combos = _route_combos(seq, table)
-    for rids, spans in itertools.islice(combos, skip, None):
+    for rids, spans in _route_combos(seq, table):
         yield (seq, rids), assemble_energy_path(spans, seq[0])
+
+
+class _PathCache(dict):
+    """Each junction sequence's (sort key, energy path) pairs, in ``_combo_paths``
+    order, each assembled once and shared by every sample drawn over one span table.
+
+    A sequence maps to the pairs assembled so far and the generator of the rest.
+    """
+
+    def __init__(self, table: _SpanTable):
+        super().__init__()
+        self._table = table
+
+    def prefix(self, seq: JunctionSequence, n: int) -> list[tuple[PathKey, EnergyPath]]:
+        """The sequence's first ``n`` pairs, or all of them if it has fewer."""
+        if seq not in self:
+            self[seq] = ([], _combo_paths(seq, self._table))
+        done, rest = self[seq]
+        if len(done) < n:
+            try:
+                done.extend(itertools.islice(rest, n - len(done)))
+            except BaseException:
+                # the generator is spent: keep no truncated entry, so every read raises
+                del self[seq]
+                raise
+        return done[:n]
 
 
 def expand_to_paths(
@@ -419,17 +443,17 @@ def enumerate_bounded(
     """
     table = _SpanTable(accessibility, network, {r.route_id: r for r in routes})
     succ, hops = _live_successors(pruned_arcs, t)
-    return _sample_bounded(succ, hops, table, s, t, limit, seed, detour_slack)
+    return _sample_bounded(succ, hops, _PathCache(table), s, t, limit, seed, detour_slack)
 
 
 def _sample_bounded(
     succ: Mapping[Junction, tuple[Junction, ...]], hops: Mapping[Junction, int],
-    table: _SpanTable, s: Junction, t: Junction, limit: int, seed: int,
+    paths: _PathCache, s: Junction, t: Junction, limit: int, seed: int,
     detour_slack: int | None = 3,
 ) -> PathSet:
     """``enumerate_bounded`` over the live successors of its arcs, read with
-    ``[]``, and the span table, which depend only on the scenario: a sweep
-    shares them across seeds.
+    ``[]``, and the paths of each sequence, which depend only on the scenario:
+    a sweep shares them across seeds.
     """
     if limit < 1:
         raise DomainError("limit must be at least 1")
@@ -445,27 +469,23 @@ def _sample_bounded(
     if detour_slack is not None and s in hops:
         budget = hops[s] + detour_slack
     for seq in _random_sequence_dfs(succ, s, t, rng, hops, budget, tracker):
-        taken = 0
-        for pair in _combo_paths(seq, table):
-            if len(keyed) >= limit:
+        room = limit - len(keyed)
+        take = min(per_seq_cap, room)
+        pairs = paths.prefix(seq, take + 1)  # one more tells whether any is held back
+        keyed.extend(pairs[:take])
+        if len(pairs) > take:
+            if take == room:
                 truncated = True
                 break
-            if taken >= per_seq_cap:
-                skipped.append(seq)
-                break
-            keyed.append(pair)
-            taken += 1
-        if truncated:
-            break
-    if not truncated and skipped:
+            skipped.append(seq)
+    if not truncated:
         # room left and combos were held back for diversity: take them now
         for seq in skipped:
-            for pair in _combo_paths(seq, table, skip=per_seq_cap):
-                if len(keyed) >= limit:
-                    truncated = True
-                    break
-                keyed.append(pair)
-            if truncated:
+            room = limit - len(keyed)
+            more = paths.prefix(seq, per_seq_cap + room + 1)[per_seq_cap:]
+            keyed.extend(more[:room])
+            if len(more) > room:
+                truncated = True
                 break
     keyed.sort(key=itemgetter(0))
     complete = not truncated and not tracker.hit

@@ -9,6 +9,9 @@ energy target.
 
 Each LP is one cold call to HiGHS's dual simplex (Huangfu & Hall 2018) through
 SciPy's own binding ``scipy.optimize._highspy._core``, there from SciPy 1.15.
+The LP goes to HiGHS through the array overload of ``_Highs.passModel``, which
+takes the bounds and the column-wise matrix as NumPy arrays; filling a
+``HighsLp`` field by field copied every entry through Python.
 
 This is the only module that uses NumPy or SciPy, and it imports them on the
 first LP it builds or solves, through ``_lp_backend``. Enumeration, the
@@ -156,23 +159,18 @@ def _run_highs(c, lp: LpInstance) -> tuple[str, np.ndarray | None, int]:
     The status is "optimal" or "infeasible" (no point); any other raises SolverError.
     """
     np, _sparse, highs, options = _lp_backend()
-    rows, cols = lp.a_ub.shape
-    model = highs.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = cols
-    model.num_row_ = model.a_matrix_.num_row_ = rows
-    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = lp.a_ub.indptr
-    model.a_matrix_.index_ = lp.a_ub.indices
-    model.a_matrix_.value_ = lp.a_ub.data
-    model.col_cost_ = c
-    model.col_lower_ = np.zeros(cols)
-    model.col_upper_ = lp.upper
-    model.row_lower_ = np.full(rows, -highs.kHighsInf)
-    model.row_upper_ = lp.b_ub
+    a = lp.a_ub
+    rows, cols = a.shape
     solver = highs._Highs()
     solver.passOptions(options)
     status = highs.HighsModelStatus.kModelError  # a model HiGHS refuses must not be run
-    if solver.passModel(model) != highs.HighsStatus.kError:
+    passed = solver.passModel(
+        cols, rows, a.nnz, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+        c, np.zeros(cols), lp.upper, np.full(rows, -highs.kHighsInf), lp.b_ub,
+        a.indptr, a.indices, a.data,
+        np.zeros(cols, dtype=np.int32),  # every column continuous; HiGHS refuses an empty array
+    )
+    if passed != highs.HighsStatus.kError:
         solver.run()
         status = solver.getModelStatus()
     if status == highs.HighsModelStatus.kInfeasible:

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -24,6 +25,7 @@ from venroute import (
     pathenum,
     plan_totals,
     prepare,
+    rateopt,
     run_compare,
     run_growth,
     solve_min_loss,
@@ -89,14 +91,30 @@ class TestRunCompare:
         (dict(methods=()), ["--methods", ""]),
         (dict(targets=[]), ["--targets", ""]),
         (dict(subset_seeds=[]), ["--subset-seeds", ""]),
+        (dict(targets=[1.0, -1.0]), ["--targets", "1,-1"]),
+        (dict(targets=[float("nan")]), ["--targets", "nan"]),
+        (dict(targets=[1.0, float("inf")]), ["--targets", "1,inf"]),
+        (dict(targets=[1.0, 1.0]), ["--targets", "1,1"]),
+        (dict(targets=[1.0, 1.0], methods=("III",)), ["--targets", "1,1", "--methods", "III"]),
+        (dict(subset_seeds=[0, 1, 0]), ["--subset-seeds", "0,1,0"]),
+        (dict(subset_limit=0), ["--subset-limit", "0"]),
+        (dict(enumeration_cap=0), ["--cap", "0"]),
+        (dict(enumeration_cap=-1, methods=("I",)), ["--cap", "-1", "--methods", "I"]),
     ],
-    ids=["unknown", "one-unknown", "repeated", "no-methods", "no-targets", "no-subset-seeds"],
+    ids=[
+        "unknown", "one-unknown", "repeated", "no-methods", "no-targets", "no-subset-seeds",
+        "negative-target", "nan-target", "inf-target", "repeated-target",
+        "repeated-target-method-iii", "repeated-subset-seed", "zero-subset-limit", "zero-cap",
+        "negative-cap",
+    ],
 )
-def test_malformed_sweep_is_an_error(kwargs, argv, small_scenario, tmp_path, capsys):
-    with pytest.raises(DomainError):
-        run_compare(small_scenario, **{"targets": [1.0], **kwargs})
+def test_malformed_sweep_is_an_error(kwargs, argv, small_scenario, tmp_path, capsys, monkeypatch):
     scen, out = tmp_path / "grid.txt", tmp_path / "table.csv"
     main(["gen-grid", "--seed", "4", "--flow", "const:0.1", "--out", str(scen)])
+    # rejected before any work: no instance is made
+    monkeypatch.setattr(experiments, "Instance", refuse)
+    with pytest.raises(DomainError):
+        run_compare(small_scenario, **{"targets": [1.0], **kwargs})
     argv = ["compare", "--scenario", str(scen), "--targets", "1", *argv, "--out", str(out)]
     assert main(argv) == EXIT_ERROR
     assert "error:" in capsys.readouterr().err
@@ -149,9 +167,13 @@ def per_call_rows(sc, targets, methods, limit, seeds):
     return rows
 
 
-# the paper's grid and a reduced corridor; the last target of each is
+# the paper's grids and a reduced corridor; the last target of each is
 # infeasible for every method
 PARITY_CASES = {
+    "grid4": (
+        lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("const", 0.1), seed=4),
+        (200.0, 1e5), ("II", "III"), 50, range(20),
+    ),
     "grid47": (
         lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("uniform", 0.1, 0.3), seed=47),
         (1.0, 500.0, 2457.0, 2900.0, 1e5), ("I", "II", "III"), 50, range(5),
@@ -164,18 +186,32 @@ PARITY_CASES = {
 
 
 @pytest.mark.parametrize("case", list(PARITY_CASES))
-def test_sweep_equals_per_call_functions(case):
-    # the sweep derives its structures and LPs once; the public functions
-    # derive them on every call, and both must give the same rows exactly
+def test_sweep_equals_per_call_functions(case, monkeypatch):
+    # the sweep derives its structures once and assembles and solves each
+    # distinct subset once; the public functions derive them on every call
+    # and solve every seed's subset, and both must give the same rows exactly
     make, targets, methods, limit, seeds = PARITY_CASES[case]
     sc = make()
+    solves = []
+    run_highs = rateopt._run_highs
+    monkeypatch.setattr(rateopt, "_run_highs", lambda *a: solves.append(1) or run_highs(*a))
     table = run_compare(sc, targets, methods, subset_limit=limit, subset_seeds=seeds)
+    n_solves = len(solves)
     got = [
         (r.target_kwh, r.method, r.status, r.loss_kwh, r.delivered_kwh, r.paths_used)
         for r in table.rows
     ]
     assert got == per_call_rows(sc, targets, methods, limit, seeds)
     assert {r.status for r in table.rows if r.target_kwh == targets[-1]} == {"infeasible"}
+    routes, acc, pruned = prepare(sc)
+    s, t = sc.source, sc.destination
+    subsets = {
+        enumerate_bounded(pruned, s, t, acc, sc.network, routes, limit=limit, seed=seed)
+        for seed in seeds
+    } if "II" in methods else set()
+    assert n_solves == len(targets) * (("I" in methods) + len(subsets))
+    if case == "grid4":
+        assert n_solves == 7 * 2  # the 20 seeds draw 7 distinct subsets
 
 
 def test_pruning_leaves_the_live_successor_map_unchanged():
@@ -213,6 +249,57 @@ def test_instance_equals_pinned_functions():
             want = solve_min_loss(LossMinProblem(pathset, sc.params, net, routes, target))
             assert (got.status, got.objective, got.plan) == (want.status, want.objective, want.plan)
         assert inst.greedy(target) == heuristic_min_loss(net, list(routes), sc.params, target, s, t)
+
+
+# grid 4 and grid 47 at the paper's settings, and a random network where
+# limit 10 takes the per-sequence second pass and limit 50 draws every path
+SAMPLED = {
+    "grid4": lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("const", 0.1), seed=4),
+    "grid47": lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("uniform", 0.1, 0.3), seed=47),
+    "random-second-pass": lambda: generate_random(5, 0.3, 4, 20, seed=1),
+}
+
+
+@pytest.mark.parametrize("case", list(SAMPLED))
+def test_samples_from_one_instance_equal_fresh_ones(case):
+    # an instance keeps every path it assembles for a sample and reads the
+    # kept prefix of a sequence before extending it; the samples must not change
+    sc = SAMPLED[case]()
+    inst = Instance(sc)
+    seeds = [*range(8), *reversed(range(8))]
+    for seed in seeds:
+        for limit in (10, 50):
+            assert repr(inst.sample(limit, seed)) == repr(Instance(sc).sample(limit, seed))
+    if case == "random-second-pass":
+        # some sequence gives more than limit // 8 paths, which only the second pass takes
+        widest = max(
+            Counter(p.boundaries for p in inst.sample(10, seed).paths).most_common(1)[0][1]
+            for seed in seeds
+        )
+        assert widest > 10 // 8
+        assert inst.sample(50, 0) == Instance(sc).paths()
+
+
+def test_paths_leave_the_sampler_cache_empty():
+    # a full enumeration streams its paths: only the sampler keeps them
+    inst = Instance(generate_grid(4, 4, 10.0, 60.0, 20, ("uniform", 0.1, 0.3), seed=47))
+    assert len(inst.paths().paths) == 979
+    assert not inst._sampled_paths
+    inst.sample(50, 0)
+    assert inst._sampled_paths
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_enumeration_cap_below_one_is_an_error(cap, small_scenario, tmp_path, capsys):
+    with pytest.raises(DomainError, match="enumeration cap must be at least 1"):
+        Instance(small_scenario).paths(cap)
+    scen, out = tmp_path / "grid.txt", tmp_path / "out.csv"
+    main(["gen-grid", "--seed", "4", "--flow", "const:0.1", "--out", str(scen)])
+    for argv in (["enumerate"], ["solve", "--method", "I", "--target", "50"]):
+        argv = [*argv, "--scenario", str(scen), "--cap", str(cap), "--out", str(out)]
+        assert main(argv) == EXIT_ERROR
+        assert "error: enumeration cap must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def refuse(*args, **kwargs):

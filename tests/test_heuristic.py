@@ -1,6 +1,8 @@
 """Greedy min-cycle heuristic: path picking, commitment, and termination."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import venroute.heuristic as heuristic
 from venroute import (
@@ -11,6 +13,7 @@ from venroute import (
     VehicularRoute,
     build_accessibility_graph,
     generate_corridor,
+    generate_random,
     heuristic_min_loss,
     normalize_routes,
     plan_totals,
@@ -296,3 +299,42 @@ def test_corridor_greedy_matches_reference(target, loss, entries):
     assert res.status == "success"
     assert res.loss_kwh == pytest.approx(loss, rel=1e-6)
     assert res.paths_used == entries
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    density=st.floats(min_value=0.1, max_value=1.0),
+    length_cap=st.integers(min_value=1, max_value=5),
+    route_count=st.integers(min_value=0, max_value=40),
+    seed=st.integers(min_value=0, max_value=10**6),
+    spent=st.integers(min_value=2, max_value=5),
+)
+def test_banded_search_keeps_exactly_the_fewest_hop_dag(
+    n, density, length_cap, route_count, seed, spent
+):
+    # the search from t keeps a junction only at a level that puts it on a
+    # fewest-hop s-t walk; the unbanded search keeps every junction, and the
+    # DAG is read off both distances
+    sc = generate_random(n, density, length_cap, route_count, seed)
+    s, t = sc.source, sc.destination
+    acc = build_accessibility_graph(sc.network, normalize_routes(sc.network, sc.routes))
+    # as the greedy runs, spent routes drop out of the flows it searches
+    every = {rid: r.flow for rid, r in acc.routes.items()}
+    left = {rid: f for k, (rid, f) in enumerate(sorted(every.items())) if k % spent}
+    for flows in (every, left):
+        dist_s = heuristic._levels(acc, flows, s, t, forward=True)
+        if t not in dist_s:
+            assert heuristic._shortest_dag(acc, flows, s, t) is None
+            continue
+        hops = dist_s[t]
+        dist_t = heuristic._levels(acc, flows, t, s, forward=False)
+        want = {j: d for j, d in dist_s.items() if dist_t.get(j, hops + 1) + d == hops}
+        banded = heuristic._levels(acc, flows, t, s, forward=False, band=dist_s)
+        got = {j: d for j, d in dist_s.items() if j in banded}
+        assert list(got.items()) == list(want.items())
+        assert banded == {j: dist_t[j] for j in want}
+        segments = acc.climbing_index_sets(want, flows)
+        assert heuristic._shortest_dag(acc, flows, s, t) == (
+            segments, heuristic.adjacency(segments), dist_s
+        )

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from venroute import (
     ConsistencyError,
     DomainError,
+    EnergyParams,
     EnergyPath,
     EnumerationCapError,
     Instance,
+    Scenario,
     StructuralError,
     VehicularNetwork,
     VehicularRoute,
@@ -236,6 +238,13 @@ class TestExpansion:
                 n_paths(seqs, bad, network, norm)
         with pytest.raises(StructuralError):
             enumerate_bounded(acc.arcs, "s", "t", bad, network, norm, limit=10, seed=0)
+        # an instance keeps no half-built entry for a sequence that failed: every sample raises
+        params = EnergyParams(packet_kwh=1.0, charge_eff=0.9, discharge_eff=1.0, window_s=18000.0)
+        inst = Instance(Scenario("chain", 0, network, norm, params, "s", "t"))
+        inst.accessibility = bad
+        for seed in (0, 0, 1):
+            with pytest.raises(StructuralError):
+                inst.sample(10, seed)
 
     def test_multi_route_arcs_multiply(self):
         # two routes realize the same accessibility arc -> two paths per hop choice

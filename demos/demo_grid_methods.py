@@ -13,23 +13,20 @@ Run it from the repository root:
 """
 
 import venroute as v
-from venroute.experiments import prepare
 
 # ---------------------------------------------------------------------------
 # A grid where every route carries the same flow. With uniform flows the
 # optimum is simple to reason about: every delivered kWh should ride a
 # minimum-cycle path, so the loss ratio is exactly 1/z^c - 1 for the
-# smallest cycle count c available.
+# smallest cycle count c available. An Instance derives what the three
+# methods share (routes, accessibility graph, successors) once.
 # ---------------------------------------------------------------------------
 scenario = v.generate_grid(
     rows=4, cols=4, arc_length_km=10.0, speed_kmh=60.0,
     route_count=20, flow_spec=("const", 0.1), seed=4,
 )
-routes, accessibility, pruned = prepare(scenario)
-paths = v.enumerate_paths(
-    pruned, scenario.source, scenario.destination,
-    accessibility, scenario.network, routes,
-)
+inst = v.Instance(scenario)
+paths = inst.paths()
 min_cycles = min(p.cycles for p in paths.paths)
 print(f"scenario: {scenario.name}, {len(scenario.network.junctions)} junctions")
 print(f"energy paths {scenario.source} -> {scenario.destination}: {len(paths.paths)}")
@@ -38,36 +35,22 @@ print(f"best possible loss ratio: {1 / scenario.params.efficiency**min_cycles - 
 print()
 
 # ---------------------------------------------------------------------------
-# Solve for a 200 kWh target with each method.
+# Solve for a 200 kWh target with each method. Methods I and II assemble the
+# LP of a path set once; the LP then solves itself at any target.
 # ---------------------------------------------------------------------------
 target = 200.0
 
-problem = v.LossMinProblem(
-    paths=paths, params=scenario.params, network=scenario.network,
-    routes=tuple(routes), target_kwh=target,
-)
-full = v.solve_min_loss(problem)
+full = inst.lp(paths).solve(target)
 _, full_loss = v.plan_totals(full.plan)
 print(f"method I   (full LP):     status={full.status}, loss={full_loss:.4f} kWh")
 
-subset = v.enumerate_bounded(
-    pruned, scenario.source, scenario.destination,
-    accessibility, scenario.network, routes, limit=10, seed=0,
-)
-sampled = v.solve_min_loss(
-    v.LossMinProblem(
-        paths=subset, params=scenario.params, network=scenario.network,
-        routes=tuple(routes), target_kwh=target,
-    )
-)
+subset = inst.sample(limit=10, seed=0)
+sampled = inst.lp(subset).solve(target)
 _, sampled_loss = v.plan_totals(sampled.plan)
 print(f"method II  (sampled LP):  status={sampled.status}, loss={sampled_loss:.4f} kWh "
       f"({len(subset.paths)} of {len(paths.paths)} paths)")
 
-greedy = v.heuristic_min_loss(
-    scenario.network, list(routes), scenario.params,
-    target, scenario.source, scenario.destination,
-)
+greedy = inst.greedy(target)
 print(f"method III (greedy):      status={greedy.status}, loss={greedy.loss_kwh:.4f} kWh, "
       f"{greedy.paths_used} paths used")
 print()
@@ -78,26 +61,16 @@ print()
 # changes — the greedy commits to whole paths and starts paying for it.
 # Seed 47 with non-uniform flows shows all three regimes.
 # ---------------------------------------------------------------------------
-varied = v.generate_grid(
+varied = v.Instance(v.generate_grid(
     rows=4, cols=4, arc_length_km=10.0, speed_kmh=60.0,
     route_count=20, flow_spec=("uniform", 0.1, 0.3), seed=47,
-)
-vroutes, vacc, vpruned = prepare(varied)
-vpaths = v.enumerate_paths(
-    vpruned, varied.source, varied.destination, vacc, varied.network, vroutes,
-)
+))
+vpaths = varied.paths()
 print(f"non-uniform scenario: {len(vpaths.paths)} paths")
+vlp = varied.lp(vpaths)  # one LP for the whole sweep
 for target in (500.0, 2457.0, 2900.0):
-    sol = v.solve_min_loss(
-        v.LossMinProblem(
-            paths=vpaths, params=varied.params, network=varied.network,
-            routes=tuple(vroutes), target_kwh=target,
-        )
-    )
-    h = v.heuristic_min_loss(
-        varied.network, list(vroutes), varied.params,
-        target, varied.source, varied.destination,
-    )
+    sol = vlp.solve(target)
+    h = varied.greedy(target)
     lp_loss = v.plan_totals(sol.plan)[1] if sol.status == "optimal" else float("nan")
     print(f"  target {target:7.1f} kWh: LP {sol.status:>10} loss={lp_loss:9.4f} | "
           f"greedy {h.status:>10} loss={h.loss_kwh:9.4f}")

@@ -26,8 +26,6 @@ print()
 # The bound is exact when every junction can reach every other directly:
 # a complete accessibility digraph on n junctions has f(n-1) paths.
 # ---------------------------------------------------------------------------
-from venroute.network import build_accessibility_graph, normalize_routes, prune_unreachable
-
 for n in (4, 5, 6):
     junctions = [f"n{k}" for k in range(n)]
     arcs, routes = [], []
@@ -37,11 +35,12 @@ for n in (4, 5, 6):
                 arc_id = f"a_{i}_{j}"
                 arcs.append((arc_id, i, j, 60.0))
                 routes.append(v.VehicularRoute(f"r_{i}_{j}", (arc_id,), 0.1))
-    network = v.VehicularNetwork.build(junctions, arcs)
-    norm = normalize_routes(network, tuple(routes))
-    acc = build_accessibility_graph(network, norm)
-    pruned, _ = prune_unreachable(network, acc, junctions[-1])
-    seqs = v.enumerate_sequences(pruned, junctions[0], junctions[-1])
+    inst = v.Instance(v.Scenario(
+        name=f"complete-{n}", seed=0, network=v.VehicularNetwork.build(junctions, arcs),
+        routes=tuple(routes), params=v.EnergyParams(1.0, 0.9, 1.0, 18000.0),
+        source=junctions[0], destination=junctions[-1],
+    ))
+    seqs = v.enumerate_sequences(inst.accessibility.arcs, junctions[0], junctions[-1])
     print(f"complete digraph on {n} junctions: {len(seqs)} sequences == f({n - 1}) = {v.f_bound(n - 1)}")
 print()
 

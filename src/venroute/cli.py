@@ -13,7 +13,7 @@ import sys
 from .energy import plan_totals
 from .errors import VenError
 from .experiments import Instance, run_compare, run_growth
-from .pathenum import DEFAULT_CAP
+from .pathenum import DEFAULT_CAP, _at_least_one
 from .scenario_io import load_scenario, save_scenario
 from .scenarios import generate_grid, generate_random
 
@@ -105,6 +105,7 @@ def _cmd_gen_random(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    _at_least_one(args.cap, "enumeration cap")  # also when --limit leaves it unread
     inst = Instance(load_scenario(args.scenario))
     bounded = args.limit is not None
     pathset = inst.sample(args.limit, args.seed) if bounded else inst.paths(args.cap)
@@ -113,6 +114,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    _at_least_one(args.cap, "enumeration cap")  # both, whichever the method reads
+    _at_least_one(args.subset_limit, "limit")
     sc = load_scenario(args.scenario)
     target = args.target if args.target is not None else sc.target_kwh
     if target is None:
@@ -125,7 +128,7 @@ def _cmd_solve(args) -> int:
         return EXIT_OK if result.status == "success" else EXIT_INFEASIBLE
     exact = args.method == "I"  # else method II
     pathset = inst.paths(args.cap) if exact else inst.sample(args.subset_limit, args.seed)
-    sol = inst.solve(inst.lp(pathset), target)
+    sol = inst.lp(pathset).solve(target)
     if sol.status != "optimal":
         _write(args.out, "status,infeasible\n")
         return EXIT_INFEASIBLE

@@ -146,6 +146,11 @@ def build_energy_path(
     return path
 
 
+def check_target(target_kwh: float) -> None:
+    if not (0.0 <= target_kwh < math.inf):
+        raise DomainError("energy target must be finite and nonnegative")
+
+
 def window_cap(path: EnergyPath, params: EnergyParams) -> float:
     """Capacity coefficient (T - d) z^|p| multiplying the rate.
 

@@ -8,9 +8,10 @@ arc-flow table; the greedy's trajectory; and each junction sequence's
 sampled energy paths, as far as any sample has read them (a full enumeration
 streams and keeps none). ``run_compare``, ``run_growth`` and the ``ven``
 commands call only its methods, so a sweep shares these across every subset
-seed and target. No method derives the accessibility
-arcs: only ``prepare`` and ``run_growth`` do. No arcs are pruned: both
-enumerators keep only junctions that reach t over arcs, which follow roads.
+seed and target; the LP of a path set solves itself at any target. No
+method derives the accessibility arcs: only ``prepare`` and ``run_growth``
+do. No arcs are pruned: both enumerators keep only junctions that reach t
+over arcs, which follow roads.
 The greedy's picks do not depend on the target, so every target's plan is a
 prefix of one trajectory, extended only when a target needs more paths.
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 import io
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -46,6 +47,7 @@ from .network import _incidence, _walk_routes, arc_flow_table, prune_unreachable
 from .pathenum import (
     DEFAULT_CAP,
     PathSet,
+    _at_least_one,
     _expand,
     _PathCache,
     _sample_bounded,
@@ -55,7 +57,7 @@ from .pathenum import (
     count_paths,
     enumerate_sequences,
 )
-from .rateopt import LossMinProblem, LpSolution, _assemble, _lp_backend, _retarget, _solve
+from .rateopt import LpInstance, _assemble, _lp_backend
 from .scenarios import Scenario, generate_random
 
 METHODS = ("I", "II", "III")
@@ -102,8 +104,7 @@ class Instance:
 
     def paths(self, cap: int = DEFAULT_CAP) -> PathSet:
         """The full energy-path set (method I)."""
-        if cap < 1:
-            raise DomainError("enumeration cap must be at least 1")
+        _at_least_one(cap, "enumeration cap")
         succ, _hops = self.live_successors
         sequences = _sequences(succ, self.scenario.source, self.scenario.destination, cap)
         return _expand(sequences, self.span_table, cap)
@@ -114,17 +115,9 @@ class Instance:
         s, t = self.scenario.source, self.scenario.destination
         return _sample_bounded(succ, hops, self._sampled_paths, s, t, limit, seed)
 
-    def lp(self, pathset: PathSet):
-        """The path set's problem at target 0 and its LP (None without paths)."""
-        sc = self.scenario
-        problem = LossMinProblem(pathset, sc.params, sc.network, self.routes, 0.0)
-        return problem, _assemble(problem, self.arc_flows) if pathset.paths else None
-
-    def solve(self, lp, target: float) -> LpSolution:
-        """The min-loss plan at one energy target of what ``lp`` returned."""
-        problem, assembled = lp
-        assembled = None if assembled is None else _retarget(assembled, target)
-        return _solve(replace(problem, target_kwh=target), assembled)
+    def lp(self, pathset: PathSet) -> LpInstance:
+        """The path set's LP, which solves itself at any energy target (methods I and II)."""
+        return _assemble(pathset, self.scenario.params, self.arc_flows)
 
     @cached_property
     def _trajectory(self):
@@ -198,7 +191,8 @@ def run_compare(
     recorded in their row and never abort the sweep. A malformed sweep raises
     DomainError before any work: no, unknown or repeated methods or targets,
     a negative or non-finite target, no or repeated seeds for method II, a
-    limit or cap below 1. One ``Instance`` derives what the methods share.
+    limit or cap below 1, whether or not a requested method reads it. One
+    ``Instance`` derives what the methods share.
     """
     if not methods or len(set(methods)) < len(methods) or not set(methods) <= set(METHODS):
         raise DomainError(f"methods must be distinct ones of {list(METHODS)}, got {list(methods)}")
@@ -206,13 +200,10 @@ def run_compare(
         raise DomainError("no energy targets")
     if not all(0.0 <= x < math.inf for x in targets) or len(set(targets)) < len(targets):
         raise DomainError(f"targets must be distinct, finite and nonnegative, got {list(targets)}")
-    if "II" in methods:
-        if not subset_seeds or len(set(subset_seeds)) < len(subset_seeds):
-            raise DomainError(f"method II needs distinct subset seeds, got {list(subset_seeds)}")
-        if subset_limit < 1:
-            raise DomainError("limit must be at least 1")
-    if enumeration_cap < 1:
-        raise DomainError("enumeration cap must be at least 1")
+    if "II" in methods and (not subset_seeds or len(set(subset_seeds)) < len(subset_seeds)):
+        raise DomainError(f"method II needs distinct subset seeds, got {list(subset_seeds)}")
+    _at_least_one(subset_limit, "limit")  # checked whether or not a method reads it
+    _at_least_one(enumeration_cap, "enumeration cap")
     rows: list[ResultRow] = []
     inst = Instance(scenario)
     inst.accessibility  # normalization and the incidence build stay outside every row
@@ -251,7 +242,7 @@ def run_compare(
                 )
             else:
                 t0 = time.perf_counter()
-                sol = inst.solve(full, target)
+                sol = full.solve(target)
                 totals = None
                 if sol.status == "optimal":
                     delivered, loss = plan_totals(sol.plan)
@@ -263,11 +254,11 @@ def run_compare(
             t0 = time.perf_counter()
             per_subset = []  # (loss, delivered, paths) of each subset, None without a plan
             for lp in subsets:
-                sol = inst.solve(lp, target)
+                sol = lp.solve(target)
                 totals = None
                 if sol.status == "optimal":
                     delivered, loss = plan_totals(sol.plan)
-                    totals = (loss, delivered, len(lp[0].paths.paths))
+                    totals = (loss, delivered, len(lp.paths.paths))
                 per_subset.append(totals)
             # every seed counts, in seed order, so the sums are those of one solve per seed
             solved = [per_subset[k] for k in which if per_subset[k] is not None]
@@ -304,10 +295,8 @@ def run_growth(
     summary as comment lines. ``n_values`` and ``density_grid`` must be
     non-empty and strictly increasing, since the trends compare neighbours.
     """
-    if instances_per_cell < 1:
-        raise DomainError("instances per cell must be at least 1")
-    if enumeration_cap < 1:
-        raise DomainError("enumeration cap must be at least 1")
+    _at_least_one(instances_per_cell, "instances per cell")
+    _at_least_one(enumeration_cap, "enumeration cap")
     if not all(math.isfinite(d) for d in density_grid):
         raise DomainError(f"densities must be finite, got {list(density_grid)}")
     for name, grid in (("n_values", n_values), ("density_grid", density_grid)):

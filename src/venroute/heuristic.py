@@ -12,7 +12,6 @@ final path carries only the residual energy at a reduced rate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Collection, Mapping, Sequence
@@ -22,6 +21,7 @@ from .energy import (
     PlanEntry,
     TransmissionPlan,
     build_energy_path,
+    check_target,
     make_plan,
     plan_totals,
     window_cap,
@@ -320,8 +320,7 @@ class _Trajectory:
 
     def result(self, target_kwh: float) -> HeuristicResult:
         """The greedy's plan at one energy target."""
-        if not (0.0 <= target_kwh < math.inf):
-            raise DomainError("energy target must be finite and nonnegative")
+        check_target(target_kwh)
         s, t, network = self._s, self._t, self._network
         if s == t or s not in network.junctions or t not in network.junctions:
             raise DomainError("source and destination must be distinct junctions")

@@ -43,6 +43,12 @@ from .network import (
 
 DEFAULT_CAP = 10**6
 
+
+def _at_least_one(value: int, name: str) -> None:
+    if value < 1:
+        raise DomainError(f"{name} must be at least 1")
+
+
 # (boundary junctions, route ids): equal to EnergyPath.sort_key() of the path
 PathKey = tuple[JunctionSequence, tuple[RouteId, ...]]
 
@@ -455,8 +461,7 @@ def _sample_bounded(
     ``[]``, and the paths of each sequence, which depend only on the scenario:
     a sweep shares them across seeds.
     """
-    if limit < 1:
-        raise DomainError("limit must be at least 1")
+    _at_least_one(limit, "limit")
     if s == t:
         raise DomainError("source and destination must differ")
     rng = random.Random(seed)

@@ -5,7 +5,8 @@ total conversion loss. Each rate g_j is bounded by w times the path's
 bottleneck flow, the least EV flow of the routes it rides. The rows, in
 order, cap x_j by the window capacity at rate g_j, cap the aggregate rate
 per road arc by its total flow, and require the delivered total to meet the
-energy target.
+energy target. An assembled ``LpInstance`` solves itself at any target, so
+one assembly serves a sweep.
 
 Each LP is one cold call to HiGHS's dual simplex (Huangfu & Hall 2018) through
 SciPy's own binding ``scipy.optimize._highspy._core``, there from SciPy 1.15.
@@ -22,15 +23,14 @@ import never lands inside a ``--timings`` row.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import TYPE_CHECKING, Mapping
 
-from .energy import EnergyParams, PlanEntry, TransmissionPlan, loss_ratio, make_plan
+from .energy import EnergyParams, PlanEntry, TransmissionPlan, check_target, loss_ratio, make_plan
 from .energy import window_cap as _window_cap
-from .errors import ConsistencyError, DomainError, SolverError
+from .errors import ConsistencyError, SolverError
 from .network import ArcId, VehicularNetwork, VehicularRoute, arc_flow_table
 from .pathenum import PathSet
 
@@ -69,23 +69,7 @@ class LossMinProblem:
     target_kwh: float
 
     def __post_init__(self):
-        if not (0.0 <= self.target_kwh < math.inf):
-            raise DomainError("energy target must be finite and nonnegative")
-
-
-@dataclass(frozen=True)
-class LpInstance:
-    """Assembled LP: minimize c @ v s.t. A_ub @ v <= b_ub, 0 <= v <= upper.
-
-    Variables are ordered [x_0..x_{m-1}, g_0..g_{m-1}]; rows are ordered
-    window caps (one per path), shared road arcs (sorted by arc id), target.
-    ``upper`` holds inf where a variable has no upper bound.
-    """
-
-    c: np.ndarray
-    a_ub: sparse.csc_matrix
-    b_ub: np.ndarray
-    upper: np.ndarray
+        check_target(self.target_kwh)
 
 
 @dataclass(frozen=True)
@@ -96,16 +80,76 @@ class LpSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class LpInstance:
+    """Assembled LP of a path set: minimize c @ v s.t. A_ub @ v <= b_ub, 0 <= v <= upper.
+
+    Variables are ordered [x_0..x_{m-1}, g_0..g_{m-1}]; rows are ordered
+    window caps (one per path), shared road arcs (sorted by arc id), target.
+    ``upper`` holds inf where a variable has no upper bound.
+    """
+
+    paths: PathSet
+    params: EnergyParams
+    c: np.ndarray
+    a_ub: sparse.csc_matrix
+    b_ub: np.ndarray
+    upper: np.ndarray
+
+    def solve(self, target_kwh: float) -> LpSolution:
+        """The min-loss plan at one energy target; infeasibility is a verdict, not an error.
+
+        Only the target row's bound is set, on a copy: the LP never changes. A
+        solver point that violates a row or a rate bound by more than
+        ``RESIDUAL_TOL`` times max(1, target) raises ConsistencyError.
+        """
+        check_target(target_kwh)
+        paths = self.paths.paths
+        if not paths:
+            if target_kwh <= 0.0:
+                plan = make_plan([], self.params)
+                return LpSolution("optimal", plan, 0.0, {"iterations": 0})
+            return LpSolution("infeasible", None, None, {})
+        b_ub = self.b_ub.copy()
+        b_ub[-1] = -target_kwh
+        lp = replace(self, b_ub=b_ub)
+        t0 = time.perf_counter()
+        status, x, iterations = _run_highs(lp.c, lp)
+        elapsed = time.perf_counter() - t0
+        if status == "infeasible":
+            return LpSolution("infeasible", None, None, {"solve_s": elapsed})
+        m = len(paths)
+        residual = max((lp.a_ub @ x - b_ub).max(), (x[m:] - lp.upper[m:]).max(), 0.0)
+        if residual > RESIDUAL_TOL * max(1.0, target_kwh):
+            raise ConsistencyError(f"LP solution violates its constraints by {residual:.3g}")
+
+        entries = [
+            PlanEntry(path=p, rate=max(0.0, float(x[m + j])), delivered_kwh=max(0.0, float(x[j])))
+            for j, p in enumerate(paths)
+        ]
+        plan = make_plan(entries, self.params)
+        diagnostics = {
+            "iterations": iterations,
+            "max_residual": float(residual),
+            "solve_s": elapsed,
+        }
+        return LpSolution("optimal", plan, float(lp.c @ x), diagnostics)
+
+
 def build_lp(problem: LossMinProblem) -> LpInstance:
     """Assemble the LP; rows are ordered window caps, shared road arcs, target."""
-    return _assemble(problem, arc_flow_table(problem.routes))
+    return _assemble(
+        problem.paths, problem.params, arc_flow_table(problem.routes), problem.target_kwh
+    )
 
 
-def _assemble(problem: LossMinProblem, arc_flows: Mapping[ArcId, float]) -> LpInstance:
-    """``build_lp`` given the arc-flow table of the problem's routes."""
+def _assemble(
+    pathset: PathSet, params: EnergyParams, arc_flows: Mapping[ArcId, float],
+    target_kwh: float = 0.0,
+) -> LpInstance:
+    """The LP of ``pathset`` given the arc-flow table of its scenario's routes."""
     np, sparse, highs, _options = _lp_backend()
-    paths = problem.paths.paths
-    params = problem.params
+    paths = pathset.paths
     w = params.packet_kwh
     m = len(paths)
     cols = np.arange(m)
@@ -134,7 +178,7 @@ def _assemble(problem: LossMinProblem, arc_flows: Mapping[ArcId, float]) -> LpIn
     b_ub = np.concatenate([
         np.zeros(m),
         [arc_flows.get(a, 0.0) for a in used_arcs],
-        [-problem.target_kwh],
+        [-target_kwh],
     ])
 
     # paths past the window carry nothing, but stay in the instance; a rate
@@ -143,14 +187,7 @@ def _assemble(problem: LossMinProblem, arc_flows: Mapping[ArcId, float]) -> LpIn
         np.where(caps == 0.0, 0.0, highs.kHighsInf),
         [w * p.bottleneck_flow for p in paths],
     ])
-    return LpInstance(c=c, a_ub=a_ub, b_ub=b_ub, upper=upper)
-
-
-def _retarget(lp: LpInstance, target_kwh: float) -> LpInstance:
-    """The same LP for another energy target: only the target row's bound changes."""
-    b_ub = lp.b_ub.copy()
-    b_ub[-1] = -target_kwh
-    return replace(lp, b_ub=b_ub)
+    return LpInstance(pathset, params, c=c, a_ub=a_ub, b_ub=b_ub, upper=upper)
 
 
 def _run_highs(c, lp: LpInstance) -> tuple[str, np.ndarray | None, int]:
@@ -183,42 +220,7 @@ def _run_highs(c, lp: LpInstance) -> tuple[str, np.ndarray | None, int]:
 
 def solve_min_loss(problem: LossMinProblem) -> LpSolution:
     """Solve the loss-minimization LP; infeasibility is a verdict, not an error."""
-    return _solve(problem, build_lp(problem) if problem.paths.paths else None)
-
-
-def _solve(problem: LossMinProblem, lp: LpInstance | None) -> LpSolution:
-    """``solve_min_loss`` over ``lp``, the problem's LP as assembled (None without paths).
-
-    A solver point that violates a row or a rate bound by more than
-    ``RESIDUAL_TOL`` times max(1, target) raises ConsistencyError.
-    """
-    paths = problem.paths.paths
-    if not paths:
-        if problem.target_kwh <= 0.0:
-            plan = make_plan([], problem.params)
-            return LpSolution("optimal", plan, 0.0, {"iterations": 0})
-        return LpSolution("infeasible", None, None, {})
-    t0 = time.perf_counter()
-    status, x, iterations = _run_highs(lp.c, lp)
-    elapsed = time.perf_counter() - t0
-    if status == "infeasible":
-        return LpSolution("infeasible", None, None, {"solve_s": elapsed})
-    m = len(paths)
-    residual = max((lp.a_ub @ x - lp.b_ub).max(), (x[m:] - lp.upper[m:]).max(), 0.0)
-    if residual > RESIDUAL_TOL * max(1.0, problem.target_kwh):
-        raise ConsistencyError(f"LP solution violates its constraints by {residual:.3g}")
-
-    entries = [
-        PlanEntry(path=p, rate=max(0.0, float(x[m + j])), delivered_kwh=max(0.0, float(x[j])))
-        for j, p in enumerate(paths)
-    ]
-    plan = make_plan(entries, problem.params)
-    diagnostics = {
-        "iterations": iterations,
-        "max_residual": float(residual),
-        "solve_s": elapsed,
-    }
-    return LpSolution("optimal", plan, float(lp.c @ x), diagnostics)
+    return build_lp(problem).solve(problem.target_kwh)
 
 
 def max_deliverable(problem: LossMinProblem) -> float:
@@ -227,7 +229,7 @@ def max_deliverable(problem: LossMinProblem) -> float:
     if not paths:
         return 0.0
     np = _lp_backend()[0]
-    lp = build_lp(replace(problem, target_kwh=0.0))
+    lp = _assemble(problem.paths, problem.params, arc_flow_table(problem.routes))
     goal = np.zeros(2 * len(paths))
     goal[: len(paths)] = -1.0
     status, x, _ = _run_highs(goal, lp)

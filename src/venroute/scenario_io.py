@@ -16,10 +16,9 @@ re-saving a loaded file is byte-identical.
 from __future__ import annotations
 
 import io
-from typing import TextIO
 
-from .energy import EnergyParams
-from .errors import ScenarioFormatError
+from .energy import EnergyParams, check_target
+from .errors import DomainError, ScenarioFormatError
 from .network import VehicularNetwork, VehicularRoute
 from .scenarios import Scenario
 
@@ -67,19 +66,28 @@ def _fail(lineno: int, message: str):
     raise ScenarioFormatError(f"line {lineno}: {message}")
 
 
-def _kv(token: str, lineno: int) -> tuple[str, str]:
-    if "=" not in token:
-        _fail(lineno, f"expected key=value, got {token!r}")
-    key, _, value = token.partition("=")
-    return key.strip(), value.strip()
+def _fields(tokens: list[str], lineno: int) -> dict[str, str]:
+    """The key=value tokens of an arc or route line, each key at most once."""
+    fields: dict[str, str] = {}
+    for tok in tokens:
+        key, eq, value = tok.partition("=")
+        if not eq:
+            _fail(lineno, f"expected key=value, got {tok!r}")
+        if key in fields:
+            _fail(lineno, f"repeated field {key}=")
+        fields[key] = value
+    return fields
+
+
+# the key = value sections, each with its required keys
+_KEYED = {"meta": ("name", "seed"), "params": ("w_kwh", "zc", "zd", "T_s"), "endpoints": ("s", "t")}
 
 
 def loads_scenario(text: str) -> Scenario:
     section = None
-    meta: dict[str, str] = {}
-    params: dict[str, str] = {}
-    endpoints: dict[str, str] = {}
-    junctions: list[str] = []
+    keyed: dict[str, dict[str, str]] = {name: {} for name in _KEYED}
+    junctions: set[str] = set()
+    target = None
     arcs: list[tuple[str, str, str, float]] = []
     routes: list[VehicularRoute] = []
 
@@ -89,28 +97,36 @@ def loads_scenario(text: str) -> Scenario:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1]
-            if section not in ("meta", "params", "endpoints", "junctions", "arcs", "routes"):
+            if section not in (*_KEYED, "junctions", "arcs", "routes"):
                 _fail(lineno, f"unknown section [{section}]")
             continue
         if section is None:
             _fail(lineno, "content before any section header")
-        if section in ("meta", "params", "endpoints"):
-            if "=" not in line:
+        if section in keyed:
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq:
                 _fail(lineno, f"expected key = value in [{section}]")
-            key, _, value = line.partition("=")
-            {"meta": meta, "params": params, "endpoints": endpoints}[section][
-                key.strip()
-            ] = value.strip()
+            if key in keyed[section]:
+                _fail(lineno, f"repeated key {key!r} in [{section}]")
+            keyed[section][key] = value
+            if section == "endpoints" and key == "x_target_kwh":
+                try:
+                    target = float(value)
+                    check_target(target)
+                except (ValueError, DomainError):
+                    _fail(lineno, f"x_target_kwh is not a finite, nonnegative number: {value!r}")
         elif section == "junctions":
             if len(line.split()) != 1:
                 _fail(lineno, "one junction id per line")
-            junctions.append(line)
+            if line in junctions:
+                _fail(lineno, f"repeated junction {line!r}")
+            junctions.add(line)
         elif section == "arcs":
             tokens = line.split()
             if len(tokens) < 4:
                 _fail(lineno, "arc needs: id tail head delay_s=... (or length/speed)")
             aid, tail, head = tokens[:3]
-            fields = dict(_kv(tok, lineno) for tok in tokens[3:])
+            fields = _fields(tokens[3:], lineno)
             try:
                 if "delay_s" in fields:
                     delay = float(fields["delay_s"])
@@ -126,7 +142,7 @@ def loads_scenario(text: str) -> Scenario:
             if len(tokens) < 3:
                 _fail(lineno, "route needs: id flow_ev_per_s=... arcs=...")
             rid = tokens[0]
-            fields = dict(_kv(tok, lineno) for tok in tokens[1:])
+            fields = _fields(tokens[1:], lineno)
             if "flow_ev_per_s" not in fields or "arcs" not in fields:
                 _fail(lineno, "route needs flow_ev_per_s and arcs fields")
             try:
@@ -138,15 +154,11 @@ def loads_scenario(text: str) -> Scenario:
                 _fail(lineno, "route has no arcs")
             routes.append(VehicularRoute(rid, route_arcs, flow))
 
-    for key in ("name", "seed"):
-        if key not in meta:
-            raise ScenarioFormatError(f"[meta] missing field {key!r}")
-    for key in ("w_kwh", "zc", "zd", "T_s"):
-        if key not in params:
-            raise ScenarioFormatError(f"[params] missing field {key!r}")
-    for key in ("s", "t"):
-        if key not in endpoints:
-            raise ScenarioFormatError(f"[endpoints] missing field {key!r}")
+    for name, keys in _KEYED.items():
+        for key in keys:
+            if key not in keyed[name]:
+                raise ScenarioFormatError(f"[{name}] missing field {key!r}")
+    meta, params, endpoints = (keyed[name] for name in _KEYED)
 
     try:
         eparams = EnergyParams(
@@ -160,7 +172,6 @@ def loads_scenario(text: str) -> Scenario:
         raise ScenarioFormatError(f"bad numeric field: {exc}") from None
 
     network = VehicularNetwork.build(junctions, arcs)
-    target = endpoints.get("x_target_kwh")
     return Scenario(
         name=meta["name"],
         seed=seed,
@@ -169,5 +180,5 @@ def loads_scenario(text: str) -> Scenario:
         params=eparams,
         source=endpoints["s"],
         destination=endpoints["t"],
-        target_kwh=float(target) if target is not None else None,
+        target_kwh=target,
     )

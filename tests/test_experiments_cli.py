@@ -100,12 +100,17 @@ class TestRunCompare:
         (dict(subset_limit=0), ["--subset-limit", "0"]),
         (dict(enumeration_cap=0), ["--cap", "0"]),
         (dict(enumeration_cap=-1, methods=("I",)), ["--cap", "-1", "--methods", "I"]),
+        # a knob is checked whether or not a requested method reads it
+        (dict(subset_limit=0, methods=("III",)), ["--subset-limit", "0", "--methods", "III"]),
+        (dict(subset_limit=-2, methods=("I",)), ["--subset-limit", "-2", "--methods", "I"]),
+        (dict(enumeration_cap=0, methods=("II", "III")), ["--cap", "0", "--methods", "II,III"]),
     ],
     ids=[
         "unknown", "one-unknown", "repeated", "no-methods", "no-targets", "no-subset-seeds",
         "negative-target", "nan-target", "inf-target", "repeated-target",
         "repeated-target-method-iii", "repeated-subset-seed", "zero-subset-limit", "zero-cap",
-        "negative-cap",
+        "negative-cap", "zero-subset-limit-method-iii", "negative-subset-limit-method-i",
+        "zero-cap-methods-ii-iii",
     ],
 )
 def test_malformed_sweep_is_an_error(kwargs, argv, small_scenario, tmp_path, capsys, monkeypatch):
@@ -245,7 +250,7 @@ def test_instance_equals_pinned_functions():
         pathsets.append(subset)
     for target in (1.0, 500.0, 2457.0, 2900.0, 1e5):
         for pathset in pathsets:
-            got = inst.solve(inst.lp(pathset), target)
+            got = inst.lp(pathset).solve(target)
             want = solve_min_loss(LossMinProblem(pathset, sc.params, net, routes, target))
             assert (got.status, got.objective, got.plan) == (want.status, want.objective, want.plan)
         assert inst.greedy(target) == heuristic_min_loss(net, list(routes), sc.params, target, s, t)
@@ -300,6 +305,33 @@ def test_enumeration_cap_below_one_is_an_error(cap, small_scenario, tmp_path, ca
         assert main(argv) == EXIT_ERROR
         assert "error: enumeration cap must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enumerate", "--limit", "10", "--cap", "0"], "enumeration cap must be at least 1"),
+        (["enumerate", "--limit", "0"], "limit must be at least 1"),
+        (["solve", "--method", "III", "--target", "5", "--cap", "-3"],
+         "enumeration cap must be at least 1"),
+        (["solve", "--method", "II", "--target", "5", "--cap", "0"],
+         "enumeration cap must be at least 1"),
+        (["solve", "--method", "I", "--target", "5", "--subset-limit", "0"],
+         "limit must be at least 1"),
+        (["solve", "--method", "III", "--target", "5", "--subset-limit", "-1"],
+         "limit must be at least 1"),
+    ],
+    ids=[
+        "enumerate-limit-cap-0", "enumerate-limit-0", "solve-iii-cap-negative", "solve-ii-cap-0",
+        "solve-i-subset-limit-0", "solve-iii-subset-limit-negative",
+    ],
+)
+def test_knob_below_one_is_an_error_whether_or_not_it_is_read(argv, message, tmp_path, capsys):
+    scen, out = tmp_path / "grid.txt", tmp_path / "out.csv"
+    main(["gen-grid", "--seed", "4", "--flow", "const:0.1", "--out", str(scen)])
+    assert main([*argv, "--scenario", str(scen), "--out", str(out)]) == EXIT_ERROR
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def refuse(*args, **kwargs):

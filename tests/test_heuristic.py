@@ -1,5 +1,7 @@
 """Greedy min-cycle heuristic: path picking, commitment, and termination."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ import venroute.heuristic as heuristic
 from venroute import (
     DomainError,
     EnergyParams,
+    Instance,
     StructuralError,
     VehicularNetwork,
     VehicularRoute,
@@ -338,3 +341,45 @@ def test_banded_search_keeps_exactly_the_fewest_hop_dag(
         assert heuristic._shortest_dag(acc, flows, s, t) == (
             segments, heuristic.adjacency(segments), dist_s
         )
+
+
+@pytest.mark.parametrize("seed", [74, 285, 329, 335, 340])
+def test_fallback_picks_the_widest_workable_fewest_hop_sequence(seed, monkeypatch):
+    # the widest fewest-hop sequence has no route-distinct assignment, and
+    # another fewest-hop sequence has one: the pick must be the widest
+    # workable sequence (ties to the first in order), as a brute force finds
+    sc = generate_random(8, 0.4, 4, 20, seed=seed)
+    pick, scan = heuristic._pick_path, heuristic._all_min_hop_sequences
+    calls = []
+
+    def spy_pick(acc, flows, s, t):
+        calls.append({"args": (acc, dict(flows), s, t), "fallback": False})
+        calls[-1]["picked"] = pick(acc, flows, s, t)
+        return calls[-1]["picked"]
+
+    def spy_scan(dag, s, t, cap):
+        calls[-1]["fallback"] = True
+        return scan(dag, s, t, cap)
+
+    monkeypatch.setattr(heuristic, "_pick_path", spy_pick)
+    monkeypatch.setattr(heuristic, "_all_min_hop_sequences", spy_scan)
+    Instance(sc).greedy(1e6)
+    rescued = [c for c in calls if c["fallback"] and not isinstance(c["picked"], str)]
+    assert rescued
+    for call in rescued:
+        acc, flows, s, t = call["args"]
+        segments, dag, _ = heuristic._shortest_dag(acc, flows, s, t)
+        seqs, capped = scan(dag, s, t, 10**6)
+        assert not capped
+        workable = [
+            (min(flows[rid] for rid in combo), seq)
+            for seq in seqs
+            for combo in itertools.product(*(segments[hop] for hop in zip(seq, seq[1:])))
+            if len(set(combo)) == len(combo)
+        ]
+        width = max(w for w, _ in workable)
+        seq, path_segments, delta = call["picked"]
+        assert (delta, seq) == (width, min(q for w, q in workable if w == width))
+        rids = [rid for rid, _, _ in path_segments]
+        assert len(set(rids)) == len(rids)
+        assert min(flows[rid] for rid in rids) == delta

@@ -312,6 +312,8 @@ class TestBounded:
         norm, acc, pruned, _ = prepared(network, routes, t)
         with pytest.raises(DomainError):
             enumerate_bounded(pruned, s, t, acc, network, norm, limit=0, seed=0)
+        with pytest.raises(DomainError, match="source and destination must differ"):
+            enumerate_bounded(pruned, s, s, acc, network, norm, limit=5, seed=0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -155,6 +155,12 @@ class TestSolve:
             LossMinProblem(paths=empty, params=params, network=network, routes=(), target_kwh=5.0)
         )
         assert bad.status == "infeasible"
+        # an instance hands out an LP for an empty set too, with the same verdicts
+        lp = Instance(generate_grid(4, 4, 10.0, 60.0, 20, ("const", 0.1), seed=4)).lp(empty)
+        assert lp.a_ub.shape == (1, 0)
+        assert (lp.solve(0.0).status, lp.solve(0.0).objective) == ("optimal", 0.0)
+        assert lp.solve(0.0).plan.entries == ()
+        assert lp.solve(5.0) == bad
 
 
 class TestCapacityAndExport:
@@ -269,12 +275,23 @@ class TestRateBounds:
 
 
 class TestRetarget:
-    def test_retargeted_lp_equals_build_lp(self):
+    def test_retargeted_lp_equals_build_lp(self, monkeypatch):
+        # the LP handed to HiGHS at each target is build_lp's at that target,
+        # and solving never changes the assembled LP
         problem, _ = parallel_problem(100.0)
         lp = build_lp(problem)
+        before = lp.b_ub.copy()
+        passed = []
+        run_highs = rateopt._run_highs
+
+        def spy(c, at):
+            passed.append(at)
+            return run_highs(c, at)
+
+        monkeypatch.setattr(rateopt, "_run_highs", spy)
         for target in (0.0, 250.0, 3000.0):
-            fresh = build_lp(replace(problem, target_kwh=target))
-            moved = rateopt._retarget(lp, target)
+            lp.solve(target)
+            moved, fresh = passed[-1], build_lp(replace(problem, target_kwh=target))
             assert np.array_equal(moved.c, fresh.c)
             assert moved.a_ub.shape == fresh.a_ub.shape
             assert (moved.a_ub != fresh.a_ub).nnz == 0
@@ -283,17 +300,28 @@ class TestRetarget:
             # only the target row's bound depends on the target
             assert np.array_equal(lp.b_ub[:-1], fresh.b_ub[:-1])
             assert fresh.b_ub[-1] == -target
-        assert lp.b_ub[-1] == -100.0  # retargeting leaves the original alone
+        assert np.array_equal(lp.b_ub, before)  # solving leaves the LP alone
 
     def test_solve_over_retargeted_lp_equals_solve_min_loss(self):
         problem, _ = parallel_problem(0.0)
         lp = build_lp(problem)
+        before = lp.b_ub.copy()
+        verdicts = set()
         for target in (50.0, 1200.0, 2900.0, 10**5):
             at = replace(problem, target_kwh=target)
-            got = rateopt._solve(at, rateopt._retarget(lp, target))
+            got = lp.solve(target)
             want = solve_min_loss(at)
             assert (got.status, got.objective) == (want.status, want.objective)
             assert got.plan == want.plan
+            verdicts.add(got.status)
+        assert verdicts == {"optimal", "infeasible"}
+        assert np.array_equal(lp.b_ub, before)
+
+    @pytest.mark.parametrize("target", [-1.0, float("nan"), float("inf")])
+    def test_bad_target_rejected(self, target):
+        problem, _ = parallel_problem(0.0)
+        with pytest.raises(DomainError, match="energy target must be finite and nonnegative"):
+            build_lp(problem).solve(target)
 
 
 class TestSolverStatuses:
@@ -328,10 +356,10 @@ def test_direct_highs_matches_linprog(flow, seed):
     inst = Instance(generate_grid(4, 4, 10.0, 60.0, 20, flow, seed=seed))
     pathsets = [inst.paths()] + [inst.sample(50, k) for k in range(20)]
     for pathset in pathsets:
-        _problem, lp = inst.lp(pathset)
+        lp = inst.lp(pathset)
         bounds = [(0.0, u if np.isfinite(u) else None) for u in lp.upper]
         for target in (1.0, 500.0, 2457.0, 2900.0, 3500.0):
-            at = rateopt._retarget(lp, target)
+            at = replace(lp, b_ub=np.concatenate([lp.b_ub[:-1], [-target]]))
             want = linprog(
                 at.c, A_ub=at.a_ub.tocsr(), b_ub=at.b_ub, bounds=bounds, method="highs",
                 options={"presolve": True, "primal_feasibility_tolerance": 1e-10},

@@ -21,6 +21,8 @@ from venroute import (
 from venroute.experiments import prepare
 from venroute.scenarios import DEFAULT_PARAMS
 
+BAD_TARGET = "x_target_kwh is not a finite, nonnegative number"
+
 
 class TestGenerators:
     def test_grid_shape(self):
@@ -182,6 +184,69 @@ class TestFileFormat:
         with pytest.raises(ScenarioFormatError) as err:
             loads_scenario(text)
         assert needle in str(err.value)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("t = b\n", "t = b\nx_target_kwh = abc\n", f"line 12: {BAD_TARGET}: 'abc'"),
+            ("t = b\n", "t = b\nx_target_kwh = nan\n", f"line 12: {BAD_TARGET}: 'nan'"),
+            ("t = b\n", "t = b\nx_target_kwh = -5\n", f"line 12: {BAD_TARGET}: '-5'"),
+            ("t = b\n", "t = b\nx_target_kwh = inf\n", f"line 12: {BAD_TARGET}: 'inf'"),
+            ("a\nb\n", "a\nb\na\n", "line 15: repeated junction 'a'"),
+            ("seed = 0\n", "seed = 0\nseed = 1\n", "line 4: repeated key 'seed' in \\[meta\\]"),
+            ("zd = 1.0\n", "zd = 1.0\nzd = 0.5\n", "line 8: repeated key 'zd' in \\[params\\]"),
+            ("t = b\n", "t = b\nt = a\n", "line 12: repeated key 't' in \\[endpoints\\]"),
+            ("delay_s=60", "delay_s=60 delay_s=90", "line 16: repeated field delay_s="),
+            ("arcs=ab", "arcs=ab flow_ev_per_s=0.2", "line 18: repeated field flow_ev_per_s="),
+            ("delay_s=60", "delay_s=60 oops", "line 16: expected key=value, got 'oops'"),
+            ("zc = 0.9", "zc 0.9", "line 6: expected key = value in \\[params\\]"),
+            ("a\nb\n", "a x\nb\n", "line 13: one junction id per line"),
+            ("delay_s=60", "length_km=30", "line 16: arc needs delay_s or length_km\\+speed_kmh"),
+            ("flow_ev_per_s=0.1", "flow=0.1", "line 18: route needs flow_ev_per_s and arcs"),
+            ("flow_ev_per_s=0.1", "flow_ev_per_s=fast", "line 18: route flow is not a number"),
+            ("arcs=ab", "arcs=,", "line 18: route has no arcs"),
+            ("T_s = 18000.0\n", "", "\\[params\\] missing field 'T_s'"),
+            ("s = a\n", "", "\\[endpoints\\] missing field 's'"),
+            ("seed = 0", "seed = x", "bad numeric field"),
+        ],
+        ids=[
+            "target-not-a-number", "target-nan", "target-negative", "target-inf",
+            "repeated-junction", "repeated-meta-key", "repeated-params-key",
+            "repeated-endpoints-key", "repeated-arc-field", "repeated-route-field",
+            "field-without-equals", "key-without-equals", "two-junctions-on-a-line",
+            "arc-without-delay", "route-without-flow", "route-flow-not-a-number",
+            "route-without-arcs", "missing-param", "missing-endpoint", "seed-not-a-number",
+        ],
+    )
+    def test_bad_file_is_a_format_error(self, old, new, message):
+        base = (
+            "[meta]\nname = d\nseed = 0\n"
+            "[params]\nw_kwh = 1.0\nzc = 0.9\nzd = 1.0\nT_s = 18000.0\n"
+            "[endpoints]\ns = a\nt = b\n"
+            "[junctions]\na\nb\n"
+            "[arcs]\nab a b delay_s=60\n"
+            "[routes]\nr1 flow_ev_per_s=0.1 arcs=ab\n"
+        )
+        assert loads_scenario(base).target_kwh is None
+        assert base.count(old) == 1
+        with pytest.raises(ScenarioFormatError, match=message):
+            loads_scenario(base.replace(old, new))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("const", 0.1), seed=4),
+            lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("uniform", 0.1, 0.3), seed=47),
+            lambda: dataclasses.replace(generate_random(8, 0.4, 4, 20, seed=74), target_kwh=0.0),
+            lambda: dataclasses.replace(generate_corridor(seed=0), target_kwh=2457.5),
+        ],
+        ids=["grid4", "grid47", "random", "corridor"],
+    )
+    def test_generated_scenarios_round_trip_byte_for_byte(self, make):
+        sc = make()
+        text = dumps_scenario(sc)
+        assert loads_scenario(text) == sc
+        assert dumps_scenario(loads_scenario(text)) == text
 
     def test_non_finite_flow_in_file_rejected(self):
         text = (

@@ -41,7 +41,6 @@ from .network import (
 )
 from .pathenum import (
     PathSet,
-    count_paths,
     enumerate_bounded,
     enumerate_paths,
     enumerate_sequences,

@@ -48,13 +48,13 @@ from .pathenum import (
     DEFAULT_CAP,
     PathSet,
     _at_least_one,
+    _count,
     _expand,
     _PathCache,
     _sample_bounded,
     _sequences,
     _Successors,
     _SpanTable,
-    count_paths,
     enumerate_sequences,
 )
 from .rateopt import LpInstance, _assemble, _lp_backend
@@ -104,7 +104,6 @@ class Instance:
 
     def paths(self, cap: int = DEFAULT_CAP) -> PathSet:
         """The full energy-path set (method I)."""
-        _at_least_one(cap, "enumeration cap")
         succ, _hops = self.live_successors
         sequences = _sequences(succ, self.scenario.source, self.scenario.destination, cap)
         return _expand(sequences, self.span_table, cap)
@@ -329,14 +328,13 @@ def run_growth(
                 capped = False
                 n_paths = 0
                 try:
+                    # over the arcs the density column derived: on instances
+                    # this small, cheaper than the incidence's successors
                     sequences = enumerate_sequences(
                         inst.accessibility.arcs, sc.source, sc.destination,
                         cap=enumeration_cap,
                     )
-                    n_paths = count_paths(
-                        sequences, inst.accessibility, sc.network, inst.routes,
-                        cap=enumeration_cap,
-                    )
+                    n_paths = _count(sequences, inst.span_table, enumeration_cap)
                 except EnumerationCapError:
                     capped = True
                 counts.append(n_paths)

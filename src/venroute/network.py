@@ -52,15 +52,6 @@ def bfs_levels(
     return dist
 
 
-def hops_to(arcs: Iterable[tuple[Junction, Junction]], t: Junction) -> dict[Junction, int]:
-    """Hop count to ``t`` over the arcs, for every junction that can reach ``t``."""
-    # hop counts do not depend on neighbour order, so the map is left unsorted
-    preds: dict[Junction, list[Junction]] = {}
-    for i, j in arcs:
-        preds.setdefault(j, []).append(i)
-    return bfs_levels(preds, t)
-
-
 @dataclass(frozen=True)
 class Arc:
     arc_id: ArcId
@@ -117,12 +108,6 @@ class VehicularNetwork:
     @cached_property
     def predecessors(self) -> Mapping[Junction, tuple[Junction, ...]]:
         return adjacency(((a.head, a.tail) for a in self.arcs), self.junctions)
-
-    def delay(self, arc_id: ArcId) -> float:
-        try:
-            return self.arc_by_id[arc_id].delay_s
-        except KeyError:
-            raise DomainError(f"unknown arc id {arc_id!r}") from None
 
 
 @dataclass(frozen=True)

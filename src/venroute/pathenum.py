@@ -4,9 +4,9 @@ Junction sequences are grown over the accessibility arcs by frontier
 expansion; each completed sequence is expanded into concrete energy paths by
 taking the Cartesian product of its per-arc route index sets and dropping
 combinations that reuse a route. A randomized depth-first variant yields
-seeded subsets for the sampled-LP method. ``count_paths`` counts those
-combinations without building any path, which is all the growth study needs:
-a small dynamic program over each sequence's index sets.
+seeded subsets for the sampled-LP method. ``_count`` counts the combinations
+of distinct sequences without building any path, which is all the growth
+study needs: a small dynamic program over each sequence's index sets.
 
 Each call derives the segment span (arcs, end junctions, delay, flow) of a
 route on an accessibility arc once, checked to run along that arc, and
@@ -16,6 +16,8 @@ combinations from one generator over it, and paths are assembled from them.
 Because every span runs along its arc and every sequence is checked to be
 loop-free, each path chains from source to destination without a repeated
 junction, as ``build_energy_path`` would check.
+
+A cap or limit below 1 is a bad argument (DomainError), never a cap verdict.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .network import (
     VehicularNetwork,
     VehicularRoute,
     adjacency,
-    hops_to,
+    bfs_levels,
 )
 
 DEFAULT_CAP = 10**6
@@ -83,7 +85,10 @@ def _live_successors(
 
     A junction with no such successor maps to ().
     """
-    hops = hops_to(arcs, t)
+    preds: dict[Junction, list[Junction]] = {}
+    for i, j in arcs:
+        preds.setdefault(j, []).append(i)
+    hops = bfs_levels(preds, t)  # hop counts do not depend on neighbour order
     succ = adjacency((i, j) for (i, j) in arcs if i in hops and j in hops)
     return defaultdict(tuple, succ), hops
 
@@ -136,6 +141,7 @@ def _sequences(
     succ: Mapping[Junction, tuple[Junction, ...]], s: Junction, t: Junction, cap: int
 ) -> tuple[JunctionSequence, ...]:
     """``enumerate_sequences`` over the live successors of its arcs, read with ``[]``."""
+    _at_least_one(cap, "enumeration cap")
     if s == t:
         raise DomainError("source and destination must differ")
     frontier: list[JunctionSequence] = [(s,)]
@@ -316,6 +322,7 @@ def expand_to_paths(
 
 def _expand(sequences: Iterable[JunctionSequence], table: _SpanTable, cap: int) -> PathSet:
     """``expand_to_paths`` over the span table of its graph, network and routes."""
+    _at_least_one(cap, "enumeration cap")
     by_key: dict[PathKey, EnergyPath] = {}
     for seq in sequences:
         for key, path in _combo_paths(seq, table):
@@ -327,33 +334,15 @@ def _expand(sequences: Iterable[JunctionSequence], table: _SpanTable, cap: int) 
     return PathSet(paths=tuple(by_key[key] for key in sorted(by_key)), complete=True)
 
 
-def count_paths(
-    sequences: Iterable[JunctionSequence],
-    accessibility: AccessibilityGraph,
-    network: VehicularNetwork,
-    routes: Iterable[VehicularRoute],
-    cap: int = DEFAULT_CAP,
-) -> int:
-    """Number of energy paths ``expand_to_paths`` would return, without building them.
-
-    Same checks, errors and cap: more than ``cap`` paths raise
-    EnumerationCapError, and a sequence repeated in the input (so a path
-    produced twice) raises ConsistencyError.
+def _count(sequences: Iterable[JunctionSequence], table: _SpanTable, cap: int) -> int:
+    """Number of energy paths ``_expand`` would return for distinct sequences,
+    with its checks and cap, without building any path.
     """
-    table = _SpanTable(accessibility, network, {r.route_id: r for r in routes})
-    seen: set[JunctionSequence] = set()
     total = 0
     for seq in sequences:
-        seq = tuple(seq)
-        n = _count_distinct([rids for rids, _ in _entries(seq, table)])
-        room = max(cap - total, 0)
-        # checked in expansion's order: a full set raises the cap first
-        if n and room and seq in seen:
-            raise ConsistencyError(f"junction sequence repeated: {seq}")
-        if n > room:
+        total += _count_distinct([rids for rids, _ in _entries(seq, table)])
+        if total > cap:
             raise EnumerationCapError(f"path expansion exceeded the cap of {cap}")
-        seen.add(seq)
-        total += n
     return total
 
 

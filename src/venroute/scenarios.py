@@ -9,9 +9,9 @@ scenarios byte for byte.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from .energy import EnergyParams
 from .errors import DomainError
@@ -46,13 +46,21 @@ class Scenario:
                     raise DomainError(f"route {r.route_id!r} references unknown arc {a!r}")
 
 
+def _check_flow_spec(flow_spec: FlowSpec) -> None:
+    arity = {"const": 1, "uniform": 2}.get(flow_spec[0]) if flow_spec else None
+    if arity is None or len(flow_spec) != 1 + arity:
+        raise DomainError(
+            f"flow spec must be ('const', c) or ('uniform', lo, hi), got {flow_spec!r}"
+        )
+    if not all(isinstance(v, numbers.Real) and 0.0 <= v < math.inf for v in flow_spec[1:]):
+        raise DomainError(f"flow spec values must be finite and nonnegative, got {flow_spec!r}")
+
+
 def _draw_flow(rng: random.Random, flow_spec: FlowSpec) -> float:
-    kind = flow_spec[0]
-    if kind == "const":
+    """One route's flow from a checked flow spec."""
+    if flow_spec[0] == "const":
         return float(flow_spec[1])
-    if kind == "uniform":
-        return rng.uniform(float(flow_spec[1]), float(flow_spec[2]))
-    raise DomainError(f"unknown flow spec {flow_spec!r}")
+    return rng.uniform(float(flow_spec[1]), float(flow_spec[2]))
 
 
 def _random_walk_route(
@@ -98,8 +106,8 @@ def _make_routes(
 ) -> tuple[VehicularRoute, ...]:
     if count < 0:
         raise DomainError(f"route count must be nonnegative, got {count}")
-    if not all(0.0 <= float(v) < math.inf for v in flow_spec[1:]):
-        raise DomainError(f"flow spec values must be finite and nonnegative, got {flow_spec!r}")
+    if max_arcs < 1:
+        raise DomainError(f"route length cap must be at least 1, got {max_arcs}")
     width = max(2, len(str(count)))
     arcs_by_tail: dict[str, list] = {}
     for a in sorted(network.arcs, key=lambda a: a.arc_id):
@@ -127,7 +135,6 @@ def generate_grid(
     route_count: int,
     flow_spec: FlowSpec,
     seed: int,
-    name: str | None = None,
     max_route_arcs: int = 4,
 ) -> Scenario:
     """Bidirectional 4-neighbor grid with seeded random simple routes.
@@ -137,6 +144,9 @@ def generate_grid(
     """
     if rows < 2 or cols < 2:
         raise DomainError("grid needs at least 2 rows and 2 columns")
+    if not 0.0 < speed_kmh < math.inf:
+        raise DomainError(f"speed must be positive and finite, got {speed_kmh}")
+    _check_flow_spec(flow_spec)
     rng = random.Random(seed)
     n = rows * cols
     width = len(str(n))
@@ -156,7 +166,7 @@ def generate_grid(
     network = VehicularNetwork.build(junctions, arcs)
     routes = _make_routes(rng, network, route_count, max_arcs=max_route_arcs, flow_spec=flow_spec)
     return Scenario(
-        name=name or f"grid{rows}x{cols}",
+        name=f"grid{rows}x{cols}",
         seed=seed,
         network=network,
         routes=routes,
@@ -173,7 +183,6 @@ def generate_random(
     route_count: int,
     seed: int,
     flow_spec: FlowSpec = ("uniform", 0.1, 0.3),
-    name: str | None = None,
 ) -> Scenario:
     """Erdos-Renyi style directed road graph with seeded random simple routes.
 
@@ -184,6 +193,7 @@ def generate_random(
         raise DomainError("need at least 2 junctions")
     if not (0.0 < road_density <= 1.0):
         raise DomainError("road density must lie in (0, 1]")
+    _check_flow_spec(flow_spec)
     rng = random.Random(seed)
     width = len(str(n_junctions))
     junctions = [f"j{k + 1:0{width}d}" for k in range(n_junctions)]
@@ -195,11 +205,11 @@ def generate_random(
                 arcs.append((f"a_{i}_{j}", i, j, length / 60.0 * 3600.0))
     network = VehicularNetwork.build(junctions, arcs)
     routes = _make_routes(
-        rng, network, route_count, max_arcs=max(1, route_length_cap), flow_spec=flow_spec
+        rng, network, route_count, max_arcs=route_length_cap, flow_spec=flow_spec
     )
     source, dest = _pick_connected_pair(rng, network)
     return Scenario(
-        name=name or f"rand{n_junctions}",
+        name=f"rand{n_junctions}",
         seed=seed,
         network=network,
         routes=routes,
@@ -223,20 +233,24 @@ def generate_corridor(
     cols: int = 50,
     kept_edges: int = 1250,
     route_count: int = 4800,
-    max_route_km: float = 200.0,
     seed: int = 0,
-    name: str = "corridor",
-    source: str | None = None,
-    destination: str | None = None,
 ) -> Scenario:
     """Large sparse road network shaped like a national highway system.
 
     A rows x cols grid thinned to ``kept_edges`` bidirectional edges (a random
     spanning tree is always kept, so the network stays connected), with
-    random edge lengths and speeds and length-capped random routes. Stands in
-    for proprietary large-scale traffic data. The transfer window is scaled
-    up to 20 hours to match the longer end-to-end travel times.
+    random edge lengths and speeds and random routes of at most 200 km.
+    Stands in for proprietary large-scale traffic data. The source is the
+    junction in the middle row a quarter of the way across, the destination
+    10 columns east of it. The transfer window is scaled up to 20 hours to
+    match the longer end-to-end travel times.
     """
+    if rows < 2:
+        raise DomainError("corridor needs at least 2 rows")
+    if cols // 4 + 10 >= cols:
+        raise DomainError(
+            f"corridor destination column {cols // 4 + 10} lies outside its {cols} columns"
+        )
     rng = random.Random(seed)
     n = rows * cols
     width = len(str(n))
@@ -288,17 +302,15 @@ def generate_corridor(
         route_count,
         max_arcs=30,
         flow_spec=("uniform", 0.1, 0.3),
-        max_km=max_route_km,
+        max_km=200.0,
         arc_km=arc_km,
     )
-    s = source or jid(rows // 2, cols // 4)
-    t = destination or jid(rows // 2, cols // 4 + 10)
     return Scenario(
-        name=name,
+        name="corridor",
         seed=seed,
         network=network,
         routes=routes,
         params=replace(DEFAULT_PARAMS, window_s=72000.0),
-        source=s,
-        destination=t,
+        source=jid(rows // 2, cols // 4),
+        destination=jid(rows // 2, cols // 4 + 10),
     )

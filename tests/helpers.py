@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the library's own traversal and solver code:
 sequence enumeration is a plain recursive DFS, path expansion is a direct
-Cartesian product with a repeated-route filter, and the LP oracle is a dense
-grid search over delivered-energy vectors.
+Cartesian product with a repeated-route filter, and the LP oracle tries every
+fill-to-ceiling vertex of the delivered-energy box, cross-checked by a dense
+grid search over it.
 """
 
 from __future__ import annotations

@@ -15,6 +15,8 @@ from venroute import (
     experiments,
     enumerate_bounded,
     enumerate_paths,
+    enumerate_sequences,
+    expand_to_paths,
     generate_corridor,
     generate_grid,
     generate_random,
@@ -298,6 +300,18 @@ def test_paths_leave_the_sampler_cache_empty():
 def test_enumeration_cap_below_one_is_an_error(cap, small_scenario, tmp_path, capsys):
     with pytest.raises(DomainError, match="enumeration cap must be at least 1"):
         Instance(small_scenario).paths(cap)
+    # so do the compatibility functions, also over no sequences at all
+    routes, acc, pruned = prepare(small_scenario)
+    s, t, net = small_scenario.source, small_scenario.destination, small_scenario.network
+    seqs = enumerate_sequences(pruned, s, t)
+    for call in (
+        lambda: enumerate_sequences(pruned, s, t, cap=cap),
+        lambda: enumerate_paths(pruned, s, t, acc, net, routes, cap=cap),
+        lambda: expand_to_paths(seqs, acc, net, routes, cap=cap),
+        lambda: expand_to_paths((), acc, net, routes, cap=cap),
+    ):
+        with pytest.raises(DomainError, match="enumeration cap must be at least 1"):
+            call()
     scen, out = tmp_path / "grid.txt", tmp_path / "out.csv"
     main(["gen-grid", "--seed", "4", "--flow", "const:0.1", "--out", str(scen)])
     for argv in (["enumerate"], ["solve", "--method", "I", "--target", "50"]):

@@ -36,15 +36,12 @@ class TestVehicularNetwork:
         assert net.arc_by_id["a0"].head == "n1"
         assert net.successors["n0"] == ("n1",)
         assert net.predecessors["n0"] == ()
-        assert net.delay("a1") == 600.0
-
-    def test_unknown_arc_delay_raises(self):
-        with pytest.raises(DomainError):
-            line_network().delay("nope")
 
     def test_undeclared_junction_rejected(self):
         with pytest.raises(StructuralError):
             VehicularNetwork.build(["x"], [("a", "x", "ghost", 1.0)])
+        with pytest.raises(StructuralError, match="undeclared tail junction 'ghost'"):
+            VehicularNetwork.build(["x"], [("a", "ghost", "x", 1.0)])
 
     def test_nonpositive_delay_rejected(self):
         with pytest.raises(StructuralError):

@@ -22,7 +22,6 @@ from venroute import (
     VehicularRoute,
     build_accessibility_graph,
     build_energy_path,
-    count_paths,
     enumerate_bounded,
     enumerate_paths,
     enumerate_sequences,
@@ -35,6 +34,8 @@ from venroute import (
 )
 from venroute.heuristic import _levels
 from venroute.pathenum import (
+    DEFAULT_CAP,
+    _count,
     _count_distinct,
     _live_successors,
     _route_combos,
@@ -45,20 +46,12 @@ from venroute.pathenum import (
 from helpers import oracle_expand, oracle_sequences, prepared, random_instance
 
 
-def n_expanded(*args, **kwargs):
-    return len(expand_to_paths(*args, **kwargs).paths)
-
-
-# expansion and counting share their checks, errors and cap; each test below
-# that names PATH_COUNTERS runs against both
-PATH_COUNTERS = (n_expanded, count_paths)
-
-
 class TestCountingBounds:
     def test_recurrence_values(self):
         assert [f_bound(n) for n in range(1, 6)] == [1, 2, 5, 16, 65]
         assert f_bound(0) == 0
         assert f_bound(-3) == 0
+        assert f_closed_bound(0) == 0.0
 
     def test_recurrence_identity(self):
         for n in range(2, 12):
@@ -163,7 +156,8 @@ class TestExpansion:
             ps = expand_to_paths(seqs, acc, network, norm)
             got = {(p.boundaries, tuple(r for r, _, _ in p.segments)) for p in ps.paths}
             assert got == oracle_expand(seqs, acc)
-            assert count_paths(seqs, acc, network, norm) == len(ps.paths)
+            table = _SpanTable(acc, network, {r.route_id: r for r in norm})
+            assert _count(seqs, table, DEFAULT_CAP) == len(ps.paths)
             # field for field, every expanded path is the one build_energy_path
             # derives from its segments
             routes_by_id = {r.route_id: r for r in norm}
@@ -194,29 +188,30 @@ class TestExpansion:
         norm, acc, pruned, _ = prepared(network, routes, "n4")
         seqs = enumerate_sequences(pruned, "n0", "n4")
         count = len(expand_to_paths(seqs, acc, network, norm).paths)
-        for n_paths in PATH_COUNTERS:
-            assert n_paths(seqs, acc, network, norm, cap=count) == count
-            with pytest.raises(EnumerationCapError):
-                n_paths(seqs, acc, network, norm, cap=count - 1)
+        assert len(expand_to_paths(seqs, acc, network, norm, cap=count).paths) == count
+        with pytest.raises(EnumerationCapError):
+            expand_to_paths(seqs, acc, network, norm, cap=count - 1)
+        table = _SpanTable(acc, network, {r.route_id: r for r in norm})
+        assert _count(seqs, table, count) == count
+        with pytest.raises(EnumerationCapError, match=f"exceeded the cap of {count - 1}"):
+            _count(seqs, table, count - 1)
 
     def test_repeated_sequence_rejected(self):
         network, norm, acc = chain_with_through_route()
         seqs = enumerate_sequences(acc.arcs, "s", "t")
         count = len(expand_to_paths(seqs, acc, network, norm).paths)
-        for n_paths in PATH_COUNTERS:
-            with pytest.raises(ConsistencyError):
-                n_paths(seqs + seqs[:1], acc, network, norm)
-            # a set already at the cap reports the cap first
-            with pytest.raises(EnumerationCapError):
-                n_paths(seqs + seqs[:1], acc, network, norm, cap=count)
+        with pytest.raises(ConsistencyError):
+            expand_to_paths(seqs + seqs[:1], acc, network, norm)
+        # a set already at the cap reports the cap first
+        with pytest.raises(EnumerationCapError):
+            expand_to_paths(seqs + seqs[:1], acc, network, norm, cap=count)
 
     @pytest.mark.parametrize("seq", [("s", "m", "s", "t"), ("s",)])
     def test_malformed_sequence_rejected(self, seq):
         # a junction repeats, or there is no segment at all
         network, norm, acc = chain_with_through_route()
-        for n_paths in PATH_COUNTERS:
-            with pytest.raises(StructuralError):
-                n_paths([seq], acc, network, norm)
+        with pytest.raises(StructuralError):
+            expand_to_paths([seq], acc, network, norm)
 
     @pytest.mark.parametrize(
         "arc, rid, span",
@@ -233,9 +228,8 @@ class TestExpansion:
             bad, "index_set", lambda i, j: {**acc.index_set(i, j), **(corrupt if (i, j) == arc else {})}
         )
         seqs = enumerate_sequences(acc.arcs, "s", "t")
-        for n_paths in PATH_COUNTERS:
-            with pytest.raises(StructuralError):
-                n_paths(seqs, bad, network, norm)
+        with pytest.raises(StructuralError):
+            expand_to_paths(seqs, bad, network, norm)
         with pytest.raises(StructuralError):
             enumerate_bounded(acc.arcs, "s", "t", bad, network, norm, limit=10, seed=0)
         # an instance keeps no half-built entry for a sequence that failed: every sample raises
@@ -383,23 +377,15 @@ def test_incidence_successors_match_the_arc_set_on_generated_scenarios(
 
 
 def combo_outcome(seqs, acc, network, routes, cap):
-    """count_paths' outcome with each count drawn from the combination
-    generator: the path count, or the error's type and message.
+    """_count's outcome with each count drawn from the combination generator:
+    the path count, or the cap error's message.
     """
     table = _SpanTable(acc, network, {r.route_id: r for r in routes})
-    seen, total = set(), 0
-    try:
-        for seq in seqs:
-            n = sum(1 for _ in _route_combos(seq, table))
-            room = max(cap - total, 0)
-            if n and room and seq in seen:
-                raise ConsistencyError(f"junction sequence repeated: {seq}")
-            if n > room:
-                raise EnumerationCapError(f"path expansion exceeded the cap of {cap}")
-            seen.add(seq)
-            total += n
-    except (ConsistencyError, EnumerationCapError) as exc:
-        return type(exc), str(exc)
+    total = 0
+    for seq in seqs:
+        total += sum(1 for _ in _route_combos(seq, table))
+        if total > cap:
+            return f"path expansion exceeded the cap of {cap}"
     return total
 
 
@@ -410,8 +396,8 @@ def combo_outcome(seqs, acc, network, routes, cap):
     st.integers(min_value=1, max_value=5),
     st.integers(min_value=1, max_value=25),
     st.integers(min_value=0, max_value=10**6),
-    st.sampled_from(["as-is", "reversed", "repeated"]),
-    st.sampled_from([0, 1, 2, 5, 20, 10**6]),
+    st.sampled_from(["as-is", "reversed"]),
+    st.sampled_from([1, 2, 5, 20, 10**6]),
 )
 def test_count_matches_the_combination_generator(
     n, density, route_cap, count, seed, order, cap
@@ -422,13 +408,12 @@ def test_count_matches_the_combination_generator(
         seqs = enumerate_sequences(inst.accessibility.arcs, sc.source, sc.destination, cap=2000)
     except EnumerationCapError:
         return
-    seqs = {"as-is": seqs, "reversed": seqs[::-1], "repeated": seqs + seqs[:2]}[order]
-    args = (seqs, inst.accessibility, sc.network, inst.routes)
+    seqs = {"as-is": seqs, "reversed": seqs[::-1]}[order]
     try:
-        got = count_paths(*args, cap=cap)
-    except (ConsistencyError, EnumerationCapError) as exc:
-        got = type(exc), str(exc)
-    assert got == combo_outcome(*args, cap)
+        got = _count(seqs, inst.span_table, cap)
+    except EnumerationCapError as exc:
+        got = str(exc)
+    assert got == combo_outcome(seqs, inst.accessibility, sc.network, inst.routes, cap)
 
 
 @settings(max_examples=200, deadline=None)

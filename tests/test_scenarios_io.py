@@ -84,6 +84,40 @@ class TestGenerators:
             make(-2)
         assert make(0).routes == ()
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("const",), 0), "flow spec must be"),
+            (lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("uniform", 0.1), 0), "flow spec must be"),
+            (lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("const", "abc"), 0),
+             "flow spec values must be finite and nonnegative"),
+            (lambda: generate_grid(4, 4, 10.0, 60.0, 0, ("poisson", 0.1), 0), "flow spec must be"),
+            (lambda: generate_random(6, 0.5, 3, 0, 0, flow_spec=("poisson", 0.1)),
+             "flow spec must be"),
+            (lambda: generate_grid(4, 4, 10.0, 0.0, 20, ("const", 0.1), 0),
+             "speed must be positive and finite, got 0.0"),
+            (lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("const", 0.1), 0, max_route_arcs=0),
+             "route length cap must be at least 1, got 0"),
+            (lambda: generate_random(6, 0.5, 0, 10, seed=0),
+             "route length cap must be at least 1, got 0"),
+            (lambda: generate_random(1, 0.5, 3, 10, seed=0), "need at least 2 junctions"),
+            (lambda: generate_corridor(rows=0), "corridor needs at least 2 rows"),
+            (lambda: generate_corridor(cols=1),
+             "corridor destination column 10 lies outside its 1 columns"),
+            (lambda: generate_corridor(rows=6, cols=12, kept_edges=80, route_count=100),
+             "corridor destination column 13 lies outside its 12 columns"),
+        ],
+        ids=[
+            "const-without-value", "uniform-with-one-value", "const-not-a-number",
+            "unknown-kind-without-routes", "random-unknown-kind-without-routes", "zero-speed",
+            "grid-zero-route-length", "random-zero-route-length", "one-junction",
+            "corridor-no-rows", "corridor-one-column", "corridor-destination-outside",
+        ],
+    )
+    def test_bad_generator_arguments_rejected(self, make, message):
+        with pytest.raises(DomainError, match=message):
+            make()
+
     def test_random_validates_density(self):
         with pytest.raises(DomainError):
             generate_random(6, 0.0, 3, 5, seed=0)
@@ -120,6 +154,11 @@ class TestGenerators:
                 source="ghost",
                 destination="j4",
             )
+        with pytest.raises(DomainError, match="destination 'ghost' is not a junction"):
+            dataclasses.replace(sc, destination="ghost")
+        stray = VehicularRoute("r9", ("zz",), 0.1)
+        with pytest.raises(DomainError, match="route 'r9' references unknown arc 'zz'"):
+            dataclasses.replace(sc, routes=sc.routes + (stray,))
 
 
 class TestFileFormat:

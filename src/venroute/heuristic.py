@@ -8,6 +8,14 @@ Among the fewest-hop sequences the greedy picks the one with the largest
 bottleneck flow, ties broken lexicographically, sends at the bottleneck rate,
 decrements the used routes' flows, and drops routes whose flow hit zero. The
 final path carries only the residual energy at a reduced rate.
+
+A committed path is built over the routes themselves, so its
+``bottleneck_flow`` is the least flow among the routes it rides, as for every
+enumerated path; only its rate reads the flow those routes have left. When
+the widest sequence has no route-distinct pick, the fewest-hop sequences are
+listed by the enumerator's own search and the widest workable one is taken.
+A list cut short by its safety cap is a ``combination-cap`` verdict, as a cap
+is in the enumerator.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from .energy import (
     plan_totals,
     window_cap,
 )
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, EnumerationCapError
 from .network import (
     AccessibilityGraph,
     Junction,
@@ -37,6 +45,7 @@ from .network import (
     adjacency,
     build_accessibility_graph,
 )
+from .pathenum import _sequences
 
 FLOW_EPS = 1e-12
 _ASSIGN_COMBO_CAP = 20000
@@ -130,12 +139,6 @@ def _shortest_dag(
     return segments, adjacency(segments), dist_s
 
 
-def _arc_weight(
-    segments: Segments, flows: Mapping[RouteId, float], i: Junction, j: Junction
-) -> float:
-    return max(flows[rid] for rid in segments[(i, j)])
-
-
 def _widest_sequence(
     segments: Segments,
     flows: Mapping[RouteId, float],
@@ -145,21 +148,23 @@ def _widest_sequence(
     t: Junction,
 ) -> tuple[Junction, ...]:
     """Max-bottleneck fewest-hop sequence; lexicographically smallest among ties."""
+    # an arc's width is the most flow any one of its routes has left
+    width = {arc: max(flows[rid] for rid in rids) for arc, rids in segments.items()}
     best: dict[Junction, float] = {t: float("inf")}
     # every DAG arc climbs one level and every DAG junction but t has a DAG
     # successor, so one pass down the levels sets each width from finished ones
     for u in reversed(dist_s):
         if u in dag:
-            best[u] = max(min(_arc_weight(segments, flows, u, v), best[v]) for v in dag[u])
+            best[u] = max(min(width[u, v], best[v]) for v in dag[u])
     target_width = best[s]
     seq = [s]
     width_so_far = float("inf")
     u = s
     while u != t:
         for v in dag[u]:  # sorted: first admissible choice is lexicographic min
-            achievable = min(width_so_far, _arc_weight(segments, flows, u, v), best[v])
+            achievable = min(width_so_far, width[u, v], best[v])
             if achievable >= target_width - FLOW_EPS:
-                width_so_far = min(width_so_far, _arc_weight(segments, flows, u, v))
+                width_so_far = min(width_so_far, width[u, v])
                 seq.append(v)
                 u = v
                 break
@@ -204,22 +209,6 @@ def _assign_routes(
     return best_pick, -best_key[0]
 
 
-def _all_min_hop_sequences(
-    dag: Mapping[Junction, Sequence[Junction]], s: Junction, t: Junction, cap: int
-) -> tuple[list[tuple[Junction, ...]], bool]:
-    """Min-hop s-t sequences in DAG order, and whether ``cap`` cut the list short."""
-    out: list[tuple[Junction, ...]] = []
-    stack = [(s, (s,))]
-    while stack and len(out) < cap:
-        u, seq = stack.pop()
-        for v in reversed(dag.get(u, ())):
-            if v == t:
-                out.append(seq + (t,))
-            else:
-                stack.append((v, seq + (v,)))
-    return out, bool(stack)
-
-
 def _pick_path(
     acc: AccessibilityGraph, flows: Mapping[RouteId, float], s: Junction, t: Junction
 ) -> tuple[tuple[Junction, ...], list[tuple[RouteId, int, int]], float] | str:
@@ -231,22 +220,24 @@ def _pick_path(
     seq = _widest_sequence(segments, flows, dag, dist_s, s, t)
     assigned = _assign_routes(segments, flows, seq)
     if isinstance(assigned, str):
-        # Greedy sequence had no distinct-route assignment (interleaved reuse of
-        # a route); fall back to scanning min-hop sequences for the best workable one.
-        # an uncut list holds the greedy sequence too, so its verdict recurs below
-        cands, capped = _all_min_hop_sequences(dag, s, t, _SEQUENCE_FALLBACK_CAP)
+        # the widest sequence has no route-distinct pick (one route on two of its
+        # hops): scan the fewest-hop sequences, in order, for the widest workable
+        # one; the list holds the widest sequence too, so its verdict recurs below
+        try:
+            cands = _sequences(dag, s, t, _SEQUENCE_FALLBACK_CAP)
+        except EnumerationCapError:
+            return COMBINATION_CAP  # a cut list may miss the widest workable sequence
         best = None
+        capped = False
         for cand in cands:
-            assigned = _assign_routes(segments, flows, cand)
-            if isinstance(assigned, str):
-                capped = capped or assigned == COMBINATION_CAP
-                continue
-            key = (-assigned[1], cand)
-            if best is None or key < best[0]:
-                best = (key, cand, assigned)
+            picked = _assign_routes(segments, flows, cand)
+            if isinstance(picked, str):
+                capped = capped or picked == COMBINATION_CAP
+            elif best is None or picked[1] > best[1][1]:  # ties keep the first
+                best = (cand, picked)
         if best is None:
             return COMBINATION_CAP if capped else NO_PATH
-        _, seq, assigned = best
+        seq, assigned = best
     rids, delta = assigned
     return seq, [(rid, *segments[(i, j)][rid]) for rid, i, j in zip(rids, seq, seq[1:])], delta
 
@@ -298,17 +289,7 @@ class _Trajectory:
             self._stop = picked
             return False
         _, segments, delta = picked
-        # the path's flows come from the working routes, not the originals
-        path = build_energy_path(
-            self._network,
-            {
-                rid: VehicularRoute(rid, acc.routes[rid].arcs, flows[rid])
-                for rid, _, _ in segments
-            },
-            segments,
-            self._s,
-            self._t,
-        )
+        path = build_energy_path(self._network, acc.routes, segments, self._s, self._t)
         cap_coeff = window_cap(path, self._params)
         g = self._params.packet_kwh * delta
         self._steps.append((PlanEntry(path=path, rate=g, delivered_kwh=cap_coeff * g), cap_coeff))

@@ -4,9 +4,11 @@ Junction sequences are grown over the accessibility arcs by frontier
 expansion; each completed sequence is expanded into concrete energy paths by
 taking the Cartesian product of its per-arc route index sets and dropping
 combinations that reuse a route. A randomized depth-first variant yields
-seeded subsets for the sampled-LP method. ``_count`` counts the combinations
-of distinct sequences without building any path, which is all the growth
-study needs: a small dynamic program over each sequence's index sets.
+seeded subsets for the sampled-LP method, keeping to sequences at most
+``DETOUR_SLACK`` arcs longer than the fewest-hop distance. ``_count`` counts
+the combinations of distinct sequences without building any path, which is
+all the growth study needs: a small dynamic program over each sequence's
+index sets.
 
 Each call derives the segment span (arcs, end junctions, delay, flow) of a
 route on an accessibility arc once, checked to run along that arc, and
@@ -44,6 +46,7 @@ from .network import (
 )
 
 DEFAULT_CAP = 10**6
+DETOUR_SLACK = 3  # arcs a sampled sequence may add to the fewest-hop distance
 
 
 def _at_least_one(value: int, name: str) -> None:
@@ -372,17 +375,17 @@ def _random_sequence_dfs(
     t: Junction,
     rng: random.Random,
     hops: Mapping[Junction, int],
-    budget: int | None = None,
-    tracker: _BoundTracker | None = None,
+    budget: int,
+    tracker: _BoundTracker,
 ) -> Iterator[JunctionSequence]:
     """Yield loop-free s-t sequences in randomized depth-first order.
 
     Children are shuffled, then stable-sorted by a jittered hop distance to
     t, so detour sequences surface early but descents still head toward t.
-    With a ``budget`` (max arcs per sequence), children that cannot reach t
-    within it are pruned, which keeps yields fast on dense graphs; pruning
-    events are flagged on the tracker. Without a budget the traversal covers
-    the whole sequence space when run to exhaustion.
+    Children that cannot reach t within ``budget`` arcs are pruned, which
+    keeps yields fast on dense graphs; pruning events are flagged on the
+    tracker. A budget that never prunes covers the whole sequence space when
+    run to exhaustion.
     """
 
     def shuffled(node: Junction) -> list[Junction]:
@@ -403,9 +406,8 @@ def _random_sequence_dfs(
         if child in on_path:
             continue
         # arcs used after stepping to child, plus the least arcs still needed
-        if budget is not None and len(seq) + hops[child] > budget:
-            if tracker is not None:
-                tracker.hit = True
+        if len(seq) + hops[child] > budget:
+            tracker.hit = True
             continue
         if child == t:
             yield tuple(seq) + (t,)
@@ -424,27 +426,25 @@ def enumerate_bounded(
     routes: Iterable[VehicularRoute],
     limit: int,
     seed: int,
-    detour_slack: int | None = 3,
 ) -> PathSet:
     """Seeded subset of the energy-path set, at most ``limit`` paths.
 
     Randomized depth-first expansion so that both short and long sequences
     appear; at most a fixed share of the limit is drawn from any one junction
     sequence on the first pass, so small subsets span several sequence
-    families. Sequences are capped at ``detour_slack`` arcs beyond the
-    fewest-hop distance (pass None to search unbounded). Deterministic for
-    fixed inputs and seed. The completeness flag is true only when the whole
-    path set fit within the limit.
+    families. Sequences are capped at ``DETOUR_SLACK`` arcs beyond the
+    fewest-hop distance. Deterministic for fixed inputs and seed. The
+    completeness flag is true only when the whole path set fit within the
+    limit.
     """
     table = _SpanTable(accessibility, network, {r.route_id: r for r in routes})
     succ, hops = _live_successors(pruned_arcs, t)
-    return _sample_bounded(succ, hops, _PathCache(table), s, t, limit, seed, detour_slack)
+    return _sample_bounded(succ, hops, _PathCache(table), s, t, limit, seed)
 
 
 def _sample_bounded(
     succ: Mapping[Junction, tuple[Junction, ...]], hops: Mapping[Junction, int],
     paths: _PathCache, s: Junction, t: Junction, limit: int, seed: int,
-    detour_slack: int | None = 3,
 ) -> PathSet:
     """``enumerate_bounded`` over the live successors of its arcs, read with
     ``[]``, and the paths of each sequence, which depend only on the scenario:
@@ -458,10 +458,9 @@ def _sample_bounded(
     keyed: list[tuple[PathKey, EnergyPath]] = []
     truncated = False
     skipped: list[JunctionSequence] = []  # sequences with combos beyond the cap
-    budget = None
+    # if s does not reach t, the search yields nothing whatever the budget
+    budget = hops.get(s, 0) + DETOUR_SLACK
     tracker = _BoundTracker()
-    if detour_slack is not None and s in hops:
-        budget = hops[s] + detour_slack
     for seq in _random_sequence_dfs(succ, s, t, rng, hops, budget, tracker):
         room = limit - len(keyed)
         take = min(per_seq_cap, room)

@@ -54,6 +54,8 @@ def _check_flow_spec(flow_spec: FlowSpec) -> None:
         )
     if not all(isinstance(v, numbers.Real) and 0.0 <= v < math.inf for v in flow_spec[1:]):
         raise DomainError(f"flow spec values must be finite and nonnegative, got {flow_spec!r}")
+    if flow_spec[0] == "uniform" and flow_spec[1] > flow_spec[2]:
+        raise DomainError(f"uniform flow bounds must satisfy lo <= hi, got {flow_spec!r}")
 
 
 def _draw_flow(rng: random.Random, flow_spec: FlowSpec) -> float:
@@ -144,6 +146,8 @@ def generate_grid(
     """
     if rows < 2 or cols < 2:
         raise DomainError("grid needs at least 2 rows and 2 columns")
+    if not 0.0 < arc_length_km < math.inf:
+        raise DomainError(f"arc length must be positive and finite, got {arc_length_km}")
     if not 0.0 < speed_kmh < math.inf:
         raise DomainError(f"speed must be positive and finite, got {speed_kmh}")
     _check_flow_spec(flow_spec)

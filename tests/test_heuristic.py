@@ -16,6 +16,7 @@ from venroute import (
     VehicularRoute,
     build_accessibility_graph,
     generate_corridor,
+    generate_grid,
     generate_random,
     heuristic_min_loss,
     normalize_routes,
@@ -226,29 +227,42 @@ class TestDistinctRouteAssignment:
         assert rids == ("r1", "r2")
 
 
-def reversed_reuse_instance(with_spare=True):
+def reversed_reuse_instance(with_spare=True, second=None):
     """Fewest-hop sequence s-a-b-t whose first and last hops share only route R.
 
     R runs b-t-x-s-a, so it realizes both (s, a) and (b, t) but never s..t.
     Without the spare route R2 on (b, t), no distinct-route pick exists.
+
+    ``second`` adds a second fewest-hop sequence. "mirror" adds s-d-e-t, as
+    wide as s-a-b-t and with no distinct-route pick either: route P runs
+    e-t-y-s-d. "narrow" adds s-a-a2-t over two routes of flow 0.1, which is
+    workable, narrower than s-a-b-t, and first in order.
     """
-    net = VehicularNetwork.build(
-        ["a", "b", "s", "t", "x"],
-        [
-            ("sa", "s", "a", 60.0),
-            ("ab", "a", "b", 60.0),
-            ("bt", "b", "t", 60.0),
-            ("tx", "t", "x", 60.0),
-            ("xs", "x", "s", 60.0),
-        ],
-    )
+    junctions = ["a", "b", "s", "t", "x"]
+    arcs = [
+        ("sa", "s", "a", 60.0),
+        ("ab", "a", "b", 60.0),
+        ("bt", "b", "t", 60.0),
+        ("tx", "t", "x", 60.0),
+        ("xs", "x", "s", 60.0),
+    ]
     routes = [
         VehicularRoute("R", ("bt", "tx", "xs", "sa"), 0.5),
         VehicularRoute("Q", ("ab",), 0.3),
     ]
     if with_spare:
         routes.append(VehicularRoute("R2", ("bt",), 0.2))
-    return net, routes
+    if second == "mirror":
+        junctions += ["d", "e", "y"]
+        arcs += [("sd", "s", "d", 60.0), ("de", "d", "e", 60.0), ("et", "e", "t", 60.0),
+                 ("ty", "t", "y", 60.0), ("ys", "y", "s", 60.0)]
+        routes += [VehicularRoute("P", ("et", "ty", "ys", "sd"), 0.5),
+                   VehicularRoute("O", ("de",), 0.3)]
+    elif second == "narrow":
+        junctions.append("a2")
+        arcs += [("aa2", "a", "a2", 60.0), ("a2t", "a2", "t", 60.0)]
+        routes += [VehicularRoute("N1", ("aa2",), 0.1), VehicularRoute("N2", ("a2t",), 0.1)]
+    return VehicularNetwork.build(junctions, arcs), routes
 
 
 class TestStopReason:
@@ -282,10 +296,43 @@ class TestStopReason:
         assert res.status == "infeasible" and res.stop_reason == "no-path"
 
     def test_sequence_cap_reported(self, monkeypatch):
-        monkeypatch.setattr(heuristic, "_SEQUENCE_FALLBACK_CAP", 0)
-        net, routes = reversed_reuse_instance(with_spare=False)
+        net, routes = reversed_reuse_instance(with_spare=False, second="mirror")
+        res = heuristic_min_loss(net, routes, PARAMS, 10.0, "s", "t")
+        assert res.status == "infeasible" and res.stop_reason == "no-path"
+        # two fewest-hop sequences do not fit under a cap of 1
+        monkeypatch.setattr(heuristic, "_SEQUENCE_FALLBACK_CAP", 1)
         res = heuristic_min_loss(net, routes, PARAMS, 10.0, "s", "t")
         assert res.status == "infeasible" and res.stop_reason == "combination-cap"
+
+    def test_cut_scan_is_a_cap_verdict(self, monkeypatch):
+        # the workable sequence comes first, but a cut list may miss a wider one
+        net, routes = reversed_reuse_instance(with_spare=False, second="narrow")
+        res = heuristic_min_loss(net, routes, PARAMS, 10.0, "s", "t")
+        assert res.status == "success"
+        assert res.plan.entries[0].path.boundaries == ("s", "a", "a2", "t")
+        monkeypatch.setattr(heuristic, "_SEQUENCE_FALLBACK_CAP", 1)
+        res = heuristic_min_loss(net, routes, PARAMS, 10.0, "s", "t")
+        assert res.status == "infeasible" and res.stop_reason == "combination-cap"
+        assert res.paths_used == 0
+
+
+@pytest.mark.parametrize(
+    "make, targets",
+    [
+        (lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("const", 0.1), seed=4), (1.0, 200.0)),
+        (lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("uniform", 0.1, 0.3), seed=47),
+         (1.0, 500.0, 2457.0, 2900.0)),
+    ],
+    ids=["grid4", "grid47"],
+)
+def test_greedy_paths_are_the_enumerated_paths(make, targets):
+    # a greedy path rides the routes themselves, so its bottleneck flow is the
+    # least flow of those routes even after an earlier path spent some of it
+    inst = Instance(make())
+    enumerated = {p.sort_key(): p for p in inst.paths().paths}
+    for target in targets:
+        for entry in inst.greedy(target).plan.entries:
+            assert entry.path == enumerated[entry.path.sort_key()]
 
 
 @pytest.mark.parametrize(
@@ -349,7 +396,7 @@ def test_fallback_picks_the_widest_workable_fewest_hop_sequence(seed, monkeypatc
     # another fewest-hop sequence has one: the pick must be the widest
     # workable sequence (ties to the first in order), as a brute force finds
     sc = generate_random(8, 0.4, 4, 20, seed=seed)
-    pick, scan = heuristic._pick_path, heuristic._all_min_hop_sequences
+    pick, scan = heuristic._pick_path, heuristic._sequences
     calls = []
 
     def spy_pick(acc, flows, s, t):
@@ -357,20 +404,19 @@ def test_fallback_picks_the_widest_workable_fewest_hop_sequence(seed, monkeypatc
         calls[-1]["picked"] = pick(acc, flows, s, t)
         return calls[-1]["picked"]
 
-    def spy_scan(dag, s, t, cap):
+    def spy_scan(succ, s, t, cap):
         calls[-1]["fallback"] = True
-        return scan(dag, s, t, cap)
+        return scan(succ, s, t, cap)
 
     monkeypatch.setattr(heuristic, "_pick_path", spy_pick)
-    monkeypatch.setattr(heuristic, "_all_min_hop_sequences", spy_scan)
+    monkeypatch.setattr(heuristic, "_sequences", spy_scan)
     Instance(sc).greedy(1e6)
     rescued = [c for c in calls if c["fallback"] and not isinstance(c["picked"], str)]
     assert rescued
     for call in rescued:
         acc, flows, s, t = call["args"]
         segments, dag, _ = heuristic._shortest_dag(acc, flows, s, t)
-        seqs, capped = scan(dag, s, t, 10**6)
-        assert not capped
+        seqs = scan(dag, s, t, 10**6)
         workable = [
             (min(flows[rid] for rid in combo), seq)
             for seq in seqs

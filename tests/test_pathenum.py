@@ -32,6 +32,7 @@ from venroute import (
     generate_grid,
     generate_random,
 )
+import venroute.pathenum as pathenum
 from venroute.heuristic import _levels
 from venroute.pathenum import (
     DEFAULT_CAP,
@@ -273,14 +274,15 @@ class TestBounded:
         b = enumerate_bounded(pruned, s, t, acc, network, norm, limit=5, seed=3)
         assert a == b
 
-    def test_complete_flag_exact_without_detour_bound(self):
+    def test_complete_flag_exact_without_detour_bound(self, monkeypatch):
+        # a slack past any loop-free sequence's length never prunes a branch
+        monkeypatch.setattr(pathenum, "DETOUR_SLACK", 10**9)
         for seed in range(10):
             network, routes, s, t = random_instance(seed)
             norm, acc, pruned, _ = prepared(network, routes, t)
             full = enumerate_paths(pruned, s, t, acc, network, norm)
             sub = enumerate_bounded(
-                pruned, s, t, acc, network, norm,
-                limit=len(full.paths) + 1, seed=0, detour_slack=None,
+                pruned, s, t, acc, network, norm, limit=len(full.paths) + 1, seed=0
             )
             assert sub.complete
             assert {(p.boundaries, p.segments) for p in sub.paths} == {
@@ -288,15 +290,14 @@ class TestBounded:
             }
             if full.paths:
                 short = enumerate_bounded(
-                    pruned, s, t, acc, network, norm,
-                    limit=len(full.paths), seed=0, detour_slack=None,
+                    pruned, s, t, acc, network, norm, limit=len(full.paths), seed=0
                 )
                 # hitting the limit exactly still leaves the set complete only
                 # if nothing was cut; a smaller limit must flag truncation
+                assert short.complete and len(short.paths) == len(full.paths)
                 if len(full.paths) > 1:
                     cut = enumerate_bounded(
-                        pruned, s, t, acc, network, norm,
-                        limit=len(full.paths) - 1, seed=0, detour_slack=None,
+                        pruned, s, t, acc, network, norm, limit=len(full.paths) - 1, seed=0
                     )
                     assert not cut.complete
                     assert len(cut.paths) == len(full.paths) - 1

@@ -1,6 +1,7 @@
 """Scenario generators and the text file format."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -94,8 +95,15 @@ class TestGenerators:
             (lambda: generate_grid(4, 4, 10.0, 60.0, 0, ("poisson", 0.1), 0), "flow spec must be"),
             (lambda: generate_random(6, 0.5, 3, 0, 0, flow_spec=("poisson", 0.1)),
              "flow spec must be"),
+            (lambda: generate_grid(4, 4, 10.0, 60.0, 5, ("uniform", 0.3, 0.1), 0),
+             "uniform flow bounds must satisfy lo <= hi"),
             (lambda: generate_grid(4, 4, 10.0, 0.0, 20, ("const", 0.1), 0),
              "speed must be positive and finite, got 0.0"),
+            *[
+                (lambda km=km: generate_grid(4, 4, km, 60.0, 20, ("const", 0.1), 0),
+                 f"arc length must be positive and finite, got {km}")
+                for km in (0.0, -1.0, math.nan, math.inf)
+            ],
             (lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("const", 0.1), 0, max_route_arcs=0),
              "route length cap must be at least 1, got 0"),
             (lambda: generate_random(6, 0.5, 0, 10, seed=0),
@@ -109,7 +117,9 @@ class TestGenerators:
         ],
         ids=[
             "const-without-value", "uniform-with-one-value", "const-not-a-number",
-            "unknown-kind-without-routes", "random-unknown-kind-without-routes", "zero-speed",
+            "unknown-kind-without-routes", "random-unknown-kind-without-routes",
+            "uniform-reversed-bounds", "zero-speed",
+            "zero-arc-length", "negative-arc-length", "nan-arc-length", "inf-arc-length",
             "grid-zero-route-length", "random-zero-route-length", "one-junction",
             "corridor-no-rows", "corridor-one-column", "corridor-destination-outside",
         ],

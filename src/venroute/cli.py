@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen-grid, gen-random, enumerate, solve, compare, growth.
-Exit codes: 0 success, 3 when the only problem was infeasibility, 1 on error
-(for compare, when any row is an error; the table is still written).
+Exit codes: 0 success, 3 when the only problem was infeasibility, 1 on error, a
+safety cap included (compare still writes its table, solve its partial plan).
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ import argparse
 import sys
 
 from .energy import plan_totals
-from .errors import VenError
+from .errors import EnumerationCapError, VenError
 from .experiments import Instance, run_compare, run_growth
+from .heuristic import COMBINATION_CAP
 from .pathenum import DEFAULT_CAP, _at_least_one
 from .scenario_io import load_scenario, save_scenario
 from .scenarios import generate_grid, generate_random
@@ -125,6 +126,8 @@ def _cmd_solve(args) -> int:
         result = inst.greedy(target)
         entries = result.plan.entries
         _write(args.out, _plan_csv(entries, result.delivered_kwh, result.loss_kwh))
+        if result.stop_reason == COMBINATION_CAP:  # a safety cap is not infeasibility
+            raise EnumerationCapError(f"{COMBINATION_CAP}: a safety cap cut the greedy short")
         return EXIT_OK if result.status == "success" else EXIT_INFEASIBLE
     exact = args.method == "I"  # else method II
     pathset = inst.paths(args.cap) if exact else inst.sample(args.subset_limit, args.seed)

@@ -42,7 +42,7 @@ from typing import Sequence
 
 from .energy import plan_totals
 from .errors import DomainError, EnumerationCapError
-from .heuristic import HeuristicResult, _levels, _Trajectory
+from .heuristic import COMBINATION_CAP, HeuristicResult, _levels, _Trajectory
 from .network import _incidence, _walk_routes, arc_flow_table, prune_unreachable
 from .pathenum import (
     DEFAULT_CAP,
@@ -210,10 +210,11 @@ def run_compare(
         _lp_backend()  # and so does importing NumPy and SciPy
     once: dict[str, float] = {}  # each method's one-off seconds, added to each of its rows
 
-    def row(target: float, method: str, t0: float, totals) -> ResultRow:
-        """The method's row; ``totals`` is (loss, delivered, paths used), None if infeasible."""
+    def row(target: float, method: str, t0: float, totals, error: str = "") -> ResultRow:
+        """The method's row; ``totals`` is (loss, delivered, paths used), None without a plan,
+        which is infeasible unless ``error`` names what stopped the method."""
         wall = (time.perf_counter() - t0 + once[method]) * 1000.0
-        status = "infeasible" if totals is None else "optimal"
+        status = error or ("infeasible" if totals is None else "optimal")
         return ResultRow(target, method, status, *(totals or (None, None, None)), wall)
 
     full = None
@@ -269,7 +270,9 @@ def run_compare(
             res = inst.greedy(target)
             ok = res.status == "success"
             totals = (res.loss_kwh, res.delivered_kwh, res.paths_used) if ok else None
-            rows.append(row(target, "III", t0, totals))
+            # a safety cap that cut the greedy short is an error, not infeasibility
+            error = f"error:{COMBINATION_CAP}" if res.stop_reason == COMBINATION_CAP else ""
+            rows.append(row(target, "III", t0, totals, error))
 
     return ResultTable(rows)
 

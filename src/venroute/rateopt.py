@@ -1,18 +1,23 @@
 """Loss-minimizing rate assignment over a path set, as a linear program.
 
-Variables are per-path delivered energy x_j and rate g_j. The objective is
-total conversion loss. Each rate g_j is bounded by w times the path's
-bottleneck flow, the least EV flow of the routes it rides. The rows, in
-order, cap x_j by the window capacity at rate g_j, cap the aggregate rate
-per road arc by its total flow, and require the delivered total to meet the
-energy target. An assembled ``LpInstance`` solves itself at any target, so
-one assembly serves a sweep.
+The variables are the path rates g_j. Path j delivers cap_j * g_j, where
+cap_j = (T - d_j) z^|p_j| is its window capacity coefficient, so the
+objective, total conversion loss, costs loss_ratio_j * cap_j per unit of
+g_j. Each rate is bounded by w times the path's bottleneck flow, the least
+EV flow of the routes it rides, and by 0 on a path past the window. The rows,
+in order, cap the aggregate rate per road arc by its total flow and require
+the delivered total to meet the energy target. Writing the delivered energy
+as cap_j * g_j is exact: the loss puts no cost on a rate, and lowering g_j to
+x_j / cap_j only loosens the arc rows. An assembled ``LpInstance`` solves
+itself at any target, so one assembly serves a sweep.
 
 Each LP is one cold call to HiGHS's dual simplex (Huangfu & Hall 2018) through
 SciPy's own binding ``scipy.optimize._highspy._core``, there from SciPy 1.15.
 The LP goes to HiGHS through the array overload of ``_Highs.passModel``, which
 takes the bounds and the column-wise matrix as NumPy arrays; filling a
-``HighsLp`` field by field copied every entry through Python.
+``HighsLp`` field by field copied every entry through Python. Presolve is off:
+on these small, well-scaled LPs it removes almost nothing and costs more than
+the simplex itself.
 
 This is the only module that uses NumPy or SciPy, and it imports them on the
 first LP it builds or solves, through ``_lp_backend``. Enumeration, the
@@ -51,7 +56,7 @@ def _lp_backend():
     from scipy.optimize._highspy import _core as highs
 
     options = highs.HighsOptions()
-    options.presolve = "on"
+    options.presolve = "off"
     options.primal_feasibility_tolerance = 1e-10
     options.simplex_strategy = 1  # dual
     options.highs_debug_level = 0
@@ -82,11 +87,11 @@ class LpSolution:
 
 @dataclass(frozen=True)
 class LpInstance:
-    """Assembled LP of a path set: minimize c @ v s.t. A_ub @ v <= b_ub, 0 <= v <= upper.
+    """Assembled LP of a path set: minimize c @ g s.t. A_ub @ g <= b_ub, 0 <= g <= upper.
 
-    Variables are ordered [x_0..x_{m-1}, g_0..g_{m-1}]; rows are ordered
-    window caps (one per path), shared road arcs (sorted by arc id), target.
-    ``upper`` holds inf where a variable has no upper bound.
+    Column j is path j's rate g_j, which delivers ``caps[j]`` * g_j kWh; rows
+    are ordered shared road arcs (sorted by arc id), target. HiGHS solves it
+    without presolve.
     """
 
     paths: PathSet
@@ -95,6 +100,7 @@ class LpInstance:
     a_ub: sparse.csc_matrix
     b_ub: np.ndarray
     upper: np.ndarray
+    caps: np.ndarray
 
     def solve(self, target_kwh: float) -> LpSolution:
         """The min-loss plan at one energy target; infeasibility is a verdict, not an error.
@@ -114,17 +120,17 @@ class LpInstance:
         b_ub[-1] = -target_kwh
         lp = replace(self, b_ub=b_ub)
         t0 = time.perf_counter()
-        status, x, iterations = _run_highs(lp.c, lp)
+        status, g, iterations = _run_highs(lp.c, lp)
         elapsed = time.perf_counter() - t0
         if status == "infeasible":
             return LpSolution("infeasible", None, None, {"solve_s": elapsed})
-        m = len(paths)
-        residual = max((lp.a_ub @ x - b_ub).max(), (x[m:] - lp.upper[m:]).max(), 0.0)
+        residual = max((lp.a_ub @ g - b_ub).max(), (g - lp.upper).max(), 0.0)
         if residual > RESIDUAL_TOL * max(1.0, target_kwh):
             raise ConsistencyError(f"LP solution violates its constraints by {residual:.3g}")
 
         entries = [
-            PlanEntry(path=p, rate=max(0.0, float(x[m + j])), delivered_kwh=max(0.0, float(x[j])))
+            PlanEntry(path=p, rate=max(0.0, float(g[j])),
+                      delivered_kwh=max(0.0, float(self.caps[j] * g[j])))
             for j, p in enumerate(paths)
         ]
         plan = make_plan(entries, self.params)
@@ -133,11 +139,11 @@ class LpInstance:
             "max_residual": float(residual),
             "solve_s": elapsed,
         }
-        return LpSolution("optimal", plan, float(lp.c @ x), diagnostics)
+        return LpSolution("optimal", plan, float(lp.c @ g), diagnostics)
 
 
 def build_lp(problem: LossMinProblem) -> LpInstance:
-    """Assemble the LP; rows are ordered window caps, shared road arcs, target."""
+    """Assemble the LP; rows are ordered shared road arcs, target."""
     return _assemble(
         problem.paths, problem.params, arc_flow_table(problem.routes), problem.target_kwh
     )
@@ -148,46 +154,35 @@ def _assemble(
     target_kwh: float = 0.0,
 ) -> LpInstance:
     """The LP of ``pathset`` given the arc-flow table of its scenario's routes."""
-    np, sparse, highs, _options = _lp_backend()
+    np, sparse, _highs, _options = _lp_backend()
     paths = pathset.paths
     w = params.packet_kwh
     m = len(paths)
-    cols = np.arange(m)
 
-    c = np.zeros(2 * m)
-    c[:m] = [loss_ratio(p.cycles, params.efficiency) for p in paths]
     caps = np.array([_window_cap(p, params) for p in paths])
+    c = caps * [loss_ratio(p.cycles, params.efficiency) for p in paths]
 
     # shared-arc coupling, one row per used road arc in sorted arc order:
     # sum_j g_j / w <= h_a, each path counted once per arc it uses
     arc_ids = np.array([a for p in paths for a in p.arc_ids], dtype=str)
-    path_of = np.repeat(cols, [len(p.arc_ids) for p in paths])
+    path_of = np.repeat(np.arange(m), [len(p.arc_ids) for p in paths])
     used_arcs, arc_of = np.unique(arc_ids, return_inverse=True)
     arc_row, arc_col = np.divmod(np.unique(arc_of * m + path_of), m)
 
-    target_row = m + len(used_arcs)
-    ri = np.concatenate([cols, cols, m + arc_row, np.full(m, target_row)])
-    ci = np.concatenate([cols, m + cols, m + arc_col, cols])
+    target_row = len(used_arcs)
+    ri = np.concatenate([arc_row, np.full(m, target_row)])
+    ci = np.concatenate([arc_col, np.arange(m)])
     data = np.concatenate([
-        np.ones(m),  # window capacity: x_j - cap_j * g_j <= 0
-        -caps,
         np.full(len(arc_row), 1.0 / w),
-        np.full(m, -1.0),  # delivery target: -sum x_j <= -target
+        -caps,  # delivery target: -sum cap_j * g_j <= -target
     ])
-    a_ub = sparse.csc_matrix((data, (ri, ci)), shape=(target_row + 1, 2 * m))
-    b_ub = np.concatenate([
-        np.zeros(m),
-        [arc_flows.get(a, 0.0) for a in used_arcs],
-        [-target_kwh],
-    ])
+    a_ub = sparse.csc_matrix((data, (ri, ci)), shape=(target_row + 1, m))
+    b_ub = np.concatenate([[arc_flows.get(a, 0.0) for a in used_arcs], [-target_kwh]])
 
-    # paths past the window carry nothing, but stay in the instance; a rate
-    # is capped by every route it rides, so by the path's bottleneck flow
-    upper = np.concatenate([
-        np.where(caps == 0.0, 0.0, highs.kHighsInf),
-        [w * p.bottleneck_flow for p in paths],
-    ])
-    return LpInstance(pathset, params, c=c, a_ub=a_ub, b_ub=b_ub, upper=upper)
+    # a rate is capped by every route it rides, so by the path's bottleneck
+    # flow; paths past the window carry nothing, but stay in the instance
+    upper = np.where(caps == 0.0, 0.0, [w * p.bottleneck_flow for p in paths])
+    return LpInstance(pathset, params, c=c, a_ub=a_ub, b_ub=b_ub, upper=upper, caps=caps)
 
 
 def _run_highs(c, lp: LpInstance) -> tuple[str, np.ndarray | None, int]:
@@ -225,15 +220,10 @@ def solve_min_loss(problem: LossMinProblem) -> LpSolution:
 
 def max_deliverable(problem: LossMinProblem) -> float:
     """Largest delivered total any feasible plan can achieve (target ignored)."""
-    paths = problem.paths.paths
-    if not paths:
+    if not problem.paths.paths:
         return 0.0
-    np = _lp_backend()[0]
     lp = _assemble(problem.paths, problem.params, arc_flow_table(problem.routes))
-    goal = np.zeros(2 * len(paths))
-    goal[: len(paths)] = -1.0
-    status, x, _ = _run_highs(goal, lp)
+    status, g, _ = _run_highs(-lp.caps, lp)
     if status != "optimal":
         raise SolverError("capacity LP failure: infeasible")
-    return float(x[: len(paths)].sum())
-
+    return float(lp.caps @ g)

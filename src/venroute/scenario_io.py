@@ -10,12 +10,15 @@ A scenario is one human-readable text document with bracketed sections:
     [routes]      route_id flow_ev_per_s=<f> arcs=<id,id,...>
 
 Saving is canonical (sorted, repr floats), so load(save(x)) == x and
-re-saving a loaded file is byte-identical.
+re-saving a loaded file is byte-identical. Loading takes no key or field
+beyond these, and an arc takes one of its two delay forms; anything else
+raises ScenarioFormatError naming the line.
 """
 
 from __future__ import annotations
 
 import io
+import math
 
 from .energy import EnergyParams, check_target
 from .errors import DomainError, ScenarioFormatError
@@ -79,7 +82,13 @@ def _fields(tokens: list[str], lineno: int) -> dict[str, str]:
     return fields
 
 
-# the key = value sections, each with its required keys
+def _check_known(fields: dict[str, str], known: tuple[str, ...], lineno: int) -> None:
+    for key in fields:
+        if key not in known:
+            _fail(lineno, f"unknown field {key}=")
+
+
+# the key = value sections, each with its required keys; x_target_kwh is optional
 _KEYED = {"meta": ("name", "seed"), "params": ("w_kwh", "zc", "zd", "T_s"), "endpoints": ("s", "t")}
 
 
@@ -106,6 +115,8 @@ def loads_scenario(text: str) -> Scenario:
             key, eq, value = (part.strip() for part in line.partition("="))
             if not eq:
                 _fail(lineno, f"expected key = value in [{section}]")
+            if key not in _KEYED[section] and (section, key) != ("endpoints", "x_target_kwh"):
+                _fail(lineno, f"unknown key {key!r} in [{section}]")
             if key in keyed[section]:
                 _fail(lineno, f"repeated key {key!r} in [{section}]")
             keyed[section][key] = value
@@ -128,14 +139,22 @@ def loads_scenario(text: str) -> Scenario:
             aid, tail, head = tokens[:3]
             fields = _fields(tokens[3:], lineno)
             try:
-                if "delay_s" in fields:
+                if fields.keys() == {"delay_s"}:
                     delay = float(fields["delay_s"])
-                elif "length_km" in fields and "speed_kmh" in fields:
-                    delay = float(fields["length_km"]) / float(fields["speed_kmh"]) * 3600.0
+                elif fields.keys() == {"length_km", "speed_kmh"}:
+                    length, speed = float(fields["length_km"]), float(fields["speed_kmh"])
+                    if not (0.0 < length < math.inf and 0.0 < speed < math.inf):
+                        _fail(lineno, "length_km and speed_kmh must be positive and finite")
+                    delay = length / speed * 3600.0
                 else:
+                    _check_known(fields, ("delay_s", "length_km", "speed_kmh"), lineno)
+                    if "delay_s" in fields:  # with length_km or speed_kmh
+                        _fail(lineno, "arc takes delay_s or length_km+speed_kmh, not both")
                     _fail(lineno, "arc needs delay_s or length_km+speed_kmh")
             except ValueError:
                 _fail(lineno, "arc numeric field is not a number")
+            if not 0.0 < delay < math.inf:
+                _fail(lineno, "arc delay must be positive and finite")
             arcs.append((aid, tail, head, delay))
         elif section == "routes":
             tokens = line.split()
@@ -145,13 +164,16 @@ def loads_scenario(text: str) -> Scenario:
             fields = _fields(tokens[1:], lineno)
             if "flow_ev_per_s" not in fields or "arcs" not in fields:
                 _fail(lineno, "route needs flow_ev_per_s and arcs fields")
+            _check_known(fields, ("flow_ev_per_s", "arcs"), lineno)
             try:
                 flow = float(fields["flow_ev_per_s"])
             except ValueError:
                 _fail(lineno, "route flow is not a number")
-            route_arcs = tuple(a for a in fields["arcs"].split(",") if a)
-            if not route_arcs:
+            route_arcs = tuple(fields["arcs"].split(","))
+            if not any(route_arcs):
                 _fail(lineno, "route has no arcs")
+            if not all(route_arcs):
+                _fail(lineno, "route has an empty arc id")
             routes.append(VehicularRoute(rid, route_arcs, flow))
 
     for name, keys in _KEYED.items():

@@ -4,7 +4,9 @@ The oracles deliberately avoid the library's own traversal and solver code:
 sequence enumeration is a plain recursive DFS, path expansion is a direct
 Cartesian product with a repeated-route filter, and the LP oracle tries every
 fill-to-ceiling vertex of the delivered-energy box, cross-checked by a dense
-grid search over it.
+grid search over it. The LP of a path set has a second oracle: the
+two-variable LP over delivered energy and rate, built row by row here and
+solved with ``linprog``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import itertools
 import random
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from venroute import (
     EnergyParams,
@@ -129,6 +133,44 @@ def oracle_min_loss(caps, cycles, z, target, resolution=60):
     return float(best)
 
 
+def oracle_two_variable_lp(paths, params, arc_flows, target):
+    """(status, objective) of the min-loss LP over x_j (delivered) and g_j (rate).
+
+    Rows, built one by one: x_j <= (T - d_j) z^|p_j| g_j, or x_j <= 0 past
+    the window; sum of g_j / w over the paths riding a road arc <= its flow;
+    sum x_j >= target. Each rate is at most w times the path's bottleneck
+    flow. The status is "optimal" or "infeasible"; solved with ``linprog``.
+    """
+    m, w, z = len(paths), params.packet_kwh, params.efficiency
+    if m == 0:
+        return ("optimal", 0.0) if target <= 0.0 else ("infeasible", None)
+    rows, b = [], []
+    for j, p in enumerate(paths):
+        row = {j: 1.0}
+        if params.window_s > p.delay_s:
+            row[m + j] = -(params.window_s - p.delay_s) * z**p.cycles
+        rows.append(row)
+        b.append(0.0)
+    for arc in sorted({a for p in paths for a in p.arc_ids}):
+        rows.append({m + j: 1.0 / w for j, p in enumerate(paths) if arc in p.arc_ids})
+        b.append(arc_flows.get(arc, 0.0))
+    rows.append({j: -1.0 for j in range(m)})
+    b.append(-target)
+    a_ub = sparse.lil_matrix((len(rows), 2 * m))
+    for i, row in enumerate(rows):
+        for col, value in row.items():
+            a_ub[i, col] = value
+    cost = [1.0 / z**p.cycles - 1.0 for p in paths] + [0.0] * m
+    bounds = [(0.0, None)] * m + [(0.0, w * p.bottleneck_flow) for p in paths]
+    res = linprog(cost, A_ub=a_ub.tocsr(), b_ub=b, bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10})
+    if res.status == 2:
+        return "infeasible", None
+    if res.status != 0:
+        raise AssertionError(f"oracle LP failed: {res.message}")
+    return "optimal", float(res.fun)
+
+
 # ---------------------------------------------------------------------------
 # fixture builders
 
@@ -196,6 +238,44 @@ def random_instance(seed, n_max=6, density=0.45, route_len=3, route_count=10):
             routes.append(VehicularRoute(f"r{k:02d}", tuple(picked), rng.uniform(0.05, 0.3)))
     s, t = rng.sample(junctions, 2)
     return network, tuple(routes), s, t
+
+
+def reversed_reuse_instance(with_spare=True, second=None):
+    """Fewest-hop sequence s-a-b-t whose first and last hops share only route R.
+
+    R runs b-t-x-s-a, so it realizes both (s, a) and (b, t) but never s..t.
+    Without the spare route R2 on (b, t), no distinct-route pick exists.
+
+    ``second`` adds a second fewest-hop sequence. "mirror" adds s-d-e-t, as
+    wide as s-a-b-t and with no distinct-route pick either: route P runs
+    e-t-y-s-d. "narrow" adds s-a-a2-t over two routes of flow 0.1, which is
+    workable, narrower than s-a-b-t, and first in order.
+    """
+    junctions = ["a", "b", "s", "t", "x"]
+    arcs = [
+        ("sa", "s", "a", 60.0),
+        ("ab", "a", "b", 60.0),
+        ("bt", "b", "t", 60.0),
+        ("tx", "t", "x", 60.0),
+        ("xs", "x", "s", 60.0),
+    ]
+    routes = [
+        VehicularRoute("R", ("bt", "tx", "xs", "sa"), 0.5),
+        VehicularRoute("Q", ("ab",), 0.3),
+    ]
+    if with_spare:
+        routes.append(VehicularRoute("R2", ("bt",), 0.2))
+    if second == "mirror":
+        junctions += ["d", "e", "y"]
+        arcs += [("sd", "s", "d", 60.0), ("de", "d", "e", 60.0), ("et", "e", "t", 60.0),
+                 ("ty", "t", "y", 60.0), ("ys", "y", "s", 60.0)]
+        routes += [VehicularRoute("P", ("et", "ty", "ys", "sd"), 0.5),
+                   VehicularRoute("O", ("de",), 0.3)]
+    elif second == "narrow":
+        junctions.append("a2")
+        arcs += [("aa2", "a", "a2", 60.0), ("a2t", "a2", "t", 60.0)]
+        routes += [VehicularRoute("N1", ("aa2",), 0.1), VehicularRoute("N2", ("a2t",), 0.1)]
+    return VehicularNetwork.build(junctions, arcs), routes
 
 
 def prepared(network, routes, t):

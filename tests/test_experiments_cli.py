@@ -9,8 +9,10 @@ import pytest
 
 from venroute import (
     DomainError,
+    EnergyParams,
     Instance,
     LossMinProblem,
+    Scenario,
     energy,
     experiments,
     enumerate_bounded,
@@ -30,10 +32,13 @@ from venroute import (
     rateopt,
     run_compare,
     run_growth,
+    save_scenario,
     solve_min_loss,
 )
 from venroute.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
 from venroute.experiments import COMPARE_HEADER, GROWTH_HEADER
+
+from helpers import reversed_reuse_instance
 
 
 @pytest.fixture(scope="module")
@@ -596,6 +601,36 @@ class TestCli:
             assert sum(",I,error:enumeration-cap," in row for row in rows) == 2
         assert main([*argv, "--targets", "1,200", "--methods", "III"]) == EXIT_OK
         assert main([*argv, "--targets", "1e9", "--methods", "III"]) == EXIT_INFEASIBLE
+
+    def test_greedy_cut_by_a_cap_is_an_error_not_infeasible(self, tmp_path, capsys, monkeypatch):
+        # two fewest-hop sequences without a route-distinct pick: uncut, the
+        # greedy finds no path; under a sequence cap of 1 it cannot tell
+        network, routes = reversed_reuse_instance(with_spare=False, second="mirror")
+        params = EnergyParams(1.0, 0.9, 1.0, 18000.0)
+        sc = Scenario("cap", 0, network, tuple(routes), params, "s", "t")
+        scen, out = tmp_path / "cap.txt", tmp_path / "out.csv"
+        save_scenario(sc, scen)
+        compare = ["compare", "--scenario", str(scen), "--targets", "10", "--methods", "III"]
+        solve = ["solve", "--scenario", str(scen), "--method", "III", "--target", "10"]
+        assert run_compare(sc, [10.0], ["III"]).rows[0].status == "infeasible"
+        assert main([*compare, "--out", str(out)]) == EXIT_INFEASIBLE
+        assert main([*solve, "--out", str(out)]) == EXIT_INFEASIBLE
+        uncut = out.read_text()
+        assert capsys.readouterr().err == ""
+
+        monkeypatch.setattr(heuristic, "_SEQUENCE_FALLBACK_CAP", 1)
+        row = run_compare(sc, [10.0], ["III"]).rows[0]
+        assert (row.status, row.loss_kwh, row.delivered_kwh, row.paths_used) == (
+            "error:combination-cap", None, None, None
+        )
+        assert main([*compare, "--out", str(out)]) == EXIT_ERROR
+        assert out.read_text().splitlines()[1] == "10.000000,III,error:combination-cap,,,,"
+        # solve still writes the partial plan, here an empty one
+        assert main([*solve, "--out", str(out)]) == EXIT_ERROR
+        assert out.read_text() == uncut
+        assert uncut.splitlines()[1:] == ["total,,,,,0.000000", "loss,,,,,0.000000"]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "combination-cap" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("method", ["I", "III"])
     @pytest.mark.parametrize("target", ["nan", "inf"])

@@ -23,7 +23,7 @@ from venroute import (
     plan_totals,
 )
 
-from helpers import parallel_paths_instance
+from helpers import parallel_paths_instance, reversed_reuse_instance
 
 PARAMS = EnergyParams(packet_kwh=1.0, charge_eff=0.9, discharge_eff=1.0, window_s=18000.0)
 
@@ -225,44 +225,6 @@ class TestDistinctRouteAssignment:
         assert res.status == "success"
         rids = tuple(r for r, _, _ in res.plan.entries[0].path.segments)
         assert rids == ("r1", "r2")
-
-
-def reversed_reuse_instance(with_spare=True, second=None):
-    """Fewest-hop sequence s-a-b-t whose first and last hops share only route R.
-
-    R runs b-t-x-s-a, so it realizes both (s, a) and (b, t) but never s..t.
-    Without the spare route R2 on (b, t), no distinct-route pick exists.
-
-    ``second`` adds a second fewest-hop sequence. "mirror" adds s-d-e-t, as
-    wide as s-a-b-t and with no distinct-route pick either: route P runs
-    e-t-y-s-d. "narrow" adds s-a-a2-t over two routes of flow 0.1, which is
-    workable, narrower than s-a-b-t, and first in order.
-    """
-    junctions = ["a", "b", "s", "t", "x"]
-    arcs = [
-        ("sa", "s", "a", 60.0),
-        ("ab", "a", "b", 60.0),
-        ("bt", "b", "t", 60.0),
-        ("tx", "t", "x", 60.0),
-        ("xs", "x", "s", 60.0),
-    ]
-    routes = [
-        VehicularRoute("R", ("bt", "tx", "xs", "sa"), 0.5),
-        VehicularRoute("Q", ("ab",), 0.3),
-    ]
-    if with_spare:
-        routes.append(VehicularRoute("R2", ("bt",), 0.2))
-    if second == "mirror":
-        junctions += ["d", "e", "y"]
-        arcs += [("sd", "s", "d", 60.0), ("de", "d", "e", 60.0), ("et", "e", "t", 60.0),
-                 ("ty", "t", "y", 60.0), ("ys", "y", "s", 60.0)]
-        routes += [VehicularRoute("P", ("et", "ty", "ys", "sd"), 0.5),
-                   VehicularRoute("O", ("de",), 0.3)]
-    elif second == "narrow":
-        junctions.append("a2")
-        arcs += [("aa2", "a", "a2", 60.0), ("a2t", "a2", "t", 60.0)]
-        routes += [VehicularRoute("N1", ("aa2",), 0.1), VehicularRoute("N2", ("a2t",), 0.1)]
-    return VehicularNetwork.build(junctions, arcs), routes
 
 
 class TestStopReason:

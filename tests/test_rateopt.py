@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as highs
 
@@ -12,6 +14,7 @@ from venroute import (
     ConsistencyError,
     DomainError,
     EnergyParams,
+    EnumerationCapError,
     Instance,
     SolverError,
     LossMinProblem,
@@ -21,6 +24,7 @@ from venroute import (
     build_lp,
     enumerate_paths,
     generate_grid,
+    generate_random,
     max_deliverable,
     plan_totals,
     solve_min_loss,
@@ -29,7 +33,7 @@ from venroute import rateopt
 from venroute.pathenum import PathSet
 from venroute.rateopt import _window_cap
 
-from helpers import oracle_min_loss, parallel_paths_instance, prepared
+from helpers import oracle_min_loss, oracle_two_variable_lp, parallel_paths_instance, prepared
 
 
 def parallel_problem(target):
@@ -55,15 +59,18 @@ class TestBuildLp:
         lp = build_lp(problem)
         m = len(ps.paths)
         assert m == 3
-        assert lp.a_ub.shape[1] == 2 * m
+        # one rate column per path; three arc-disjoint paths use six road arcs
+        assert lp.a_ub.shape == (6 + 1, m)
+        assert lp.caps.tolist() == [_window_cap(p, problem.params) for p in ps.paths]
 
     def test_objective_is_loss_ratio(self):
         problem, ps = parallel_problem(100.0)
         lp = build_lp(problem)
         z = problem.params.efficiency
+        # a rate's cost is the loss of the energy it delivers
         for j, p in enumerate(ps.paths):
-            assert lp.c[j] == pytest.approx(1 / z**p.cycles - 1)
-            assert lp.c[len(ps.paths) + j] == 0.0
+            assert lp.c[j] == pytest.approx((1 / z**p.cycles - 1) * lp.caps[j])
+        assert lp.c.shape == (len(ps.paths),)
 
     def test_over_window_path_pinned_to_zero(self):
         network, routes, params, s, t = parallel_paths_instance()
@@ -77,7 +84,7 @@ class TestBuildLp:
             paths=ps, params=tight, network=network, routes=norm, target_kwh=0.5
         )
         lp = build_lp(problem)
-        assert np.count_nonzero(lp.upper[: len(ps.paths)] == 0.0) == 2
+        assert np.count_nonzero(lp.upper == 0.0) == 2
         sol = solve_min_loss(problem)
         assert sol.status == "optimal"
         # everything must ride the one in-window path (1 cycle)
@@ -199,14 +206,13 @@ class TestSharedArcCoupling:
         # same total, so capacity equals cap_coeff * 0.4
         assert max_deliverable(problem) == pytest.approx(cap_coeff * 0.4, rel=1e-9)
         lp = build_lp(problem)
-        # rows: one cap per path, one per used road arc, target
-        arc_row = len(ps.paths)
-        assert lp.a_ub.shape[0] == arc_row + 2
-        row = lp.a_ub[arc_row].toarray().ravel()
-        np.testing.assert_allclose(row[2:], [1.0, 1.0])
-        assert lp.b_ub[arc_row] == pytest.approx(0.4)
+        # rows: one per used road arc, then the target
+        assert lp.a_ub.shape == (2, 2)
+        np.testing.assert_allclose(lp.a_ub[0].toarray().ravel(), [1.0, 1.0])
+        assert lp.b_ub[0] == pytest.approx(0.4)
+        np.testing.assert_allclose(lp.a_ub[1].toarray().ravel(), [-cap_coeff, -cap_coeff])
         # each rate is bounded by w times its path's bottleneck flow
-        assert lp.upper[2:].tolist() == [1.0 * p.bottleneck_flow for p in ps.paths]
+        assert lp.upper.tolist() == [1.0 * p.bottleneck_flow for p in ps.paths]
 
 
 def two_segment_problem(target):
@@ -233,9 +239,9 @@ def two_segment_problem(target):
 class TestRateBounds:
     def test_bottleneck_flow_is_a_bound_not_rows(self):
         lp = build_lp(two_segment_problem(0.0))
-        m, used_arcs = 1, 2
-        assert lp.upper[m] == 2.0 * 0.1
-        assert lp.a_ub.shape[0] == m + used_arcs + 1
+        used_arcs = 2
+        assert lp.upper[0] == 2.0 * 0.1
+        assert lp.a_ub.shape == (used_arcs + 1, 1)
         # at the two-cycle capacity the rate sits on its bound
         capacity = (18000.0 - 1200.0) * 0.9**2 * 0.2
         sol = solve_min_loss(two_segment_problem(capacity * (1 - 1e-9)))
@@ -246,24 +252,23 @@ class TestRateBounds:
     def test_residual_counts_rate_bound_violations(self, monkeypatch):
         # points that satisfy every row but exceed the rate bound 0.2: a
         # violation within the tolerance is reported, a larger one rejected
-        fake = SimpleNamespace(x=np.array([0.0, 0.2 + 5e-7]))
+        fake = SimpleNamespace(x=np.array([0.2 + 5e-7]))
         monkeypatch.setattr(rateopt, "_run_highs", lambda c, lp: ("optimal", fake.x, 0))
         sol = solve_min_loss(two_segment_problem(0.0))
         assert sol.diagnostics["max_residual"] == pytest.approx(5e-7)
-        fake.x = np.array([0.0, 0.25])
+        fake.x = np.array([0.25])
         with pytest.raises(ConsistencyError, match="violates its constraints by 0.05"):
             solve_min_loss(two_segment_problem(0.0))
 
     def test_violating_solution_rejected(self, monkeypatch):
-        # the solver's own point, with every delivery scaled down by ``shrink``,
+        # the solver's own point, with every rate and so every delivery scaled down by ``shrink``,
         # misses the target by shrink * target; the tolerance is 1e-6 * target
         problem, _ = parallel_problem(500.0)
-        m = len(problem.paths.paths)
         run_highs = rateopt._run_highs
 
         def perturbed(c, lp):
-            status, x, iterations = run_highs(c, lp)
-            return status, np.concatenate([x[:m] * (1 - shrink), x[m:]]), iterations
+            status, g, iterations = run_highs(c, lp)
+            return status, g * (1 - shrink), iterations
 
         monkeypatch.setattr(rateopt, "_run_highs", perturbed)
         shrink = 1e-7
@@ -357,13 +362,60 @@ def test_direct_highs_matches_linprog(flow, seed):
     pathsets = [inst.paths()] + [inst.sample(50, k) for k in range(20)]
     for pathset in pathsets:
         lp = inst.lp(pathset)
-        bounds = [(0.0, u if np.isfinite(u) else None) for u in lp.upper]
+        bounds = list(zip(np.zeros_like(lp.upper), lp.upper))
         for target in (1.0, 500.0, 2457.0, 2900.0, 3500.0):
             at = replace(lp, b_ub=np.concatenate([lp.b_ub[:-1], [-target]]))
             want = linprog(
                 at.c, A_ub=at.a_ub.tocsr(), b_ub=at.b_ub, bounds=bounds, method="highs",
-                options={"presolve": True, "primal_feasibility_tolerance": 1e-10},
+                options={"presolve": False, "primal_feasibility_tolerance": 1e-10},
             )
             status, x, _ = rateopt._run_highs(at.c, at)
             assert (status, want.status) in (("optimal", 0), ("infeasible", 2))
             assert np.array_equal(x, want.x)
+
+
+def assert_matches_two_variable_lp(inst, pathset, targets):
+    lp = inst.lp(pathset)
+    for target in targets:
+        got = lp.solve(target)
+        want = oracle_two_variable_lp(
+            pathset.paths, inst.scenario.params, inst.arc_flows, target
+        )
+        assert got.status == want[0]
+        if want[1] is not None:
+            assert got.objective == pytest.approx(want[1], rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "flow, seed", [(("const", 0.1), 4), (("uniform", 0.1, 0.3), 47)], ids=["grid4", "grid47"]
+)
+def test_rates_only_lp_matches_two_variable_lp(flow, seed):
+    # putting x_j = cap_j * g_j keeps every verdict and optimum of the LP over
+    # x and g, on every LP the comparison sweep assembles
+    inst = Instance(generate_grid(4, 4, 10.0, 60.0, 20, flow, seed=seed))
+    pathsets = dict.fromkeys([inst.paths()] + [inst.sample(50, k) for k in range(20)])
+    for pathset in pathsets:
+        assert_matches_two_variable_lp(inst, pathset, (1.0, 500.0, 2457.0, 2900.0, 3500.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=8),
+    density=st.floats(min_value=0.2, max_value=1.0),
+    length_cap=st.integers(min_value=1, max_value=4),
+    route_count=st.integers(min_value=5, max_value=25),
+    seed=st.integers(min_value=0, max_value=10**6),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.2), min_size=1, max_size=4),
+)
+def test_rates_only_lp_matches_two_variable_lp_on_random_instances(
+    n, density, length_cap, route_count, seed, fractions
+):
+    inst = Instance(generate_random(n, density, length_cap, route_count, seed))
+    try:
+        pathset = inst.paths(cap=500)
+    except EnumerationCapError:
+        return
+    # targets up to 20% past the most the path set can deliver
+    network, routes = inst.scenario.network, inst.routes
+    most = max_deliverable(LossMinProblem(pathset, inst.scenario.params, network, routes, 0.0))
+    assert_matches_two_variable_lp(inst, pathset, [f * most for f in fractions])

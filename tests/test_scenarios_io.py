@@ -23,6 +23,8 @@ from venroute.experiments import prepare
 from venroute.scenarios import DEFAULT_PARAMS
 
 BAD_TARGET = "x_target_kwh is not a finite, nonnegative number"
+BOTH_DELAYS = "arc takes delay_s or length_km\\+speed_kmh, not both"
+BAD_LENGTH_SPEED = "length_km and speed_kmh must be positive and finite"
 
 
 class TestGenerators:
@@ -257,6 +259,21 @@ class TestFileFormat:
             ("T_s = 18000.0\n", "", "\\[params\\] missing field 'T_s'"),
             ("s = a\n", "", "\\[endpoints\\] missing field 's'"),
             ("seed = 0", "seed = x", "bad numeric field"),
+            ("delay_s=60", "delay_s=60 bogus=7", "line 16: unknown field bogus="),
+            ("delay_s=60", "delay_s=600.0 length_km=1 speed_kmh=1", f"line 16: {BOTH_DELAYS}"),
+            ("delay_s=60", "length_km=10 speed_kmh=0", f"line 16: {BAD_LENGTH_SPEED}"),
+            ("delay_s=60", "length_km=10 speed_kmh=nan", f"line 16: {BAD_LENGTH_SPEED}"),
+            ("delay_s=60", "length_km=-10 speed_kmh=60", f"line 16: {BAD_LENGTH_SPEED}"),
+            ("delay_s=60", "length_km=inf speed_kmh=60", f"line 16: {BAD_LENGTH_SPEED}"),
+            ("delay_s=60", "delay_s=0", "line 16: arc delay must be positive and finite"),
+            ("delay_s=60", "delay_s=nan", "line 16: arc delay must be positive and finite"),
+            ("delay_s=60", "length_km=1e300 speed_kmh=1e-300", "line 16: arc delay must be"),
+            ("arcs=ab", "arcs=ab typo=3", "line 18: unknown field typo="),
+            ("arcs=ab", "arcs=ab,,ab", "line 18: route has an empty arc id"),
+            ("arcs=ab", "arcs=ab,", "line 18: route has an empty arc id"),
+            ("zd = 1.0\n", "zd = 1.0\nfoo = 1\n", "line 8: unknown key 'foo' in \\[params\\]"),
+            ("seed = 0\n", "seed = 0\nfoo = 1\n", "line 4: unknown key 'foo' in \\[meta\\]"),
+            ("t = b\n", "t = b\nu = c\n", "line 12: unknown key 'u' in \\[endpoints\\]"),
         ],
         ids=[
             "target-not-a-number", "target-nan", "target-negative", "target-inf",
@@ -265,6 +282,11 @@ class TestFileFormat:
             "field-without-equals", "key-without-equals", "two-junctions-on-a-line",
             "arc-without-delay", "route-without-flow", "route-flow-not-a-number",
             "route-without-arcs", "missing-param", "missing-endpoint", "seed-not-a-number",
+            "unknown-arc-field", "delay-and-length-speed", "zero-speed", "nan-speed",
+            "negative-length", "infinite-length", "zero-delay", "nan-delay", "overflowing-delay",
+            "unknown-route-field", "empty-arc-id",
+            "trailing-comma-in-arcs", "unknown-params-key", "unknown-meta-key",
+            "unknown-endpoints-key",
         ],
     )
     def test_bad_file_is_a_format_error(self, old, new, message):

@@ -2,7 +2,8 @@
 
 Subcommands: gen-grid, gen-random, enumerate, solve, compare, growth.
 Exit codes: 0 success, 3 when the only problem was infeasibility, 1 on error, a
-safety cap included (compare still writes its table, solve its partial plan).
+safety cap included (compare still writes its table, solve its partial plan),
+2 on a malformed command line.
 """
 
 from __future__ import annotations
@@ -38,12 +39,13 @@ def _parse_flow_spec(text: str):
     )
 
 
-def _csv_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
-
-
-def _csv_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+def _csv_list(kind: type, what: str):
+    def parse(text: str) -> list:  # "" gives [], which the library rejects as empty
+        try:
+            return [kind(tok) for tok in text.split(",") if tok]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+    return parse
 
 
 def _write(path: str | None, content: str) -> None:
@@ -218,10 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="sweep targets across methods, emit a CSV table")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--targets", type=_csv_floats, required=True)
+    p.add_argument("--targets", type=_csv_list(float, "numbers"), required=True)
     p.add_argument("--methods", default="I,II,III")
     p.add_argument("--subset-limit", type=int, default=50)
-    p.add_argument("--subset-seeds", type=_csv_ints, default=list(range(20)))
+    p.add_argument("--subset-seeds", type=_csv_list(int, "integers"), default=list(range(20)))
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     timings = (
         "wall times; I and II rows add one-off costs (II: sampling every seed, one LP and "
@@ -232,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("growth", help="path-count growth study over random networks")
-    p.add_argument("--n-values", type=_csv_ints, default=[4, 6, 8, 10])
-    p.add_argument("--densities", type=_csv_floats, default=[0.2, 0.35, 0.5])
+    p.add_argument("--n-values", type=_csv_list(int, "integers"), default=[4, 6, 8, 10])
+    p.add_argument("--densities", type=_csv_list(float, "numbers"), default=[0.2, 0.35, 0.5])
     p.add_argument("--instances", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=200_000)

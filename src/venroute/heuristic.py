@@ -11,17 +11,16 @@ final path carries only the residual energy at a reduced rate.
 
 A committed path is built over the routes themselves, so its
 ``bottleneck_flow`` is the least flow among the routes it rides, as for every
-enumerated path; only its rate reads the flow those routes have left. When
-the widest sequence has no route-distinct pick, the fewest-hop sequences are
+enumerated path; only its rate reads the flow those routes have left. Its
+routes, all distinct, are picked by an exact bottleneck matching. When the
+widest sequence has no route-distinct pick, the fewest-hop sequences are
 listed by the enumerator's own search and the widest workable one is taken.
-A list cut short by its safety cap is a ``combination-cap`` verdict, as a cap
-is in the enumerator.
+Only that list has a safety cap; cut short, it is a ``combination-cap`` verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Collection, Mapping, Sequence
 
 from .energy import (
@@ -48,13 +47,12 @@ from .network import (
 from .pathenum import _sequences
 
 FLOW_EPS = 1e-12
-_ASSIGN_COMBO_CAP = 20000
 _SEQUENCE_FALLBACK_CAP = 5000
 
 # why the greedy stopped
 TARGET_MET = "target-met"
 NO_PATH = "no-path"
-COMBINATION_CAP = "combination-cap"  # a safety cap cut the path search short
+COMBINATION_CAP = "combination-cap"  # the fewest-hop sequence list outgrew its safety cap
 
 
 @dataclass(frozen=True)
@@ -177,36 +175,55 @@ def _assign_routes(
     segments: Segments,
     flows: Mapping[RouteId, float],
     seq: Sequence[Junction],
-) -> tuple[tuple[RouteId, ...], float] | str:
-    """Pick one route per hop, all distinct, maximizing the bottleneck flow.
-
-    Returns NO_PATH when no distinct pick exists, COMBINATION_CAP when there
-    are too many combinations to try.
+) -> tuple[tuple[RouteId, ...], float] | None:
+    """One route per hop, all distinct, of the largest bottleneck flow, ties to
+    the smallest route-id tuple; None when no distinct pick exists. The hops'
+    widest routes can collide: a route serving hop (i, j) and a later hop
+    (k, l) visits k, l, i, j, since i before l would make (i, l) a shorter hop.
     """
-    per_arc: list[list[RouteId]] = []
-    for i, j in zip(seq, seq[1:]):
-        cands = sorted(segments[(i, j)], key=lambda rid: (-flows[rid], rid))
-        per_arc.append(cands)
-    greedy = tuple(c[0] for c in per_arc)
-    if len(set(greedy)) == len(greedy):
-        return greedy, min(flows[rid] for rid in greedy)
-    combos = 1
-    for c in per_arc:
-        combos *= len(c)
-    if combos > _ASSIGN_COMBO_CAP:
-        return COMBINATION_CAP
-    best_pick = None
-    best_key = None
-    for combo in product(*per_arc):
-        if len(set(combo)) != len(combo):
-            continue
-        key = (-min(flows[rid] for rid in combo), combo)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_pick = combo
-    if best_pick is None:
-        return NO_PATH
-    return best_pick, -best_key[0]
+    hops = [segments[(i, j)] for i, j in zip(seq, seq[1:])]
+    widest = tuple(min(rids, key=lambda rid: (-flows[rid], rid)) for rids in hops)
+    width = min(flows[rid] for rid in widest)
+    if len(set(widest)) == len(widest):
+        return widest, width
+    # a bottleneck matching: the widest pick's bottleneck is the largest flow
+    # theta at which every hop still gets its own route of flow >= theta
+    thetas = sorted({flows[rid] for rids in hops for rid in rids if flows[rid] <= width})
+    for theta in reversed(thetas):
+        cands = [sorted(rid for rid in rids if flows[rid] >= theta) for rids in hops]
+        if _matched(cands, ()):
+            break
+    else:
+        return None
+    # so every distinct pick from ``cands`` is a widest one: fix the hops left to
+    # right, each on the smallest id that still leaves the later hops matched
+    pick: list[RouteId] = []
+    for k, rids in enumerate(cands):
+        fits = (rid for rid in rids if rid not in pick and _matched(cands[k + 1 :], pick + [rid]))
+        pick.append(next(fits))
+    return tuple(pick), theta
+
+
+def _matched(cands: Sequence[Sequence[RouteId]], taken: Collection[RouteId]) -> bool:
+    """Whether each hop gets its own route among its candidates, none ``taken``:
+    Kuhn's augmenting paths (Hopcroft & Karp, 1973), each found breadth-first.
+    """
+    hop_of: dict[RouteId, int] = {}
+    for k in range(len(cands)):
+        came: dict[RouteId, tuple[int, RouteId | None]] = {}  # route -> (hop, route it holds)
+        queue: list[tuple[int, RouteId | None]] = [(k, None)]
+        for h, held in queue:  # grows while it is read; each matched hop enters once
+            new = [rid for rid in cands[h] if rid not in taken and rid not in came]
+            came.update((rid, (h, held)) for rid in new)
+            free = next((rid for rid in new if rid not in hop_of), None)
+            if free is not None:
+                break
+            queue += [(hop_of[rid], rid) for rid in new]
+        else:
+            return False
+        while free is not None:  # each route on the path moves to the hop that reached it
+            hop_of[free], free = came[free]
+    return True
 
 
 def _pick_path(
@@ -219,25 +236,18 @@ def _pick_path(
     segments, dag, dist_s = found
     seq = _widest_sequence(segments, flows, dag, dist_s, s, t)
     assigned = _assign_routes(segments, flows, seq)
-    if isinstance(assigned, str):
+    if assigned is None:
         # the widest sequence has no route-distinct pick (one route on two of its
-        # hops): scan the fewest-hop sequences, in order, for the widest workable
-        # one; the list holds the widest sequence too, so its verdict recurs below
+        # hops): scan the fewest-hop sequences, in order, for the widest workable one
         try:
             cands = _sequences(dag, s, t, _SEQUENCE_FALLBACK_CAP)
         except EnumerationCapError:
             return COMBINATION_CAP  # a cut list may miss the widest workable sequence
-        best = None
-        capped = False
-        for cand in cands:
-            picked = _assign_routes(segments, flows, cand)
-            if isinstance(picked, str):
-                capped = capped or picked == COMBINATION_CAP
-            elif best is None or picked[1] > best[1][1]:  # ties keep the first
-                best = (cand, picked)
-        if best is None:
-            return COMBINATION_CAP if capped else NO_PATH
-        seq, assigned = best
+        picks = [(cand, _assign_routes(segments, flows, cand)) for cand in cands]
+        workable = [(cand, picked) for cand, picked in picks if picked is not None]
+        if not workable:
+            return NO_PATH
+        seq, assigned = max(workable, key=lambda w: w[1][1])  # ties keep the first
     rids, delta = assigned
     return seq, [(rid, *segments[(i, j)][rid]) for rid, i, j in zip(rids, seq, seq[1:])], delta
 
@@ -254,7 +264,7 @@ def heuristic_min_loss(
 
     Returns a partial plan and an infeasibility verdict (not an exception)
     when the remaining routes cannot meet the target; ``stop_reason`` says
-    whether no path was left or a safety cap cut the path search short.
+    whether no path was left or the fewest-hop sequence list outgrew its cap.
     """
     acc = build_accessibility_graph(network, routes)
     return _Trajectory(acc, network, params, s, t).result(target_kwh)

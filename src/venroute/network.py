@@ -197,12 +197,17 @@ def _walk_routes(
             rid = r.route_id if len(pieces) == 1 else f"{r.route_id}.{k}"
             out.append(VehicularRoute(rid, r.arcs[a:b], r.flow))
             seqs.append(seq[a : b + 1])
-    seen: set[RouteId] = set()
-    for r in out:
-        if r.route_id in seen:
-            raise StructuralError(f"duplicate route id {r.route_id!r}")
-        seen.add(r.route_id)
+    _check_unique(r.route_id for r in out)
     return tuple(out), tuple(seqs)
+
+
+def _check_unique(ids: Iterable[RouteId]) -> None:
+    """Raise StructuralError naming the first id that repeats an earlier one."""
+    seen: set[RouteId] = set()
+    for rid in ids:
+        if rid in seen:
+            raise StructuralError(f"duplicate route id {rid!r}")
+        seen.add(rid)
 
 
 def normalize_routes(
@@ -212,11 +217,11 @@ def normalize_routes(
 
     A route revisiting a junction is split at the loop: the prefix before the
     loop entry and the suffix after the loop exit become separate routes, each
-    inheriting the original flow. Split pieces stay adjacent in the output and
-    get ids ``<orig>.1``, ``<orig>.2``, ... Already loop-free routes pass
-    through unchanged (idempotent). Output ids must be unique, so a split
-    piece may not collide with another route's id. A route that is all loop
-    leaves no piece and raises StructuralError.
+    inheriting the original flow. Split pieces stay adjacent in the output;
+    two or more get ids ``<orig>.1``, ``<orig>.2``, ..., one keeps ``<orig>``.
+    Already loop-free routes pass through unchanged (idempotent). Output ids
+    must be unique, so a split piece may not collide with another route's id.
+    A route that is all loop leaves no piece and raises StructuralError.
     """
     return _walk_routes(network, routes)[0]
 
@@ -301,7 +306,9 @@ def build_accessibility_graph(
     visit each junction once (normalized routes do), under a unique id.
     """
     routes = list(routes)
-    return _incidence(routes, [_loop_free_sequence(network, r) for r in routes])
+    seqs = [_loop_free_sequence(network, r) for r in routes]
+    _check_unique(sorted(r.route_id for r in routes))  # names the least repeated id
+    return _incidence(routes, seqs)
 
 
 def _incidence(
@@ -311,8 +318,6 @@ def _incidence(
     graph = AccessibilityGraph({}, {}, {})
     for k in sorted(range(len(routes)), key=lambda k: routes[k].route_id):
         r, seq = routes[k], seqs[k]
-        if r.route_id in graph.routes:
-            raise StructuralError(f"duplicate route id {r.route_id!r}")
         graph.routes[r.route_id] = r
         graph.seqs[r.route_id] = seq
         for p, j in enumerate(seq):

@@ -1,12 +1,12 @@
 """Independent oracles and small fixture builders shared by the test modules.
 
 The oracles deliberately avoid the library's own traversal and solver code:
-sequence enumeration is a plain recursive DFS, path expansion is a direct
-Cartesian product with a repeated-route filter, and the LP oracle tries every
-fill-to-ceiling vertex of the delivered-energy box, cross-checked by a dense
-grid search over it. The LP of a path set has a second oracle: the
-two-variable LP over delivered energy and rate, built row by row here and
-solved with ``linprog``.
+sequence enumeration is a plain recursive DFS, path expansion and the
+greedy's route pick are direct Cartesian products with a repeated-route
+filter, and the LP oracle tries every fill-to-ceiling vertex of the
+delivered-energy box, cross-checked by a dense grid search over it. The LP
+of a path set has a second oracle: the two-variable LP over delivered energy
+and rate, built row by row here and solved with ``linprog``.
 """
 
 from __future__ import annotations
@@ -80,6 +80,26 @@ def oracle_segments(network, routes):
             for q in range(p + 1, len(seq)):
                 segments.setdefault((seq[p], seq[q]), {})[r.route_id] = (p + 1, q)
     return segments
+
+
+def oracle_assign_routes(segments, flows, seq):
+    """The greedy's route pick by trying every combination: (route ids, bottleneck).
+
+    Each hop's widest route (ties to the smallest id) when those are distinct;
+    otherwise the route-distinct combination of the largest bottleneck, ties
+    to the smallest route-id tuple. None when no combination is distinct.
+    """
+    per_hop = [
+        sorted(segments[hop], key=lambda rid: (-flows[rid], rid)) for hop in zip(seq, seq[1:])
+    ]
+    widest = tuple(rids[0] for rids in per_hop)
+    if len(set(widest)) == len(widest):
+        return widest, min(flows[rid] for rid in widest)
+    distinct = [c for c in itertools.product(*per_hop) if len(set(c)) == len(c)]
+    if not distinct:
+        return None
+    best = min(distinct, key=lambda c: (-min(flows[rid] for rid in c), c))
+    return best, min(flows[rid] for rid in best)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +296,25 @@ def reversed_reuse_instance(with_spare=True, second=None):
         arcs += [("aa2", "a", "a2", 60.0), ("a2t", "a2", "t", 60.0)]
         routes += [VehicularRoute("N1", ("aa2",), 0.1), VehicularRoute("N2", ("a2t",), 0.1)]
     return VehicularNetwork.build(junctions, arcs), routes
+
+
+def crowded_reuse_instance():
+    """``reversed_reuse_instance``'s roads, where R shares each hop with 30 one-arc routes.
+
+    Hop (s, a) has R and A00..A29 of flow 0.1 + k/1000, hop (a, b) B00..B29 of
+    flow 0.3, hop (b, t) R and C00..C29 of flow 0.2 - k/1000: 28,830 route
+    combinations. The widest routes put R on two hops; the widest distinct pick
+    is R, B00, C00.
+    """
+    network, _ = reversed_reuse_instance(with_spare=False)
+    routes = [VehicularRoute("R", ("bt", "tx", "xs", "sa"), 0.5)]
+    for k in range(30):
+        routes += [
+            VehicularRoute(f"A{k:02d}", ("sa",), 0.1 + k / 1000),
+            VehicularRoute(f"B{k:02d}", ("ab",), 0.3),
+            VehicularRoute(f"C{k:02d}", ("bt",), 0.2 - k / 1000),
+        ]
+    return network, routes
 
 
 def prepared(network, routes, t):

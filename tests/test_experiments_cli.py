@@ -732,6 +732,27 @@ class TestCli:
             main(["gen-grid", "--flow", spec, "--out", "x"])
         assert "flow spec must be const:<c> or uniform:<lo>,<hi>" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["compare", "--scenario", "s.txt", "--targets", "1,abc"],
+             "argument --targets: expected comma-separated numbers, got '1,abc'"),
+            (["compare", "--scenario", "s.txt", "--targets", "1", "--subset-seeds", "1,x"],
+             "argument --subset-seeds: expected comma-separated integers, got '1,x'"),
+            (["growth", "--n-values", "4,1.5"],
+             "argument --n-values: expected comma-separated integers, got '4,1.5'"),
+            (["growth", "--densities", "0.2,,y"],
+             "argument --densities: expected comma-separated numbers, got '0.2,,y'"),
+        ],
+        ids=["targets", "subset-seeds", "n-values", "densities"],
+    )
+    def test_malformed_list_names_the_format(self, args, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "_csv" not in err
+
     @pytest.mark.parametrize("command", ["gen-grid", "gen-random"])
     def test_negative_route_count_is_an_error(self, command, tmp_path, capsys):
         scen = tmp_path / "s.txt"

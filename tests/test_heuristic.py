@@ -23,7 +23,12 @@ from venroute import (
     plan_totals,
 )
 
-from helpers import parallel_paths_instance, reversed_reuse_instance
+from helpers import (
+    crowded_reuse_instance,
+    oracle_assign_routes,
+    parallel_paths_instance,
+    reversed_reuse_instance,
+)
 
 PARAMS = EnergyParams(packet_kwh=1.0, charge_eff=0.9, discharge_eff=1.0, window_s=18000.0)
 
@@ -244,13 +249,13 @@ class TestStopReason:
         assert res.status == "success" and res.stop_reason == "target-met"
         assert tuple(r for r, _, _ in res.plan.entries[0].path.segments) == ("R", "Q", "R2")
 
-    def test_assignment_cap_reported(self, monkeypatch):
-        monkeypatch.setattr(heuristic, "_ASSIGN_COMBO_CAP", 1)
-        net, routes = reversed_reuse_instance()
-        res = heuristic_min_loss(net, routes, PARAMS, 10.0, "s", "t")
-        assert res.status == "infeasible"
-        assert res.stop_reason == "combination-cap"
-        assert res.paths_used == 0
+    def test_many_route_combinations_are_no_cap(self):
+        # 28,830 combinations, and the widest routes collide: the pick is exact
+        net, routes = crowded_reuse_instance()
+        res = heuristic_min_loss(net, routes, PARAMS, 100.0, "s", "t")
+        assert res.status == "success" and res.stop_reason == "target-met"
+        rids = tuple(r for r, _, _ in res.plan.entries[0].path.segments)
+        assert rids == ("R", "B00", "C00")
 
     def test_no_distinct_pick_is_no_path(self):
         net, routes = reversed_reuse_instance(with_spare=False)
@@ -391,3 +396,72 @@ def test_fallback_picks_the_widest_workable_fewest_hop_sequence(seed, monkeypatc
         rids = [rid for rid, _, _ in path_segments]
         assert len(set(rids)) == len(rids)
         assert min(flows[rid] for rid in rids) == delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_route_pick_matches_the_product_search(data):
+    # few flow levels, so bottlenecks and widest routes tie often
+    rids = [f"r{k}" for k in range(data.draw(st.integers(min_value=1, max_value=7)))]
+    flows = {rid: data.draw(st.sampled_from([0.1, 0.2, 0.3, 0.5])) for rid in rids}
+    seq = tuple(f"j{k}" for k in range(data.draw(st.integers(min_value=2, max_value=6))))
+    segments = {
+        hop: {rid: (1, 1) for rid in data.draw(
+            st.lists(st.sampled_from(rids), min_size=1, max_size=4, unique=True)
+        )}
+        for hop in zip(seq, seq[1:])
+    }
+    assert heuristic._assign_routes(segments, flows, seq) == oracle_assign_routes(
+        segments, flows, seq
+    )
+
+
+def greedy_calls(monkeypatch, name, scenarios):
+    """(arguments, result) of every ``heuristic.<name>`` call over full greedy
+    runs on ``scenarios``, dicts copied as they were at the call.
+    """
+    real, calls = getattr(heuristic, name), []
+
+    def spy(*args):
+        copied = tuple(dict(a) if isinstance(a, dict) else a for a in args)
+        calls.append((copied, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(heuristic, name, spy)
+    for sc in scenarios:
+        Instance(sc).greedy(1e9)
+    return calls
+
+
+def random_scenarios():
+    return [generate_random(10, 0.35, 5, 30, seed) for seed in range(200)]
+
+
+def test_greedy_route_picks_match_the_product_search(monkeypatch):
+    calls = greedy_calls(monkeypatch, "_assign_routes", random_scenarios())
+    collided = 0
+    for (segments, flows, seq), picked in calls:
+        widest = [min(segments[hop], key=lambda r: (-flows[r], r)) for hop in zip(seq, seq[1:])]
+        collided += len(set(widest)) < len(widest)
+        assert picked == oracle_assign_routes(segments, flows, seq)
+    assert collided  # the picks past the widest-route shortcut are covered
+
+
+def test_a_route_serves_two_fewest_hop_hops_in_reverse_order(monkeypatch):
+    # a route serving hop (i, j) and a later hop (k, l) visits k, l, i, j: were i
+    # before l on it, (i, l) would be a hop and the sequence not fewest-hop
+    shared = 0
+    for (acc, flows, s, t), _ in greedy_calls(monkeypatch, "_pick_path", random_scenarios()):
+        found = heuristic._shortest_dag(acc, flows, s, t)
+        if found is None:
+            continue
+        segments, dag, _ = found
+        for seq in heuristic._sequences(dag, s, t, 10**6):
+            hops = list(zip(seq, seq[1:]))
+            for a, (i, j) in enumerate(hops):
+                for k, l in hops[a + 1 :]:
+                    for rid in segments[i, j].keys() & segments[k, l].keys():
+                        pos = {junction: p for p, junction in enumerate(acc.seqs[rid])}
+                        assert pos[k] < pos[l] < pos[i] < pos[j]
+                        shared += 1
+    assert shared

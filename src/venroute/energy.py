@@ -212,8 +212,8 @@ def make_plan(entries: Sequence[PlanEntry], params: EnergyParams) -> Transmissio
 
 
 def plan_totals(plan: TransmissionPlan) -> tuple[float, float]:
-    """Total delivered energy and total loss of a plan."""
+    """Total delivered energy and total loss of a plan, 0.0 each for no entries."""
     z = plan.params.efficiency
-    delivered = sum(e.delivered_kwh for e in plan.entries)
-    loss = sum(path_loss(e.delivered_kwh, e.path.cycles, z) for e in plan.entries)
+    delivered = sum((e.delivered_kwh for e in plan.entries), 0.0)
+    loss = sum((path_loss(e.delivered_kwh, e.path.cycles, z) for e in plan.entries), 0.0)
     return delivered, loss

@@ -8,10 +8,11 @@ arc-flow table; the greedy's trajectory; and each junction sequence's
 sampled energy paths, as far as any sample has read them (a full enumeration
 streams and keeps none). ``run_compare``, ``run_growth`` and the ``ven``
 commands call only its methods, so a sweep shares these across every subset
-seed and target; the LP of a path set solves itself at any target. No
-method derives the accessibility arcs: only ``prepare`` and ``run_growth``
-do. No arcs are pruned: both enumerators keep only junctions that reach t
-over arcs, which follow roads.
+seed and target; the LP of a path set solves itself at any target. Each
+path's LP column is computed once, beside the path. No method derives the
+accessibility arcs: only ``prepare`` and ``run_growth`` do. No arcs are
+pruned: both enumerators keep only junctions that reach t over arcs, which
+follow roads.
 The greedy's picks do not depend on the target, so every target's plan is a
 prefix of one trajectory, extended only when a target needs more paths.
 
@@ -57,7 +58,7 @@ from .pathenum import (
     _SpanTable,
     enumerate_sequences,
 )
-from .rateopt import LpInstance, _assemble, _lp_backend
+from .rateopt import LpInstance, _assemble, _Columns, _lp_backend
 from .scenarios import Scenario, generate_random
 
 METHODS = ("I", "II", "III")
@@ -98,15 +99,21 @@ class Instance:
         return arc_flow_table(self.routes)
 
     @cached_property
+    def _columns(self):
+        """Each path's LP column over the arc-flow table, computed beside the path."""
+        return _Columns(self.scenario.params, self.arc_flows)
+
+    @cached_property
     def _sampled_paths(self):
         # only the sampler keeps what it assembles: a full enumeration streams
-        return _PathCache(self.span_table)
+        return _PathCache(self.span_table, self._columns)
 
     def paths(self, cap: int = DEFAULT_CAP) -> PathSet:
         """The full energy-path set (method I)."""
         succ, _hops = self.live_successors
         sequences = _sequences(succ, self.scenario.source, self.scenario.destination, cap)
-        return _expand(sequences, self.span_table, cap)
+        paths = _expand(sequences, self.span_table, cap).paths
+        return PathSet(paths, True, (self._columns, tuple(map(self._columns, paths))))
 
     def sample(self, limit: int, seed: int) -> PathSet:
         """A seeded subset of at most ``limit`` energy paths (method II)."""

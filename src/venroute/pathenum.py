@@ -19,6 +19,9 @@ Because every span runs along its arc and every sequence is checked to be
 loop-free, each path chains from source to destination without a repeated
 junction, as ``build_energy_path`` would check.
 
+Sampling computes each path's LP column once, beside the path, by the column
+function an ``Instance`` gives it; the ``PathSet`` carries the columns.
+
 A cap or limit below 1 is a bad argument (DomainError), never a cap verdict.
 """
 
@@ -28,9 +31,9 @@ import itertools
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .energy import EnergyPath, SegmentSpan, assemble_energy_path, segment_span
 from .errors import ConsistencyError, DomainError, EnumerationCapError, StructuralError
@@ -62,6 +65,8 @@ PathKey = tuple[JunctionSequence, tuple[RouteId, ...]]
 class PathSet:
     paths: tuple[EnergyPath, ...]
     complete: bool
+    # (column function, its value on each path); equality and hashing ignore it
+    columns: tuple[Callable, tuple] | None = field(default=None, compare=False, repr=False)
 
 
 def f_bound(n: int) -> int:
@@ -286,20 +291,24 @@ def _combo_paths(
 
 
 class _PathCache(dict):
-    """Each junction sequence's (sort key, energy path) pairs, in ``_combo_paths``
-    order, each assembled once and shared by every sample drawn over one span table.
+    """Each junction sequence's (sort key, energy path, column) triples, in
+    ``_combo_paths`` order, each assembled once and shared by every sample drawn
+    over one span table.
 
-    A sequence maps to the pairs assembled so far and the generator of the rest.
+    A sequence maps to the triples assembled so far and the generator of the rest.
     """
 
-    def __init__(self, table: _SpanTable):
+    def __init__(self, table: _SpanTable, column: Callable = lambda path: None):
         super().__init__()
         self._table = table
+        self.column = column
 
-    def prefix(self, seq: JunctionSequence, n: int) -> list[tuple[PathKey, EnergyPath]]:
-        """The sequence's first ``n`` pairs, or all of them if it has fewer."""
+    def prefix(self, seq: JunctionSequence, n: int) -> list[tuple[PathKey, EnergyPath, object]]:
+        """The sequence's first ``n`` triples, or all of them if it has fewer."""
         if seq not in self:
-            self[seq] = ([], _combo_paths(seq, self._table))
+            # the generator must not hold the cache, or the two would form a cycle
+            column, pairs = self.column, _combo_paths(seq, self._table)
+            self[seq] = ([], ((key, p, column(p)) for key, p in pairs))
         done, rest = self[seq]
         if len(done) < n:
             try:
@@ -455,7 +464,7 @@ def _sample_bounded(
         raise DomainError("source and destination must differ")
     rng = random.Random(seed)
     per_seq_cap = max(1, limit // 8)
-    keyed: list[tuple[PathKey, EnergyPath]] = []
+    keyed: list[tuple[PathKey, EnergyPath, object]] = []
     truncated = False
     skipped: list[JunctionSequence] = []  # sequences with combos beyond the cap
     # if s does not reach t, the search yields nothing whatever the budget
@@ -482,4 +491,5 @@ def _sample_bounded(
                 break
     keyed.sort(key=itemgetter(0))
     complete = not truncated and not tracker.hit
-    return PathSet(paths=tuple(path for _, path in keyed), complete=complete)
+    _keys, kept, cols = zip(*keyed) if keyed else ((), (), ())
+    return PathSet(paths=kept, complete=complete, columns=(paths.column, cols))

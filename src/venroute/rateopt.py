@@ -9,7 +9,11 @@ in order, cap the aggregate rate per road arc by its total flow and require
 the delivered total to meet the energy target. Writing the delivered energy
 as cap_j * g_j is exact: the loss puts no cost on a rate, and lowering g_j to
 x_j / cap_j only loosens the arc rows. An assembled ``LpInstance`` solves
-itself at any target, so one assembly serves a sweep.
+itself at any target, so one assembly serves a sweep, and its plan holds only
+the paths that carry energy (g_j > 0): the others would add exact zeros to
+every total. The LP is assembled from integer arrays: each path's column
+(``_Columns``) lists its arcs by row index, and an ``Instance`` derives it
+once per path, beside the path.
 
 Each LP is one cold call to HiGHS's dual simplex (Huangfu & Hall 2018) through
 SciPy's own binding ``scipy.optimize._highspy._core``, there from SciPy 1.15.
@@ -31,6 +35,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from functools import cache
+from itertools import chain
 from typing import TYPE_CHECKING, Mapping
 
 from .energy import EnergyParams, PlanEntry, TransmissionPlan, check_target, loss_ratio, make_plan
@@ -42,6 +47,8 @@ from .pathenum import PathSet
 if TYPE_CHECKING:
     import numpy as np
     from scipy import sparse
+
+    from .energy import EnergyPath
 
 RESIDUAL_TOL = 1e-6  # largest seen on the paper's grids and the corridor: 1.8e-12
 
@@ -77,8 +84,36 @@ class LossMinProblem:
         check_target(self.target_kwh)
 
 
+class _Columns:
+    """The LP column of any path over one arc-flow table, in pure Python.
+
+    Each of ``arcs``, by default every arc of the table, has a row index in
+    sorted arc-id order; an arc the table lacks, which no route covers, has
+    flow 0. A path's column is its sorted distinct arc indices, its window cap
+    (T - d) z^|p|, its cost loss_ratio * cap and its rate bound: w times its
+    bottleneck flow, or 0 past the window, where it carries nothing. The
+    columns depend only on ``key``, the parameters and the table.
+    """
+
+    def __init__(self, params: EnergyParams, arc_flows: Mapping[ArcId, float], arcs=None):
+        self.key = params, arc_flows
+        self.params = params
+        arcs = sorted(arc_flows if arcs is None else arcs)
+        self.index = {a: k for k, a in enumerate(arcs)}
+        self.flows = [arc_flows.get(a, 0.0) for a in arcs]
+
+    def __call__(self, path: EnergyPath) -> tuple[tuple[int, ...], float, float, float]:
+        params, index = self.params, self.index
+        cap = _window_cap(path, params)
+        upper = 0.0 if cap == 0.0 else params.packet_kwh * path.bottleneck_flow
+        arcs = tuple(sorted({index[a] for a in path.arc_ids}))
+        return arcs, cap, cap * loss_ratio(path.cycles, params.efficiency), upper
+
+
 @dataclass(frozen=True)
 class LpSolution:
+    """A verdict, and the optimal plan, which holds only the paths that carry energy."""
+
     status: str  # "optimal" | "infeasible"
     plan: TransmissionPlan | None
     objective: float | None
@@ -91,7 +126,8 @@ class LpInstance:
 
     Column j is path j's rate g_j, which delivers ``caps[j]`` * g_j kWh; rows
     are ordered shared road arcs (sorted by arc id), target. HiGHS solves it
-    without presolve.
+    without presolve. The bounds every solve passes unchanged, the column and
+    row lower bounds and the integrality, are built once with it.
     """
 
     paths: PathSet
@@ -101,13 +137,17 @@ class LpInstance:
     b_ub: np.ndarray
     upper: np.ndarray
     caps: np.ndarray
+    lower: np.ndarray = field(repr=False)
+    row_lower: np.ndarray = field(repr=False)
+    integrality: np.ndarray = field(repr=False)
 
     def solve(self, target_kwh: float) -> LpSolution:
         """The min-loss plan at one energy target; infeasibility is a verdict, not an error.
 
         Only the target row's bound is set, on a copy: the LP never changes. A
-        solver point that violates a row or a rate bound by more than
-        ``RESIDUAL_TOL`` times max(1, target) raises ConsistencyError.
+        solver point that violates a row, a rate bound or a rate's floor of 0 by
+        more than ``RESIDUAL_TOL`` times max(1, target) raises ConsistencyError.
+        The plan holds only the paths whose rate is above 0, in path order.
         """
         check_target(target_kwh)
         paths = self.paths.paths
@@ -124,14 +164,17 @@ class LpInstance:
         elapsed = time.perf_counter() - t0
         if status == "infeasible":
             return LpSolution("infeasible", None, None, {"solve_s": elapsed})
-        residual = max((lp.a_ub @ g - b_ub).max(), (g - lp.upper).max(), 0.0)
+        residual = max((lp.a_ub @ g - b_ub).max(), (g - lp.upper).max(), (-g).max(), 0.0)
         if residual > RESIDUAL_TOL * max(1.0, target_kwh):
             raise ConsistencyError(f"LP solution violates its constraints by {residual:.3g}")
 
+        # a path at rate 0 would add exact zeros to every total, so it is left out
+        carrying = (g > 0.0).nonzero()[0]
+        rates = g[carrying]
+        delivered = self.caps[carrying] * rates
         entries = [
-            PlanEntry(path=p, rate=max(0.0, float(g[j])),
-                      delivered_kwh=max(0.0, float(self.caps[j] * g[j])))
-            for j, p in enumerate(paths)
+            PlanEntry(path=paths[j], rate=rate, delivered_kwh=kwh)
+            for j, rate, kwh in zip(carrying.tolist(), rates.tolist(), delivered.tolist())
         ]
         plan = make_plan(entries, self.params)
         diagnostics = {
@@ -153,36 +196,41 @@ def _assemble(
     pathset: PathSet, params: EnergyParams, arc_flows: Mapping[ArcId, float],
     target_kwh: float = 0.0,
 ) -> LpInstance:
-    """The LP of ``pathset`` given the arc-flow table of its scenario's routes."""
-    np, sparse, _highs, _options = _lp_backend()
-    paths = pathset.paths
-    w = params.packet_kwh
-    m = len(paths)
+    """The LP of ``pathset`` given the arc-flow table of its scenario's routes.
 
-    caps = np.array([_window_cap(p, params) for p in paths])
-    c = caps * [loss_ratio(p.cycles, params.efficiency) for p in paths]
+    A set that an ``Instance`` built carries each path's column over the same
+    parameters and table; any other set's are derived here, over its own arcs.
+    """
+    np, sparse, highs, _options = _lp_backend()
+    columns, cols = pathset.columns or (None, ())
+    if getattr(columns, "key", None) != (params, arc_flows):
+        columns = _Columns(params, arc_flows, set().union(*(p.arc_ids for p in pathset.paths)))
+        cols = [columns(p) for p in pathset.paths]
+    m = len(cols)
+    arcs, caps, c, upper = zip(*cols) if cols else ((), (), (), ())
+    caps, c, upper = (np.array(v, dtype=float) for v in (caps, c, upper))
 
     # shared-arc coupling, one row per used road arc in sorted arc order:
-    # sum_j g_j / w <= h_a, each path counted once per arc it uses
-    arc_ids = np.array([a for p in paths for a in p.arc_ids], dtype=str)
-    path_of = np.repeat(np.arange(m), [len(p.arc_ids) for p in paths])
-    used_arcs, arc_of = np.unique(arc_ids, return_inverse=True)
-    arc_row, arc_col = np.divmod(np.unique(arc_of * m + path_of), m)
-
-    target_row = len(used_arcs)
-    ri = np.concatenate([arc_row, np.full(m, target_row)])
-    ci = np.concatenate([arc_col, np.arange(m)])
-    data = np.concatenate([
-        np.full(len(arc_row), 1.0 / w),
-        -caps,  # delivery target: -sum cap_j * g_j <= -target
-    ])
-    a_ub = sparse.csc_matrix((data, (ri, ci)), shape=(target_row + 1, m))
-    b_ub = np.concatenate([[arc_flows.get(a, 0.0) for a in used_arcs], [-target_kwh]])
-
-    # a rate is capped by every route it rides, so by the path's bottleneck
-    # flow; paths past the window carry nothing, but stay in the instance
-    upper = np.where(caps == 0.0, 0.0, [w * p.bottleneck_flow for p in paths])
-    return LpInstance(pathset, params, c=c, a_ub=a_ub, b_ub=b_ub, upper=upper, caps=caps)
+    # sum_j g_j / w <= h_a, each path counted once per arc it uses; then the
+    # delivery target, -sum cap_j * g_j <= -target, after each column's arcs
+    ends = np.cumsum(np.fromiter(map(len, arcs), dtype=np.int32, count=m), dtype=np.int32)
+    flat = np.fromiter(chain.from_iterable(arcs), dtype=np.int32, count=ends[-1] if m else 0)
+    used = np.zeros(len(columns.flows), dtype=bool)
+    used[flat] = True
+    target_row = int(np.count_nonzero(used))
+    row_of = np.cumsum(used, dtype=np.int32) - 1
+    indices = np.insert(row_of[flat], ends, target_row)
+    data = np.insert(np.full(len(flat), 1.0 / params.packet_kwh), ends, -caps)
+    indptr = np.arange(m + 1, dtype=np.int32)
+    indptr[1:] += ends
+    a_ub = sparse.csc_matrix((data, indices, indptr), shape=(target_row + 1, m))
+    b_ub = np.append(np.array(columns.flows, dtype=float)[used], -target_kwh)
+    return LpInstance(
+        pathset, params, c=c, a_ub=a_ub, b_ub=b_ub, upper=upper, caps=caps,
+        lower=np.zeros(m), row_lower=np.full(target_row + 1, -highs.kHighsInf),
+        # every column continuous; HiGHS refuses an empty array
+        integrality=np.zeros(m, dtype=np.int32),
+    )
 
 
 def _run_highs(c, lp: LpInstance) -> tuple[str, np.ndarray | None, int]:
@@ -198,9 +246,8 @@ def _run_highs(c, lp: LpInstance) -> tuple[str, np.ndarray | None, int]:
     status = highs.HighsModelStatus.kModelError  # a model HiGHS refuses must not be run
     passed = solver.passModel(
         cols, rows, a.nnz, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
-        c, np.zeros(cols), lp.upper, np.full(rows, -highs.kHighsInf), lp.b_ub,
-        a.indptr, a.indices, a.data,
-        np.zeros(cols, dtype=np.int32),  # every column continuous; HiGHS refuses an empty array
+        c, lp.lower, lp.upper, lp.row_lower, lp.b_ub, a.indptr, a.indices, a.data,
+        lp.integrality,
     )
     if passed != highs.HighsStatus.kError:
         solver.run()

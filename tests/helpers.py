@@ -6,7 +6,8 @@ greedy's route pick are direct Cartesian products with a repeated-route
 filter, and the LP oracle tries every fill-to-ceiling vertex of the
 delivered-energy box, cross-checked by a dense grid search over it. The LP
 of a path set has a second oracle: the two-variable LP over delivered energy
-and rate, built row by row here and solved with ``linprog``.
+and rate, built row by row here and solved with ``linprog``. Its assembly has
+a third: the string-keyed build, whose arrays the integer one must equal.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from venroute import (
     normalize_routes,
     prune_unreachable,
 )
+from venroute.energy import PlanEntry, loss_ratio, make_plan, window_cap
 from venroute.network import _route_sequence
 
 
@@ -189,6 +191,56 @@ def oracle_two_variable_lp(paths, params, arc_flows, target):
     if res.status != 0:
         raise AssertionError(f"oracle LP failed: {res.message}")
     return "optimal", float(res.fun)
+
+
+def oracle_assemble(pathset, params, arc_flows, target_kwh=0.0):
+    """The LP of ``pathset`` as string-keyed assembly built it: each path's arc
+    ids in one NumPy string array, with ``np.unique`` giving the sorted rows.
+
+    Returns (c, a_ub, b_ub, upper, caps).
+    """
+    paths = pathset.paths
+    w = params.packet_kwh
+    m = len(paths)
+
+    caps = np.array([window_cap(p, params) for p in paths])
+    c = caps * [loss_ratio(p.cycles, params.efficiency) for p in paths]
+
+    # shared-arc coupling, one row per used road arc in sorted arc order:
+    # sum_j g_j / w <= h_a, each path counted once per arc it uses
+    arc_ids = np.array([a for p in paths for a in p.arc_ids], dtype=str)
+    path_of = np.repeat(np.arange(m), [len(p.arc_ids) for p in paths])
+    used_arcs, arc_of = np.unique(arc_ids, return_inverse=True)
+    arc_row, arc_col = np.divmod(np.unique(arc_of * m + path_of), m)
+
+    target_row = len(used_arcs)
+    ri = np.concatenate([arc_row, np.full(m, target_row)])
+    ci = np.concatenate([arc_col, np.arange(m)])
+    data = np.concatenate([
+        np.full(len(arc_row), 1.0 / w),
+        -caps,  # delivery target: -sum cap_j * g_j <= -target
+    ])
+    a_ub = sparse.csc_matrix((data, (ri, ci)), shape=(target_row + 1, m))
+    b_ub = np.concatenate([[arc_flows.get(a, 0.0) for a in used_arcs], [-target_kwh]])
+
+    # a rate is capped by every route it rides, so by the path's bottleneck
+    # flow; paths past the window carry nothing, but stay in the instance
+    upper = np.where(caps == 0.0, 0.0, [w * p.bottleneck_flow for p in paths])
+    return c, a_ub, b_ub, upper, caps
+
+
+def dense_plan(lp, g):
+    """The plan of every column of ``lp`` at solver point ``g``, rates at 0
+    included, each clamped at 0 as a dense plan built them.
+    """
+    return make_plan(
+        [
+            PlanEntry(path=p, rate=max(0.0, float(g[j])),
+                      delivered_kwh=max(0.0, float(lp.caps[j] * g[j])))
+            for j, p in enumerate(lp.paths.paths)
+        ],
+        lp.params,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from scipy.optimize._highspy import _core as highs
 
 from venroute import (
     ConsistencyError,
+    generate_corridor,
     DomainError,
     EnergyParams,
     EnumerationCapError,
@@ -33,7 +34,14 @@ from venroute import rateopt
 from venroute.pathenum import PathSet
 from venroute.rateopt import _window_cap
 
-from helpers import oracle_min_loss, oracle_two_variable_lp, parallel_paths_instance, prepared
+from helpers import (
+    dense_plan,
+    oracle_assemble,
+    oracle_min_loss,
+    oracle_two_variable_lp,
+    parallel_paths_instance,
+    prepared,
+)
 
 
 def parallel_problem(target):
@@ -105,6 +113,20 @@ class TestBuildLp:
     def test_non_finite_target_rejected(self, target):
         with pytest.raises(DomainError):
             parallel_problem(target)
+
+    def test_arc_no_route_covers_keeps_a_zero_flow_row(self):
+        # the routes miss the path's second arc, mt: its row stays, first in
+        # arc-id order, with flow 0, so the path can carry nothing
+        problem = two_segment_problem(0.0)
+        r1, _r2, r3 = problem.routes
+        uncovered = replace(problem, routes=(r1, r3))
+        lp = build_lp(uncovered)
+        assert lp.a_ub.shape == (3, 1)
+        assert lp.b_ub.tolist() == [0.0, 0.1 + 0.5, -0.0]
+        assert lp.a_ub.toarray()[:, 0].tolist() == [0.5, 0.5, -lp.caps[0]]
+        assert solve_min_loss(uncovered).status == "optimal"
+        assert solve_min_loss(replace(uncovered, target_kwh=1.0)).status == "infeasible"
+        assert max_deliverable(uncovered) == 0.0
 
 
 class TestSolve:
@@ -259,6 +281,21 @@ class TestRateBounds:
         fake.x = np.array([0.25])
         with pytest.raises(ConsistencyError, match="violates its constraints by 0.05"):
             solve_min_loss(two_segment_problem(0.0))
+
+    def test_residual_counts_negative_rates(self, monkeypatch):
+        # points that satisfy every row, the second path delivering the target,
+        # but put the first path's rate below 0: a violation within the
+        # tolerance is reported and its path left out of the plan, a larger
+        # one rejected
+        problem, ps = parallel_problem(0.0)
+        fake = SimpleNamespace(x=np.array([-5e-7, 0.1, 0.0]))
+        monkeypatch.setattr(rateopt, "_run_highs", lambda c, lp: ("optimal", fake.x, 0))
+        sol = solve_min_loss(problem)
+        assert sol.diagnostics["max_residual"] == pytest.approx(5e-7)
+        assert [e.path for e in sol.plan.entries] == [ps.paths[1]]
+        fake.x = np.array([-0.05, 0.1, 0.0])
+        with pytest.raises(ConsistencyError, match="violates its constraints by 0.05"):
+            solve_min_loss(problem)
 
     def test_violating_solution_rejected(self, monkeypatch):
         # the solver's own point, with every rate and so every delivery scaled down by ``shrink``,
@@ -419,3 +456,99 @@ def test_rates_only_lp_matches_two_variable_lp_on_random_instances(
     network, routes = inst.scenario.network, inst.routes
     most = max_deliverable(LossMinProblem(pathset, inst.scenario.params, network, routes, 0.0))
     assert_matches_two_variable_lp(inst, pathset, [f * most for f in fractions])
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_assembled_like_oracle(lp, params, arc_flows, target=0.0):
+    c, a_ub, b_ub, upper, caps = oracle_assemble(lp.paths, params, arc_flows, target)
+    assert lp.a_ub.shape == a_ub.shape
+    for got, want in [
+        (lp.c, c), (lp.a_ub.indptr, a_ub.indptr), (lp.a_ub.indices, a_ub.indices),
+        (lp.a_ub.data, a_ub.data), (lp.b_ub, b_ub), (lp.upper, upper), (lp.caps, caps),
+    ]:
+        assert_same_array(got, want)
+
+
+def assert_assemblies_match_oracle(inst, pathsets, targets=(0.0, 500.0)):
+    # an instance's own columns, and build_lp's from its routes, at each target
+    sc = inst.scenario
+    for pathset in pathsets:
+        assert_assembled_like_oracle(inst.lp(pathset), sc.params, inst.arc_flows)
+        for target in targets:
+            problem = LossMinProblem(pathset, sc.params, sc.network, inst.routes, target)
+            assert_assembled_like_oracle(build_lp(problem), sc.params, inst.arc_flows, target)
+
+
+@pytest.mark.parametrize(
+    "flow, seed", [(("const", 0.1), 4), (("uniform", 0.1, 0.3), 47)], ids=["grid4", "grid47"]
+)
+def test_assembly_matches_string_keyed_oracle_on_grids(flow, seed):
+    # the full path set and every distinct subset of the comparison sweep
+    inst = Instance(generate_grid(4, 4, 10.0, 60.0, 20, flow, seed=seed))
+    pathsets = dict.fromkeys([inst.paths()] + [inst.sample(50, k) for k in range(20)])
+    assert_assemblies_match_oracle(inst, pathsets)
+    # another instance's sets carry columns it cannot use: its LP derives its own
+    sc = inst.scenario
+    other = Instance(replace(sc, params=replace(sc.params, packet_kwh=2.0, window_s=9000.0)))
+    for pathset in pathsets:
+        assert_assembled_like_oracle(other.lp(pathset), other.scenario.params, other.arc_flows)
+
+
+def test_assembly_matches_string_keyed_oracle_on_corridor():
+    inst = Instance(generate_corridor(seed=0))
+    pathsets = dict.fromkeys(inst.sample(30, k) for k in range(15))
+    assert_assemblies_match_oracle(inst, pathsets, targets=(2000.0,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=8),
+    density=st.floats(min_value=0.2, max_value=1.0),
+    length_cap=st.integers(min_value=1, max_value=4),
+    route_count=st.integers(min_value=5, max_value=25),
+    seed=st.integers(min_value=0, max_value=10**6),
+    limit=st.integers(min_value=1, max_value=20),
+)
+def test_assembly_matches_string_keyed_oracle_on_random_instances(
+    n, density, length_cap, route_count, seed, limit
+):
+    inst = Instance(generate_random(n, density, length_cap, route_count, seed))
+    try:
+        full = inst.paths(cap=500)
+    except EnumerationCapError:
+        full = PathSet((), True)
+    assert_assemblies_match_oracle(inst, [full, inst.sample(limit, seed)], targets=(1.0,))
+
+
+@pytest.mark.parametrize(
+    "flow, seed", [(("const", 0.1), 4), (("uniform", 0.1, 0.3), 47)], ids=["grid4", "grid47"]
+)
+def test_plans_hold_only_paths_that_carry_energy(flow, seed, monkeypatch):
+    # on every LP of the comparison sweep, the plan's totals are exactly those
+    # of the plan of every column at the same solver point
+    inst = Instance(generate_grid(4, 4, 10.0, 60.0, 20, flow, seed=seed))
+    pathsets = dict.fromkeys([inst.paths()] + [inst.sample(50, k) for k in range(20)])
+    points = []
+    run_highs = rateopt._run_highs
+
+    def spy(c, lp):
+        status, g, iterations = run_highs(c, lp)
+        points.append(g)
+        return status, g, iterations
+
+    monkeypatch.setattr(rateopt, "_run_highs", spy)
+    solved = 0
+    for pathset in pathsets:
+        lp = inst.lp(pathset)
+        for target in (1.0, 500.0, 2457.0, 2900.0):
+            sol = lp.solve(target)
+            if sol.status != "optimal":
+                continue
+            solved += 1
+            assert all(e.rate > 0.0 for e in sol.plan.entries)
+            assert plan_totals(sol.plan) == plan_totals(dense_plan(lp, points[-1]))
+    assert solved > len(pathsets)

@@ -136,18 +136,22 @@ def _route_sequence(network: VehicularNetwork, route: VehicularRoute) -> Junctio
         )
     if not route.arcs:
         raise StructuralError(f"route {rid!r}: empty arc sequence")
-    arcs: list[Arc] = []
-    for arc_id in route.arcs:
-        a = network.arc_by_id.get(arc_id)
+    arc_by_id = network.arc_by_id
+    first = arc_by_id.get(route.arcs[0])
+    at = None if first is None else first.tail  # so the first arc connects
+    seq = [at]
+    for k, arc_id in enumerate(route.arcs):
+        a = arc_by_id.get(arc_id)
         if a is None:
             raise DomainError(f"route {rid!r}: unknown arc id {arc_id!r}")
-        if arcs and arcs[-1].head != a.tail:
+        if a.tail != at:
             raise StructuralError(
-                f"route {rid!r}: arcs {arcs[-1].arc_id!r} and {arc_id!r} are not connected "
-                f"({arcs[-1].head} != {a.tail})"
+                f"route {rid!r}: arcs {route.arcs[k - 1]!r} and {arc_id!r} are not connected "
+                f"({at} != {a.tail})"
             )
-        arcs.append(a)
-    return (arcs[0].tail, *[a.head for a in arcs])
+        at = a.head
+        seq.append(at)
+    return tuple(seq)
 
 
 def _loop_free_pieces(seq: JunctionSequence) -> list[tuple[int, int]]:
@@ -157,8 +161,6 @@ def _loop_free_pieces(seq: JunctionSequence) -> list[tuple[int, int]]:
     the revisit on is split again. The part before the loop entry is a piece
     when it has an arc; the loop itself is dropped.
     """
-    if len(set(seq)) == len(seq):
-        return [(0, len(seq) - 1)]
     pieces: list[tuple[int, int]] = []
     start = 0
     first_pos: dict[Junction, int] = {}
@@ -186,13 +188,13 @@ def _walk_routes(
     seqs: list[JunctionSequence] = []
     for r in routes:
         seq = _route_sequence(network, r)
-        pieces = _loop_free_pieces(seq)
-        if not pieces:
-            raise StructuralError(f"route {r.route_id!r} is a closed loop: no loop-free piece")
-        if pieces == [(0, len(r.arcs))]:
+        if len(set(seq)) == len(seq):
             out.append(r)
             seqs.append(seq)
             continue
+        pieces = _loop_free_pieces(seq)
+        if not pieces:
+            raise StructuralError(f"route {r.route_id!r} is a closed loop: no loop-free piece")
         for k, (a, b) in enumerate(pieces, start=1):
             rid = r.route_id if len(pieces) == 1 else f"{r.route_id}.{k}"
             out.append(VehicularRoute(rid, r.arcs[a:b], r.flow))
@@ -316,12 +318,16 @@ def _incidence(
 ) -> AccessibilityGraph:
     """The incidence of loop-free routes, under unique ids, given their checked sequences."""
     graph = AccessibilityGraph({}, {}, {})
+    visits = graph.visits
     for k in sorted(range(len(routes)), key=lambda k: routes[k].route_id):
-        r, seq = routes[k], seqs[k]
-        graph.routes[r.route_id] = r
-        graph.seqs[r.route_id] = seq
+        rid, seq = routes[k].route_id, seqs[k]
+        graph.routes[rid] = routes[k]
+        graph.seqs[rid] = seq
         for p, j in enumerate(seq):
-            graph.visits.setdefault(j, []).append((r.route_id, p))
+            if j in visits:
+                visits[j].append((rid, p))
+            else:
+                visits[j] = [(rid, p)]
     return graph
 
 

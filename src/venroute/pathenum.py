@@ -10,14 +10,14 @@ the combinations of distinct sequences without building any path, which is
 all the growth study needs: a small dynamic program over each sequence's
 index sets.
 
-Each call derives the segment span (arcs, end junctions, delay, flow) of a
-route on an accessibility arc once, checked to run along that arc, and
-shares it across every sequence crossing the arc. Expansion, counting and
-sampling read one table of those spans; expansion and sampling draw their
-combinations from one generator over it, and paths are assembled from them.
-Because every span runs along its arc and every sequence is checked to be
-loop-free, each path chains from source to destination without a repeated
-junction, as ``build_energy_path`` would check.
+Each call checks the route ids of an accessibility arc once, each route's
+sub-route checked by its end arcs to run along the accessibility arc.
+Counting reads only those checked ids. Expansion and sampling read the
+segment spans (arcs, end junctions, delay, flow) built from them, once per
+arc, and draw their combinations from one generator over them. Because every
+span runs along its arc and every sequence is checked to be loop-free, each
+path chains from source to destination without a repeated junction, as
+``build_energy_path`` would check.
 
 Sampling computes each path's LP column once, beside the path, by the column
 function an ``Instance`` gives it; the ``PathSet`` carries the columns.
@@ -173,11 +173,9 @@ def _sequences(
     return tuple(sorted(done))
 
 
-class _SpanTable(dict):
-    """Route ids and checked segment spans per accessibility arc, sorted by route id.
-
-    An arc's entry comes from the graph's ``index_set`` on first use and is
-    shared by every sequence crossing the arc. Each span is checked to run i to j.
+class _RouteIds(dict):
+    """Sorted route ids per accessibility arc, with the index set they come from,
+    each sub-route checked on first use to lie within its route, then to run i to j.
     """
 
     def __init__(
@@ -188,39 +186,65 @@ class _SpanTable(dict):
     ):
         super().__init__()
         self._accessibility = accessibility
+        self._arc_by_id = network.arc_by_id
+        self._routes_by_id = routes_by_id
+
+    def __missing__(self, arc: tuple[Junction, Junction]) -> tuple[tuple[RouteId, ...], dict]:
+        i, j = arc
+        per_route = self._accessibility.index_set(i, j)
+        if not per_route:
+            raise ConsistencyError(f"no index set for accessibility arc ({i}, {j})")
+        rids = tuple(sorted(per_route))
+        subs = [(rid, *per_route[rid], self._routes_by_id[rid].arcs) for rid in rids]
+        for rid, n, m, arcs in subs:
+            if not (1 <= n <= m <= len(arcs)):
+                raise StructuralError(f"segment ({rid}, {n}, {m}) out of range")
+        for rid, n, m, arcs in subs:
+            tail, head = self._arc_by_id[arcs[n - 1]].tail, self._arc_by_id[arcs[m - 1]].head
+            if tail != i or head != j:
+                raise StructuralError(
+                    f"segment {(rid, n, m)} runs from {tail} to {head}, "
+                    f"not along accessibility arc ({i}, {j})"
+                )
+        self[arc] = entry = (rids, per_route)
+        return entry
+
+
+class _SpanTable(dict):
+    """Route ids and segment spans per accessibility arc, sorted by route id.
+
+    Each arc's entry is derived once and shared by every sequence crossing
+    it: first its checked route ids, in ``route_ids``, then spans from them.
+    """
+
+    def __init__(
+        self,
+        accessibility: AccessibilityGraph,
+        network: VehicularNetwork,
+        routes_by_id: Mapping[RouteId, VehicularRoute],
+    ):
+        super().__init__()
+        self.route_ids = _RouteIds(accessibility, network, routes_by_id)
         self._network = network
         self._routes_by_id = routes_by_id
 
     def __missing__(
         self, arc: tuple[Junction, Junction]
     ) -> tuple[tuple[RouteId, ...], tuple[SegmentSpan, ...]]:
-        i, j = arc
-        per_route = self._accessibility.index_set(i, j)
-        if not per_route:
-            raise ConsistencyError(f"no index set for accessibility arc ({i}, {j})")
-        rids = tuple(sorted(per_route))
+        rids, per_route = self.route_ids[arc]
         spans = tuple(
             segment_span(self._network, self._routes_by_id, rid, *per_route[rid])
             for rid in rids
         )
-        for sp in spans:
-            if sp.tail != i or sp.head != j:
-                raise StructuralError(
-                    f"segment {sp.segment} runs from {sp.tail} to {sp.head}, "
-                    f"not along accessibility arc ({i}, {j})"
-                )
         self[arc] = entry = (rids, spans)
         return entry
 
 
-def _entries(
-    seq: JunctionSequence, table: _SpanTable
-) -> list[tuple[tuple[RouteId, ...], tuple[SegmentSpan, ...]]]:
-    """Span-table entries of one junction sequence's arcs, in order.
+def _entries(seq: JunctionSequence, table: Mapping) -> list:
+    """Entries of one junction sequence's arcs in a span table or its ``route_ids``.
 
     The sequence is checked to have at least one arc and to be loop-free, and
-    each arc's entry comes from the span table, so every span used runs along
-    its arc.
+    each arc's route ids are checked, so every span used runs along its arc.
     """
     if len(seq) < 2:
         raise StructuralError("an energy path needs at least one segment")
@@ -348,11 +372,11 @@ def _expand(sequences: Iterable[JunctionSequence], table: _SpanTable, cap: int) 
 
 def _count(sequences: Iterable[JunctionSequence], table: _SpanTable, cap: int) -> int:
     """Number of energy paths ``_expand`` would return for distinct sequences,
-    with its checks and cap, without building any path.
+    with its checks and cap, from checked route ids alone: no span, no path.
     """
     total = 0
     for seq in sequences:
-        total += _count_distinct([rids for rids, _ in _entries(seq, table)])
+        total += _count_distinct([rids for rids, _ in _entries(seq, table.route_ids)])
         if total > cap:
             raise EnumerationCapError(f"path expansion exceeded the cap of {cap}")
     return total

@@ -8,12 +8,16 @@ delivered-energy box, cross-checked by a dense grid search over it. The LP
 of a path set has a second oracle: the two-variable LP over delivered energy
 and rate, built row by row here and solved with ``linprog``. Its assembly has
 a third: the string-keyed build, whose arrays the integer one must equal.
+The route walk and the junction-route incidence are checked against their
+build over ``Arc`` objects, copied here.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -28,7 +32,111 @@ from venroute import (
     prune_unreachable,
 )
 from venroute.energy import PlanEntry, loss_ratio, make_plan, window_cap
-from venroute.network import _route_sequence
+from venroute.errors import DomainError, StructuralError
+from venroute.network import (
+    AccessibilityGraph,
+    Arc,
+    Junction,
+    JunctionSequence,
+    RouteId,
+    _check_unique,
+)
+
+
+# ---------------------------------------------------------------------------
+# route walk / incidence oracle: the walk over ``Arc`` objects and the
+# incidence built with ``setdefault``, which the walk over the network's arc
+# ends and the incidence built without it must equal, errors included
+
+
+def _route_sequence(network: VehicularNetwork, route: VehicularRoute) -> JunctionSequence:
+    """The route's junction sequence, checked to chain known arcs and to carry
+    a finite, nonnegative flow.
+    """
+    rid = route.route_id
+    if not (0.0 <= route.flow < math.inf):
+        raise StructuralError(
+            f"route {rid!r}: flow must be finite and nonnegative, got {route.flow}"
+        )
+    if not route.arcs:
+        raise StructuralError(f"route {rid!r}: empty arc sequence")
+    arcs: list[Arc] = []
+    for arc_id in route.arcs:
+        a = network.arc_by_id.get(arc_id)
+        if a is None:
+            raise DomainError(f"route {rid!r}: unknown arc id {arc_id!r}")
+        if arcs and arcs[-1].head != a.tail:
+            raise StructuralError(
+                f"route {rid!r}: arcs {arcs[-1].arc_id!r} and {arc_id!r} are not connected "
+                f"({arcs[-1].head} != {a.tail})"
+            )
+        arcs.append(a)
+    return (arcs[0].tail, *[a.head for a in arcs])
+
+
+def _loop_free_pieces(seq: JunctionSequence) -> list[tuple[int, int]]:
+    """(start, end) junction positions of the loop-free pieces of ``seq``.
+
+    The sequence is split at its first junction revisit and the suffix from
+    the revisit on is split again. The part before the loop entry is a piece
+    when it has an arc; the loop itself is dropped.
+    """
+    if len(set(seq)) == len(seq):
+        return [(0, len(seq) - 1)]
+    pieces: list[tuple[int, int]] = []
+    start = 0
+    first_pos: dict[Junction, int] = {}
+    for q, j in enumerate(seq):
+        p = first_pos.get(j)
+        if p is not None:
+            if p > start:
+                pieces.append((start, p))
+            start, first_pos = q, {}
+        first_pos[j] = q
+    if start < len(seq) - 1:
+        pieces.append((start, len(seq) - 1))
+    return pieces
+
+
+def _walk_routes(
+    network: VehicularNetwork, routes: Iterable[VehicularRoute]
+) -> tuple[tuple[VehicularRoute, ...], tuple[JunctionSequence, ...]]:
+    """``normalize_routes`` and each output route's checked junction sequence.
+
+    Each input route is walked once; a split piece takes its slice of the
+    parent's sequence.
+    """
+    out: list[VehicularRoute] = []
+    seqs: list[JunctionSequence] = []
+    for r in routes:
+        seq = _route_sequence(network, r)
+        pieces = _loop_free_pieces(seq)
+        if not pieces:
+            raise StructuralError(f"route {r.route_id!r} is a closed loop: no loop-free piece")
+        if pieces == [(0, len(r.arcs))]:
+            out.append(r)
+            seqs.append(seq)
+            continue
+        for k, (a, b) in enumerate(pieces, start=1):
+            rid = r.route_id if len(pieces) == 1 else f"{r.route_id}.{k}"
+            out.append(VehicularRoute(rid, r.arcs[a:b], r.flow))
+            seqs.append(seq[a : b + 1])
+    _check_unique(r.route_id for r in out)
+    return tuple(out), tuple(seqs)
+
+
+def _incidence(
+    routes: Sequence[VehicularRoute], seqs: Sequence[JunctionSequence]
+) -> AccessibilityGraph:
+    """The incidence of loop-free routes, under unique ids, given their checked sequences."""
+    graph = AccessibilityGraph({}, {}, {})
+    for k in sorted(range(len(routes)), key=lambda k: routes[k].route_id):
+        r, seq = routes[k], seqs[k]
+        graph.routes[r.route_id] = r
+        graph.seqs[r.route_id] = seq
+        for p, j in enumerate(seq):
+            graph.visits.setdefault(j, []).append((r.route_id, p))
+    return graph
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Road network, route normalization, accessibility graph, and pruning."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +19,10 @@ from venroute import (
     normalize_routes,
     prune_unreachable,
 )
-from venroute.network import _route_sequence, arc_flow_table
+from venroute.network import _incidence, _route_sequence, _walk_routes, arc_flow_table
 
+from helpers import _incidence as oracle_incidence
+from helpers import _walk_routes as oracle_walk_routes
 from helpers import oracle_segments, random_instance
 
 
@@ -249,10 +253,16 @@ ENTRY_POINTS = (
         ([VehicularRoute("r", (), 0.1)], StructuralError, "empty arc sequence"),
         ([VehicularRoute("r", ("ab", "zz"), 0.1)], DomainError, "unknown arc id 'zz'"),
         ([VehicularRoute("r", ("bc", "ab"), 0.1)], StructuralError, "not connected"),
+        # within a route, the first bad arc names the error
+        ([VehicularRoute("r", ("ab", "ab", "zz"), 0.1)], StructuralError, "not connected"),
+        ([VehicularRoute("r", ("ab", "zz", "ab"), 0.1)], DomainError, "unknown arc id 'zz'"),
         ([VehicularRoute("r", ("ab", "bc"), float("nan"))], StructuralError, "flow must be"),
         ([VehicularRoute("r", ("ab", "bc"), -0.1)], StructuralError, "flow must be"),
     ],
-    ids=["duplicate-id", "empty", "unknown-arc", "disconnected", "nan-flow", "negative-flow"],
+    ids=[
+        "duplicate-id", "empty", "unknown-arc", "disconnected", "gap-then-unknown",
+        "unknown-then-gap", "nan-flow", "negative-flow",
+    ],
 )
 def test_bad_routes_rejected_where_they_enter(routes, error, match):
     # every method's routes enter through the accessibility graph
@@ -309,3 +319,66 @@ def test_normalization_idempotent_on_random_instances(seed):
     for r in once:
         seq = _route_sequence(network, r)
         assert len(set(seq)) == len(seq)
+
+
+# a triangle p-q-r with a side loop r-s-q and an exit q-u-p: routes over it
+# repeat junctions, close loops and split into pieces
+WALK_NET = VehicularNetwork.build(
+    ["p", "q", "r", "s", "u"],
+    [
+        ("pq", "p", "q", 60.0), ("qr", "q", "r", 60.0), ("rp", "r", "p", 60.0),
+        ("rs", "r", "s", 60.0), ("sq", "s", "q", 60.0), ("qu", "q", "u", 60.0),
+        ("up", "u", "p", 60.0),
+    ],
+)
+# "a" splits into "a.1", "a.2", ..., which sort after "a-b" and may collide with "a.1"
+WALK_ROUTE_IDS = ["a", "a-b", "a.1", "b", "a.2", "c", "d", "e"]
+
+
+@st.composite
+def walked_routes(draw):
+    """Routes that follow the roads; with faults on, unknown ids, gaps, empty
+    routes and bad flows are mixed in.
+    """
+    faults = draw(st.booleans())
+    arc_ids = sorted(WALK_NET.arc_by_id)
+    routes = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        rid = draw(st.sampled_from(WALK_ROUTE_IDS))
+        flows = [0.1, 0.25, 0.0] + ([math.nan, -0.1, math.inf] if faults else [])
+        flow = draw(st.sampled_from(flows))
+        here = draw(st.sampled_from(sorted(WALK_NET.junctions)))
+        arcs = []
+        for _ in range(draw(st.integers(min_value=0 if faults else 1, max_value=5))):
+            kind = draw(st.sampled_from(["follow"] * 8 + (["jump", "unknown"] if faults else [])))
+            if kind == "follow":
+                arc = draw(st.sampled_from([a.arc_id for a in WALK_NET.arcs if a.tail == here]))
+            elif kind == "jump":
+                arc = draw(st.sampled_from(arc_ids))
+            else:
+                arc = "zz"
+            arcs.append(arc)
+            if arc in WALK_NET.arc_by_id:
+                here = WALK_NET.arc_by_id[arc].head
+        routes.append(VehicularRoute(rid, tuple(arcs), flow))
+    return routes
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (DomainError, StructuralError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walked_routes())
+def test_walk_and_incidence_match_the_walk_over_arc_objects(routes):
+    want = _outcome(oracle_walk_routes, WALK_NET, routes)
+    got = _outcome(_walk_routes, WALK_NET, routes)
+    assert got == want
+    if want[0] == "ok":
+        expected, graph = oracle_incidence(*want[1]), _incidence(*got[1])
+        for name in ("routes", "seqs", "visits"):
+            # same dict order and, for visits, the same list order
+            assert list(getattr(graph, name).items()) == list(getattr(expected, name).items())

@@ -47,6 +47,10 @@ from venroute.pathenum import (
 from helpers import oracle_expand, oracle_sequences, prepared, random_instance
 
 
+def no_span(*args, **kwargs):
+    raise AssertionError("counting must not build a segment span")
+
+
 class TestCountingBounds:
     def test_recurrence_values(self):
         assert [f_bound(n) for n in range(1, 6)] == [1, 2, 5, 16, 65]
@@ -221,7 +225,7 @@ class TestExpansion:
             (("s", "m"), "r1", (1, 2)),  # r1 has one arc
         ],
     )
-    def test_corrupted_segment_rejected(self, arc, rid, span):
+    def test_corrupted_segment_rejected(self, arc, rid, span, monkeypatch):
         network, norm, acc = chain_with_through_route()
         bad = copy.copy(acc)
         corrupt = {rid: span}
@@ -229,8 +233,14 @@ class TestExpansion:
             bad, "index_set", lambda i, j: {**acc.index_set(i, j), **(corrupt if (i, j) == arc else {})}
         )
         seqs = enumerate_sequences(acc.arcs, "s", "t")
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="runs from m to t|out of range") as expanded:
             expand_to_paths(seqs, bad, network, norm)
+        # counting rejects it with the same message from the checked route ids, building no span
+        table = _SpanTable(bad, network, {r.route_id: r for r in norm})
+        with monkeypatch.context() as m, pytest.raises(StructuralError) as counted:
+            m.setattr(pathenum, "segment_span", no_span)
+            _count(seqs, table, DEFAULT_CAP)
+        assert str(counted.value) == str(expanded.value)
         with pytest.raises(StructuralError):
             enumerate_bounded(acc.arcs, "s", "t", bad, network, norm, limit=10, seed=0)
         # an instance keeps no half-built entry for a sequence that failed: every sample raises

@@ -79,10 +79,8 @@ def segment_span(
     n: int,
     m: int,
 ) -> SegmentSpan:
-    """Arcs n..m (1-based, inclusive) of route ``rid``, checked to lie within the route."""
+    """Arcs n..m (1-based, inclusive) of route ``rid``, already checked to lie within it."""
     route = routes_by_id[rid]
-    if not (1 <= n <= m <= len(route.arcs)):
-        raise StructuralError(f"segment ({rid}, {n}, {m}) out of range")
     sub = route.arcs[n - 1 : m]
     arc_by_id = network.arc_by_id
     return SegmentSpan(
@@ -131,6 +129,8 @@ def build_energy_path(
         if rid in seen_routes:
             raise StructuralError(f"route {rid!r} appears twice along the path")
         seen_routes.add(rid)
+        if not (1 <= n <= m <= len(routes_by_id[rid].arcs)):
+            raise StructuralError(f"segment ({rid}, {n}, {m}) out of range")
         sp = segment_span(network, routes_by_id, rid, n, m)
         if sp.tail != prev_head:
             raise StructuralError(

@@ -8,11 +8,11 @@ arc-flow table; the greedy's trajectory; and each junction sequence's
 sampled energy paths, as far as any sample has read them (a full enumeration
 streams and keeps none). ``run_compare``, ``run_growth`` and the ``ven``
 commands call only its methods, so a sweep shares these across every subset
-seed and target; the LP of a path set solves itself at any target. Each
-path's LP column is computed once, beside the path. No method derives the
-accessibility arcs: only ``prepare`` and ``run_growth`` do. No arcs are
-pruned: both enumerators keep only junctions that reach t over arcs, which
-follow roads.
+seed and target; the LP of a path set solves itself at any target, and each
+distinct path's LP column is derived once per instance, for all its LPs. No
+method derives the accessibility arcs: only ``prepare`` and ``run_growth``
+do. No arcs are pruned: both enumerators keep only junctions that reach t
+over arcs, which follow roads.
 The greedy's picks do not depend on the target, so every target's plan is a
 prefix of one trajectory, extended only when a target needs more paths.
 
@@ -100,20 +100,20 @@ class Instance:
 
     @cached_property
     def _columns(self):
-        """Each path's LP column over the arc-flow table, computed beside the path."""
-        return _Columns(self.scenario.params, self.arc_flows)
+        """Each distinct path's LP column, derived once for every LP of the instance."""
+        sc = self.scenario
+        return _Columns(sc.params, sc.network, self.arc_flows)
 
     @cached_property
     def _sampled_paths(self):
         # only the sampler keeps what it assembles: a full enumeration streams
-        return _PathCache(self.span_table, self._columns)
+        return _PathCache(self.span_table)
 
     def paths(self, cap: int = DEFAULT_CAP) -> PathSet:
         """The full energy-path set (method I)."""
         succ, _hops = self.live_successors
         sequences = _sequences(succ, self.scenario.source, self.scenario.destination, cap)
-        paths = _expand(sequences, self.span_table, cap).paths
-        return PathSet(paths, True, (self._columns, tuple(map(self._columns, paths))))
+        return _expand(sequences, self.span_table, cap)
 
     def sample(self, limit: int, seed: int) -> PathSet:
         """A seeded subset of at most ``limit`` energy paths (method II)."""
@@ -123,7 +123,7 @@ class Instance:
 
     def lp(self, pathset: PathSet) -> LpInstance:
         """The path set's LP, which solves itself at any energy target (methods I and II)."""
-        return _assemble(pathset, self.scenario.params, self.arc_flows)
+        return _assemble(pathset, self._columns)
 
     @cached_property
     def _trajectory(self):

@@ -19,9 +19,6 @@ span runs along its arc and every sequence is checked to be loop-free, each
 path chains from source to destination without a repeated junction, as
 ``build_energy_path`` would check.
 
-Sampling computes each path's LP column once, beside the path, by the column
-function an ``Instance`` gives it; the ``PathSet`` carries the columns.
-
 A cap or limit below 1 is a bad argument (DomainError), never a cap verdict.
 """
 
@@ -31,9 +28,9 @@ import itertools
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .energy import EnergyPath, SegmentSpan, assemble_energy_path, segment_span
 from .errors import ConsistencyError, DomainError, EnumerationCapError, StructuralError
@@ -65,8 +62,6 @@ PathKey = tuple[JunctionSequence, tuple[RouteId, ...]]
 class PathSet:
     paths: tuple[EnergyPath, ...]
     complete: bool
-    # (column function, its value on each path); equality and hashing ignore it
-    columns: tuple[Callable, tuple] | None = field(default=None, compare=False, repr=False)
 
 
 def f_bound(n: int) -> int:
@@ -315,24 +310,20 @@ def _combo_paths(
 
 
 class _PathCache(dict):
-    """Each junction sequence's (sort key, energy path, column) triples, in
-    ``_combo_paths`` order, each assembled once and shared by every sample drawn
-    over one span table.
+    """Each junction sequence's (sort key, energy path) pairs, in ``_combo_paths``
+    order, each assembled once and shared by every sample drawn over one span table.
 
-    A sequence maps to the triples assembled so far and the generator of the rest.
+    A sequence maps to the pairs assembled so far and the generator of the rest.
     """
 
-    def __init__(self, table: _SpanTable, column: Callable = lambda path: None):
+    def __init__(self, table: _SpanTable):
         super().__init__()
         self._table = table
-        self.column = column
 
-    def prefix(self, seq: JunctionSequence, n: int) -> list[tuple[PathKey, EnergyPath, object]]:
-        """The sequence's first ``n`` triples, or all of them if it has fewer."""
+    def prefix(self, seq: JunctionSequence, n: int) -> list[tuple[PathKey, EnergyPath]]:
+        """The sequence's first ``n`` pairs, or all of them if it has fewer."""
         if seq not in self:
-            # the generator must not hold the cache, or the two would form a cycle
-            column, pairs = self.column, _combo_paths(seq, self._table)
-            self[seq] = ([], ((key, p, column(p)) for key, p in pairs))
+            self[seq] = ([], _combo_paths(seq, self._table))
         done, rest = self[seq]
         if len(done) < n:
             try:
@@ -488,7 +479,7 @@ def _sample_bounded(
         raise DomainError("source and destination must differ")
     rng = random.Random(seed)
     per_seq_cap = max(1, limit // 8)
-    keyed: list[tuple[PathKey, EnergyPath, object]] = []
+    keyed: list[tuple[PathKey, EnergyPath]] = []
     truncated = False
     skipped: list[JunctionSequence] = []  # sequences with combos beyond the cap
     # if s does not reach t, the search yields nothing whatever the budget
@@ -515,5 +506,4 @@ def _sample_bounded(
                 break
     keyed.sort(key=itemgetter(0))
     complete = not truncated and not tracker.hit
-    _keys, kept, cols = zip(*keyed) if keyed else ((), (), ())
-    return PathSet(paths=kept, complete=complete, columns=(paths.column, cols))
+    return PathSet(paths=tuple(path for _, path in keyed), complete=complete)

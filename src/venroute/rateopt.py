@@ -12,8 +12,8 @@ x_j / cap_j only loosens the arc rows. An assembled ``LpInstance`` solves
 itself at any target, so one assembly serves a sweep, and its plan holds only
 the paths that carry energy (g_j > 0): the others would add exact zeros to
 every total. The LP is assembled from integer arrays: each path's column
-(``_Columns``) lists its arcs by row index, and an ``Instance`` derives it
-once per path, beside the path.
+(``_Columns``) lists its arcs by their index among the network's arcs, and
+an ``Instance`` derives it once per distinct path, for all of its LPs.
 
 Each LP is one cold call to HiGHS's dual simplex (Huangfu & Hall 2018) through
 SciPy's own binding ``scipy.optimize._highspy._core``, there from SciPy 1.15.
@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from .energy import EnergyParams, PlanEntry, TransmissionPlan, check_target, loss_ratio, make_plan
 from .energy import window_cap as _window_cap
-from .errors import ConsistencyError, SolverError
+from .errors import ConsistencyError, DomainError, SolverError
 from .network import ArcId, VehicularNetwork, VehicularRoute, arc_flow_table
 from .pathenum import PathSet
 
@@ -84,30 +84,37 @@ class LossMinProblem:
         check_target(self.target_kwh)
 
 
-class _Columns:
-    """The LP column of any path over one arc-flow table, in pure Python.
+class _Columns(dict):
+    """The LP column of each path over one network's arcs, derived on first read.
 
-    Each of ``arcs``, by default every arc of the table, has a row index in
-    sorted arc-id order; an arc the table lacks, which no route covers, has
-    flow 0. A path's column is its sorted distinct arc indices, its window cap
-    (T - d) z^|p|, its cost loss_ratio * cap and its rate bound: w times its
-    bottleneck flow, or 0 past the window, where it carries nothing. The
-    columns depend only on ``key``, the parameters and the table.
+    Every arc of the network has a row index in sorted arc-id order, and the
+    total flow of the routes over it, 0 where no route covers it. A path's
+    column is its sorted distinct arc indices, its window cap (T - d) z^|p|,
+    its cost loss_ratio * cap and its rate bound: w times its bottleneck flow,
+    or 0 past the window, where it carries nothing. It depends only on the
+    path, a frozen value, so it is kept by path. A path that rides an arc the
+    network lacks is a DomainError.
     """
 
-    def __init__(self, params: EnergyParams, arc_flows: Mapping[ArcId, float], arcs=None):
-        self.key = params, arc_flows
+    def __init__(
+        self, params: EnergyParams, network: VehicularNetwork, arc_flows: Mapping[ArcId, float]
+    ):
+        super().__init__()
         self.params = params
-        arcs = sorted(arc_flows if arcs is None else arcs)
+        arcs = sorted(network.arc_by_id)
         self.index = {a: k for k, a in enumerate(arcs)}
         self.flows = [arc_flows.get(a, 0.0) for a in arcs]
 
-    def __call__(self, path: EnergyPath) -> tuple[tuple[int, ...], float, float, float]:
+    def __missing__(self, path: EnergyPath) -> tuple[tuple[int, ...], float, float, float]:
         params, index = self.params, self.index
+        try:
+            arcs = tuple(sorted({index[a] for a in path.arc_ids}))
+        except KeyError as e:
+            raise DomainError(f"path rides arc {e.args[0]!r}, which the network lacks") from None
         cap = _window_cap(path, params)
         upper = 0.0 if cap == 0.0 else params.packet_kwh * path.bottleneck_flow
-        arcs = tuple(sorted({index[a] for a in path.arc_ids}))
-        return arcs, cap, cap * loss_ratio(path.cycles, params.efficiency), upper
+        self[path] = column = (arcs, cap, cap * loss_ratio(path.cycles, params.efficiency), upper)
+        return column
 
 
 @dataclass(frozen=True)
@@ -186,26 +193,18 @@ class LpInstance:
 
 
 def build_lp(problem: LossMinProblem) -> LpInstance:
-    """Assemble the LP; rows are ordered shared road arcs, target."""
-    return _assemble(
-        problem.paths, problem.params, arc_flow_table(problem.routes), problem.target_kwh
-    )
-
-
-def _assemble(
-    pathset: PathSet, params: EnergyParams, arc_flows: Mapping[ArcId, float],
-    target_kwh: float = 0.0,
-) -> LpInstance:
-    """The LP of ``pathset`` given the arc-flow table of its scenario's routes.
-
-    A set that an ``Instance`` built carries each path's column over the same
-    parameters and table; any other set's are derived here, over its own arcs.
+    """Assemble the LP; rows are the network's arcs that some path rides, in
+    arc-id order, then the target. A path off the network is a DomainError.
     """
+    columns = _Columns(problem.params, problem.network, arc_flow_table(problem.routes))
+    return _assemble(problem.paths, columns, problem.target_kwh)
+
+
+def _assemble(pathset: PathSet, columns: _Columns, target_kwh: float = 0.0) -> LpInstance:
+    """The LP of ``pathset`` from the columns of its scenario's network and routes."""
     np, sparse, highs, _options = _lp_backend()
-    columns, cols = pathset.columns or (None, ())
-    if getattr(columns, "key", None) != (params, arc_flows):
-        columns = _Columns(params, arc_flows, set().union(*(p.arc_ids for p in pathset.paths)))
-        cols = [columns(p) for p in pathset.paths]
+    params = columns.params
+    cols = [columns[p] for p in pathset.paths]
     m = len(cols)
     arcs, caps, c, upper = zip(*cols) if cols else ((), (), (), ())
     caps, c, upper = (np.array(v, dtype=float) for v in (caps, c, upper))
@@ -269,7 +268,8 @@ def max_deliverable(problem: LossMinProblem) -> float:
     """Largest delivered total any feasible plan can achieve (target ignored)."""
     if not problem.paths.paths:
         return 0.0
-    lp = _assemble(problem.paths, problem.params, arc_flow_table(problem.routes))
+    columns = _Columns(problem.params, problem.network, arc_flow_table(problem.routes))
+    lp = _assemble(problem.paths, columns)
     status, g, _ = _run_highs(-lp.caps, lp)
     if status != "optimal":
         raise SolverError("capacity LP failure: infeasible")

@@ -23,6 +23,7 @@ runs = {
     "growth-capped": ["growth", "--n-values", "4,6", "--instances", "2", "--cap", "8"],
     "growth-bad-cap": ["growth", "--cap", "-1"],
     "enumerate": ["enumerate", "--scenario", "gen-grid", "--limit", "10"],
+    "enumerate-full": ["enumerate", "--scenario", "gen-grid"],
     "solve": ["solve", "--scenario", "gen-grid", "--method", "III", "--target", "500"],
     "solve-infeasible": ["solve", "--scenario", "gen-grid", "--method", "III", "--target", "1e6"],
     "compare": ["compare", "--scenario", "gen-grid", "--targets", "1,500,2900", "--methods", "III"],
@@ -68,6 +69,6 @@ def test_commands_without_an_lp_run_alike_with_numpy_and_scipy_blocked(tmp_path)
     codes = {name: code for name, (code, _text) in normal["runs"].items()}
     assert codes == {
         "gen-grid": 0, "gen-random": 0, "growth": 0, "growth-capped": 0, "growth-bad-cap": 1,
-        "enumerate": 0, "solve": 0, "solve-infeasible": 3, "compare": 0,
+        "enumerate": 0, "enumerate-full": 0, "solve": 0, "solve-infeasible": 3, "compare": 0,
     }
     assert ",true\n" in normal["runs"]["growth-capped"][1]  # some instance hit the cap

@@ -491,11 +491,63 @@ def test_assembly_matches_string_keyed_oracle_on_grids(flow, seed):
     inst = Instance(generate_grid(4, 4, 10.0, 60.0, 20, flow, seed=seed))
     pathsets = dict.fromkeys([inst.paths()] + [inst.sample(50, k) for k in range(20)])
     assert_assemblies_match_oracle(inst, pathsets)
-    # another instance's sets carry columns it cannot use: its LP derives its own
+    # the same sets under other parameters get that instance's columns
     sc = inst.scenario
     other = Instance(replace(sc, params=replace(sc.params, packet_kwh=2.0, window_s=9000.0)))
     for pathset in pathsets:
         assert_assembled_like_oracle(other.lp(pathset), other.scenario.params, other.arc_flows)
+
+
+def grid47():
+    return Instance(generate_grid(4, 4, 10.0, 60.0, 20, ("uniform", 0.1, 0.3), seed=47))
+
+
+def test_an_edited_set_assembles_and_solves_like_a_fresh_one():
+    # a path set is only its paths: shortened or reversed, its LP is that of
+    # a PathSet built from the same paths, row for row and column for column
+    inst = grid47()
+    params = inst.scenario.params
+    ps = inst.sample(50, 0)
+    for edited in (replace(ps, paths=ps.paths[:3]), replace(ps, paths=ps.paths[::-1])):
+        fresh = PathSet(edited.paths, edited.complete)
+        lp, fresh_lp = inst.lp(edited), inst.lp(fresh)
+        assert_assembled_like_oracle(lp, params, inst.arc_flows)
+        assert_assembled_like_oracle(fresh_lp, params, inst.arc_flows)
+        for target in (200.0, 500.0):
+            got, want = lp.solve(target), fresh_lp.solve(target)
+            assert got.status == want.status == "optimal"
+            assert got.objective == want.objective
+            assert plan_totals(got.plan) == plan_totals(want.plan)
+
+
+def test_a_path_off_the_network_is_a_domain_error_naming_the_arc():
+    inst = grid47()
+    sc = inst.scenario
+    foreign = Instance(generate_grid(3, 6, 10.0, 60.0, 20, ("uniform", 0.1, 0.3), seed=47))
+    pathset = foreign.sample(20, 0)
+    problem = LossMinProblem(pathset, sc.params, sc.network, inst.routes, 200.0)
+    for build in (inst.lp, lambda _: build_lp(problem), lambda _: max_deliverable(problem)):
+        with pytest.raises(DomainError, match="which the network lacks") as error:
+            build(pathset)
+        arc = str(error.value).split("'")[1]
+        assert arc not in sc.network.arc_by_id
+        assert arc in foreign.scenario.network.arc_by_id
+
+
+def test_each_distinct_path_column_is_derived_once(monkeypatch):
+    # across one instance's full set and every subset of the comparison sweep
+    calls = []
+
+    def counted(path, params):
+        calls.append(path)
+        return _window_cap(path, params)
+
+    monkeypatch.setattr(rateopt, "_window_cap", counted)
+    inst = grid47()
+    inst.lp(inst.paths())
+    for k in range(20):
+        inst.lp(inst.sample(50, k))
+    assert len(calls) == len(set(calls)) == 979
 
 
 def test_assembly_matches_string_keyed_oracle_on_corridor():

@@ -67,9 +67,9 @@ varied = v.Instance(v.generate_grid(
 ))
 vpaths = varied.paths()
 print(f"non-uniform scenario: {len(vpaths.paths)} paths")
-vlp = varied.lp(vpaths)  # one LP for the whole sweep
-for target in (500.0, 2457.0, 2900.0):
-    sol = vlp.solve(target)
+vlp = varied.lp(vpaths)  # one LP, on one HiGHS model, for the whole sweep
+vtargets = (500.0, 2457.0, 2900.0)
+for target, sol in zip(vtargets, vlp.sweep(vtargets)):
     h = varied.greedy(target)
     lp_loss = v.plan_totals(sol.plan)[1] if sol.status == "optimal" else float("nan")
     print(f"  target {target:7.1f} kWh: LP {sol.status:>10} loss={lp_loss:9.4f} | "

@@ -44,19 +44,17 @@ wall_greedy = time.perf_counter() - t0
 # Method II: sample ten 30-path subsets with different seeds, solve the LP
 # on each, and average the losses — the subsets differ, so the quality of
 # the sampled optimum is itself a random variable worth averaging. Each
-# subset's LP is assembled once and solved at every target; the first one
-# also imports NumPy and SciPy.
+# subset's LP is assembled once and swept over every target on one HiGHS
+# model; the first one also imports NumPy and SciPy.
 # ---------------------------------------------------------------------------
 t0 = time.perf_counter()
 lps = [inst.lp(inst.sample(limit=30, seed=seed)) for seed in range(10)]
-sampled_avg = {}
-for target in targets:
-    losses = []
-    for lp in lps:
-        sol = lp.solve(target)
+losses = {target: [] for target in targets}
+for lp in lps:
+    for target, sol in zip(targets, lp.sweep(targets)):
         if sol.status == "optimal":
-            losses.append(v.plan_totals(sol.plan)[1])
-    sampled_avg[target] = sum(losses) / len(losses) if losses else float("nan")
+            losses[target].append(v.plan_totals(sol.plan)[1])
+sampled_avg = {t: sum(ls) / len(ls) if ls else float("nan") for t, ls in losses.items()}
 wall_sampled = time.perf_counter() - t0
 
 # ---------------------------------------------------------------------------

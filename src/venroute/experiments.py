@@ -8,11 +8,11 @@ arc-flow table; the greedy's trajectory; and each junction sequence's
 sampled energy paths, as far as any sample has read them (a full enumeration
 streams and keeps none). ``run_compare``, ``run_growth`` and the ``ven``
 commands call only its methods, so a sweep shares these across every subset
-seed and target; the LP of a path set solves itself at any target, and each
-distinct path's LP column is derived once per instance, for all its LPs. No
-method derives the accessibility arcs: only ``prepare`` and ``run_growth``
-do. No arcs are pruned: both enumerators keep only junctions that reach t
-over arcs, which follow roads.
+seed and target; the LP of a path set sweeps itself over any targets, and
+each distinct path's LP column is derived once per instance, for all its
+LPs. No method derives the accessibility arcs: only ``prepare`` and
+``run_growth`` do. No arcs are pruned: both enumerators keep only junctions
+that reach t over arcs, which follow roads.
 The greedy's picks do not depend on the target, so every target's plan is a
 prefix of one trajectory, extended only when a target needs more paths.
 
@@ -22,9 +22,10 @@ request, so default outputs are byte-stable across runs. Route normalization
 and the incidence build stay outside every row. A row's wall time adds its
 method's one-off costs to its own solve: the successors, enumeration or
 sampling, and LP assembly for methods I and II. Method II samples every
-seed but assembles each distinct subset once and solves it once per target.
-A method-III row counts only the picks it adds to the shared trajectory, so
-a target that an earlier one covers costs almost nothing.
+seed but assembles each distinct subset once. Each LP is swept over all
+targets on one HiGHS model, so a method's first row also counts setting up
+its models. A method-III row counts only the picks it adds to the shared
+trajectory, so a target that an earlier one covers costs almost nothing.
 
 NumPy and SciPy are imported by ``rateopt`` on the first LP, not with the
 package. ``run_compare`` loads them once, before its first row, when method I
@@ -193,7 +194,9 @@ def run_compare(
     """Run the requested methods over a sweep of energy targets.
 
     Method II is averaged over the given subset seeds; seeds that draw the
-    same subset share one LP and one solve per target. Per-cell failures are
+    same subset share one LP. Method I's LP and each distinct subset's are
+    swept over all targets, one after another, so one HiGHS model is alive at
+    a time, and each solve is reduced to its totals. Per-cell failures are
     recorded in their row and never abort the sweep. A malformed sweep raises
     DomainError before any work: no, unknown or repeated methods or targets,
     a negative or non-finite target, no or repeated seeds for method II, a
@@ -217,12 +220,25 @@ def run_compare(
         _lp_backend()  # and so does importing NumPy and SciPy
     once: dict[str, float] = {}  # each method's one-off seconds, added to each of its rows
 
-    def row(target: float, method: str, t0: float, totals, error: str = "") -> ResultRow:
+    def row(target: float, method: str, seconds: float, totals, error: str = "") -> ResultRow:
         """The method's row; ``totals`` is (loss, delivered, paths used), None without a plan,
         which is infeasible unless ``error`` names what stopped the method."""
-        wall = (time.perf_counter() - t0 + once[method]) * 1000.0
+        wall = (seconds + once[method]) * 1000.0
         status = error or ("infeasible" if totals is None else "optimal")
         return ResultRow(target, method, status, *(totals or (None, None, None)), wall)
+
+    def swept(lp: LpInstance, paths_used) -> list:
+        """(totals, seconds) of ``lp`` at each target; each plan is reduced as it is solved."""
+        out = []
+        t0 = time.perf_counter()
+        for sol in lp.sweep(targets):
+            totals = None
+            if sol.status == "optimal":
+                delivered, loss = plan_totals(sol.plan)
+                totals = (loss, delivered, paths_used(sol.plan))
+            out.append((totals, time.perf_counter() - t0))
+            t0 = time.perf_counter()
+        return out
 
     full = None
     subsets = []  # the LP of each distinct subset, in order of first draw
@@ -241,36 +257,23 @@ def run_compare(
             subsets = [inst.lp(pathset) for pathset in index]
         once[method] = time.perf_counter() - t0
 
-    for target in targets:
+    if full is not None:
+        exact = swept(full, lambda plan: sum(1 for e in plan.entries if e.delivered_kwh > 1e-9))
+    sampled = [swept(lp, lambda _plan, n=len(lp.paths.paths): n) for lp in subsets]
+    for k, target in enumerate(targets):
         if "I" in methods:
             if full is None:
                 rows.append(
                     ResultRow(target, "I", "error:enumeration-cap", None, None, None, 0.0)
                 )
             else:
-                t0 = time.perf_counter()
-                sol = full.solve(target)
-                totals = None
-                if sol.status == "optimal":
-                    delivered, loss = plan_totals(sol.plan)
-                    used = sum(1 for e in sol.plan.entries if e.delivered_kwh > 1e-9)
-                    totals = (loss, delivered, used)
-                rows.append(row(target, "I", t0, totals))
+                rows.append(row(target, "I", exact[k][1], exact[k][0]))
 
         if "II" in methods:
-            t0 = time.perf_counter()
-            per_subset = []  # (loss, delivered, paths) of each subset, None without a plan
-            for lp in subsets:
-                sol = lp.solve(target)
-                totals = None
-                if sol.status == "optimal":
-                    delivered, loss = plan_totals(sol.plan)
-                    totals = (loss, delivered, len(lp.paths.paths))
-                per_subset.append(totals)
             # every seed counts, in seed order, so the sums are those of one solve per seed
-            solved = [per_subset[k] for k in which if per_subset[k] is not None]
+            solved = [sampled[j][k][0] for j in which if sampled[j][k][0] is not None]
             means = [sum(col) / len(solved) for col in zip(*solved)] if solved else None
-            rows.append(row(target, "II", t0, means))
+            rows.append(row(target, "II", sum(s[k][1] for s in sampled), means))
 
         if "III" in methods:
             t0 = time.perf_counter()
@@ -279,7 +282,7 @@ def run_compare(
             totals = (res.loss_kwh, res.delivered_kwh, res.paths_used) if ok else None
             # a safety cap that cut the greedy short is an error, not infeasibility
             error = f"error:{COMBINATION_CAP}" if res.stop_reason == COMBINATION_CAP else ""
-            rows.append(row(target, "III", t0, totals, error))
+            rows.append(row(target, "III", time.perf_counter() - t0, totals, error))
 
     return ResultTable(rows)
 

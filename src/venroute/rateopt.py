@@ -15,13 +15,14 @@ every total. The LP is assembled from integer arrays: each path's column
 (``_Columns``) lists its arcs by their index among the network's arcs, and
 an ``Instance`` derives it once per distinct path, for all of its LPs.
 
-Each LP is one cold call to HiGHS's dual simplex (Huangfu & Hall 2018) through
-SciPy's own binding ``scipy.optimize._highspy._core``, there from SciPy 1.15.
-The LP goes to HiGHS through the array overload of ``_Highs.passModel``, which
-takes the bounds and the column-wise matrix as NumPy arrays; filling a
-``HighsLp`` field by field copied every entry through Python. Presolve is off:
-on these small, well-scaled LPs it removes almost nothing and costs more than
-the simplex itself.
+An LP's sweep over its targets runs on one model of HiGHS's dual simplex
+(Huangfu & Hall 2018), through SciPy's own binding
+``scipy.optimize._highspy._core``, there from SciPy 1.15. The LP goes in
+once, as NumPy arrays through ``_Highs.passModel``; each target then changes
+only the target row's bound and clears the solver, so each solve starts cold
+and gives a fresh model's point: a warm start can end on another tied vertex,
+and so on other paths. Presolve is off: on these small, well-scaled LPs it
+removes almost nothing and costs more than the simplex itself.
 
 This is the only module that uses NumPy or SciPy, and it imports them on the
 first LP it builds or solves, through ``_lp_backend``. Enumeration, the
@@ -33,10 +34,10 @@ import never lands inside a ``--timings`` row.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .energy import EnergyParams, PlanEntry, TransmissionPlan, check_target, loss_ratio, make_plan
 from .energy import window_cap as _window_cap
@@ -149,47 +150,58 @@ class LpInstance:
     integrality: np.ndarray = field(repr=False)
 
     def solve(self, target_kwh: float) -> LpSolution:
-        """The min-loss plan at one energy target; infeasibility is a verdict, not an error.
+        """The min-loss plan at one energy target: a sweep of one."""
+        return next(self.sweep((target_kwh,)))
 
-        Only the target row's bound is set, on a copy: the LP never changes. A
-        solver point that violates a row, a rate bound or a rate's floor of 0 by
-        more than ``RESIDUAL_TOL`` times max(1, target) raises ConsistencyError.
-        The plan holds only the paths whose rate is above 0, in path order.
+    def sweep(self, targets: Iterable[float]) -> Iterator[LpSolution]:
+        """The min-loss plan at each energy target, yielded in order as it is
+        solved; infeasibility is a verdict, not an error.
+
+        One HiGHS model holds the LP, and each solve sets only the target row's
+        bound: the LP never changes. A solver point that violates a row, a rate
+        bound or a rate's floor of 0 by more than ``RESIDUAL_TOL`` times
+        max(1, target) raises ConsistencyError. The plan holds only the paths
+        whose rate is above 0, in path order. The first solve's ``solve_s``
+        also counts setting up the model.
         """
-        check_target(target_kwh)
+        targets = tuple(targets)
+        for target_kwh in targets:
+            check_target(target_kwh)
         paths = self.paths.paths
         if not paths:
-            if target_kwh <= 0.0:
-                plan = make_plan([], self.params)
-                return LpSolution("optimal", plan, 0.0, {"iterations": 0})
-            return LpSolution("infeasible", None, None, {})
-        b_ub = self.b_ub.copy()
-        b_ub[-1] = -target_kwh
-        lp = replace(self, b_ub=b_ub)
+            for target_kwh in targets:
+                if target_kwh > 0.0:
+                    yield LpSolution("infeasible", None, None, {})
+                else:
+                    yield LpSolution("optimal", make_plan([], self.params), 0.0, {"iterations": 0})
+            return
         t0 = time.perf_counter()
-        status, g, iterations = _run_highs(lp.c, lp)
-        elapsed = time.perf_counter() - t0
-        if status == "infeasible":
-            return LpSolution("infeasible", None, None, {"solve_s": elapsed})
-        residual = max((lp.a_ub @ g - b_ub).max(), (g - lp.upper).max(), (-g).max(), 0.0)
-        if residual > RESIDUAL_TOL * max(1.0, target_kwh):
-            raise ConsistencyError(f"LP solution violates its constraints by {residual:.3g}")
+        model = _highs_model(self.c, self)
+        setup_s = time.perf_counter() - t0
+        b_ub = self.b_ub.copy()
+        for target_kwh in targets:
+            t0 = time.perf_counter()
+            status, g, iterations = _run_highs(model, -target_kwh)
+            elapsed, setup_s = time.perf_counter() - t0 + setup_s, 0.0
+            if status == "infeasible":
+                yield LpSolution("infeasible", None, None, {"solve_s": elapsed})
+                continue
+            b_ub[-1] = -target_kwh
+            residual = max((self.a_ub @ g - b_ub).max(), (g - self.upper).max(), (-g).max(), 0.0)
+            if residual > RESIDUAL_TOL * max(1.0, target_kwh):
+                raise ConsistencyError(f"LP solution violates its constraints by {residual:.3g}")
 
-        # a path at rate 0 would add exact zeros to every total, so it is left out
-        carrying = (g > 0.0).nonzero()[0]
-        rates = g[carrying]
-        delivered = self.caps[carrying] * rates
-        entries = [
-            PlanEntry(path=paths[j], rate=rate, delivered_kwh=kwh)
-            for j, rate, kwh in zip(carrying.tolist(), rates.tolist(), delivered.tolist())
-        ]
-        plan = make_plan(entries, self.params)
-        diagnostics = {
-            "iterations": iterations,
-            "max_residual": float(residual),
-            "solve_s": elapsed,
-        }
-        return LpSolution("optimal", plan, float(lp.c @ g), diagnostics)
+            # a path at rate 0 would add exact zeros to every total, so it is left out
+            carrying = (g > 0.0).nonzero()[0]
+            rates = g[carrying]
+            delivered = self.caps[carrying] * rates
+            entries = [
+                PlanEntry(path=paths[j], rate=rate, delivered_kwh=kwh)
+                for j, rate, kwh in zip(carrying.tolist(), rates.tolist(), delivered.tolist())
+            ]
+            plan = make_plan(entries, self.params)
+            diagnostics = dict(iterations=iterations, max_residual=float(residual), solve_s=elapsed)
+            yield LpSolution("optimal", plan, float(self.c @ g), diagnostics)
 
 
 def build_lp(problem: LossMinProblem) -> LpInstance:
@@ -232,31 +244,39 @@ def _assemble(pathset: PathSet, columns: _Columns, target_kwh: float = 0.0) -> L
     )
 
 
-def _run_highs(c, lp: LpInstance) -> tuple[str, np.ndarray | None, int]:
-    """(status, point, simplex iterations) of one cold HiGHS solve of ``lp`` under cost ``c``.
-
-    The status is "optimal" or "infeasible" (no point); any other raises SolverError.
-    """
-    np, _sparse, highs, options = _lp_backend()
+def _highs_model(c, lp: LpInstance):
+    """A HiGHS model of ``lp`` under cost ``c``; one HiGHS refuses raises SolverError."""
+    _np, _sparse, highs, options = _lp_backend()
     a = lp.a_ub
     rows, cols = a.shape
-    solver = highs._Highs()
-    solver.passOptions(options)
-    status = highs.HighsModelStatus.kModelError  # a model HiGHS refuses must not be run
-    passed = solver.passModel(
+    model = highs._Highs()
+    model.passOptions(options)
+    passed = model.passModel(
         cols, rows, a.nnz, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
         c, lp.lower, lp.upper, lp.row_lower, lp.b_ub, a.indptr, a.indices, a.data,
         lp.integrality,
     )
-    if passed != highs.HighsStatus.kError:
-        solver.run()
-        status = solver.getModelStatus()
+    if passed == highs.HighsStatus.kError:
+        raise SolverError("LP solver failure: Model error")
+    return model
+
+
+def _run_highs(model, bound: float) -> tuple[str, np.ndarray | None, int]:
+    """(status, point, simplex iterations) of one cold solve of ``model`` with its
+    last row, the target row, at most ``bound``; a status other than "optimal" or
+    "infeasible" (no point) raises SolverError.
+    """
+    np, _sparse, highs, _options = _lp_backend()
+    model.changeRowBounds(model.getNumRow() - 1, -highs.kHighsInf, bound)
+    model.clearSolver()  # a warm start may end on another tied vertex
+    model.run()
+    status = model.getModelStatus()
     if status == highs.HighsModelStatus.kInfeasible:
         return "infeasible", None, 0
     if status != highs.HighsModelStatus.kOptimal:
-        raise SolverError(f"LP solver failure: {solver.modelStatusToString(status)}")
-    x = np.array(solver.getSolution().col_value)
-    return "optimal", x, solver.getInfo().simplex_iteration_count
+        raise SolverError(f"LP solver failure: {model.modelStatusToString(status)}")
+    x = np.array(model.getSolution().col_value)
+    return "optimal", x, model.getInfo().simplex_iteration_count
 
 
 def solve_min_loss(problem: LossMinProblem) -> LpSolution:
@@ -270,7 +290,7 @@ def max_deliverable(problem: LossMinProblem) -> float:
         return 0.0
     columns = _Columns(problem.params, problem.network, arc_flow_table(problem.routes))
     lp = _assemble(problem.paths, columns)
-    status, g, _ = _run_highs(-lp.caps, lp)
+    status, g, _ = _run_highs(_highs_model(-lp.caps, lp), lp.b_ub[-1])
     if status != "optimal":
         raise SolverError("capacity LP failure: infeasible")
     return float(lp.caps @ g)

@@ -226,6 +226,32 @@ def test_sweep_equals_per_call_functions(case, monkeypatch):
         assert n_solves == 7 * 2  # the 20 seeds draw 7 distinct subsets
 
 
+def test_one_highs_model_per_distinct_lp_and_one_alive_at_a_time(monkeypatch):
+    # grid 4's sweep builds one model for method I's LP and one for each of
+    # the 7 distinct subsets that its 20 seeds draw, each freed before the next
+    from scipy.optimize._highspy import _core as highs
+
+    built, alive, most_alive = [], [], []
+
+    class Counted(highs._Highs):
+        def __init__(self):
+            super().__init__()
+            built.append(1)
+            alive.append(1)
+            most_alive.append(len(alive))
+
+        def __del__(self):
+            alive.pop()
+
+    monkeypatch.setattr(highs, "_Highs", Counted)
+    sc = generate_grid(4, 4, 10.0, 60.0, 20, ("const", 0.1), seed=4)
+    for methods, models in ((("I",), 1), (("II",), 7), (("I", "II", "III"), 1 + 7)):
+        built.clear()
+        run_compare(sc, (1.0, 200.0), methods)
+        assert len(built) == models
+        assert max(most_alive) == 1 and alive == []
+
+
 def test_pruning_leaves_the_live_successor_map_unchanged():
     # both enumerators keep only junctions that reach t over accessibility
     # arcs, which follow roads, so the drivers skip pruning

@@ -275,7 +275,7 @@ class TestRateBounds:
         # points that satisfy every row but exceed the rate bound 0.2: a
         # violation within the tolerance is reported, a larger one rejected
         fake = SimpleNamespace(x=np.array([0.2 + 5e-7]))
-        monkeypatch.setattr(rateopt, "_run_highs", lambda c, lp: ("optimal", fake.x, 0))
+        monkeypatch.setattr(rateopt, "_run_highs", lambda model, bound: ("optimal", fake.x, 0))
         sol = solve_min_loss(two_segment_problem(0.0))
         assert sol.diagnostics["max_residual"] == pytest.approx(5e-7)
         fake.x = np.array([0.25])
@@ -289,7 +289,7 @@ class TestRateBounds:
         # one rejected
         problem, ps = parallel_problem(0.0)
         fake = SimpleNamespace(x=np.array([-5e-7, 0.1, 0.0]))
-        monkeypatch.setattr(rateopt, "_run_highs", lambda c, lp: ("optimal", fake.x, 0))
+        monkeypatch.setattr(rateopt, "_run_highs", lambda model, bound: ("optimal", fake.x, 0))
         sol = solve_min_loss(problem)
         assert sol.diagnostics["max_residual"] == pytest.approx(5e-7)
         assert [e.path for e in sol.plan.entries] == [ps.paths[1]]
@@ -303,8 +303,8 @@ class TestRateBounds:
         problem, _ = parallel_problem(500.0)
         run_highs = rateopt._run_highs
 
-        def perturbed(c, lp):
-            status, g, iterations = run_highs(c, lp)
+        def perturbed(model, bound):
+            status, g, iterations = run_highs(model, bound)
             return status, g * (1 - shrink), iterations
 
         monkeypatch.setattr(rateopt, "_run_highs", perturbed)
@@ -318,27 +318,39 @@ class TestRateBounds:
 
 class TestRetarget:
     def test_retargeted_lp_equals_build_lp(self, monkeypatch):
-        # the LP handed to HiGHS at each target is build_lp's at that target,
-        # and solving never changes the assembled LP
+        # the LP HiGHS holds when it solves each target is build_lp's at that
+        # target, whether each target gets a model or one model serves them
+        # all, and solving never changes the assembled LP
         problem, _ = parallel_problem(100.0)
         lp = build_lp(problem)
         before = lp.b_ub.copy()
-        passed = []
+        held = []
         run_highs = rateopt._run_highs
 
-        def spy(c, at):
-            passed.append(at)
-            return run_highs(c, at)
+        def spy(model, bound):
+            verdict = run_highs(model, bound)
+            held.append(model.getLp())
+            return verdict
 
         monkeypatch.setattr(rateopt, "_run_highs", spy)
-        for target in (0.0, 250.0, 3000.0):
+        targets = (0.0, 250.0, 10**5, 3000.0)  # the third is infeasible
+        for target in targets:
             lp.solve(target)
-            moved, fresh = passed[-1], build_lp(replace(problem, target_kwh=target))
-            assert np.array_equal(moved.c, fresh.c)
-            assert moved.a_ub.shape == fresh.a_ub.shape
-            assert (moved.a_ub != fresh.a_ub).nnz == 0
-            assert np.array_equal(moved.upper, fresh.upper)
-            assert np.array_equal(moved.b_ub, fresh.b_ub)
+        assert [s.status for s in lp.sweep(targets)].count("infeasible") == 1
+        assert len(held) == 2 * len(targets)
+        for target, model in zip(targets * 2, held):
+            fresh = build_lp(replace(problem, target_kwh=target))
+            a = fresh.a_ub
+            assert (model.num_col_, model.num_row_) == (a.shape[1], a.shape[0])
+            assert np.array_equal(model.col_cost_, fresh.c)
+            assert np.array_equal(model.col_lower_, np.zeros_like(fresh.upper))
+            assert np.array_equal(model.col_upper_, fresh.upper)
+            assert np.array_equal(model.row_lower_, np.full(a.shape[0], -highs.kHighsInf))
+            assert np.array_equal(model.row_upper_, fresh.b_ub)
+            matrix = model.a_matrix_
+            assert np.array_equal(matrix.start_, a.indptr)
+            assert np.array_equal(matrix.index_, a.indices)
+            assert np.array_equal(matrix.value_, a.data)
             # only the target row's bound depends on the target
             assert np.array_equal(lp.b_ub[:-1], fresh.b_ub[:-1])
             assert fresh.b_ub[-1] == -target
@@ -367,13 +379,19 @@ class TestRetarget:
 
 
 class TestSolverStatuses:
-    def test_malformed_model_is_an_error_not_a_verdict(self):
+    def test_malformed_model_is_an_error_not_a_verdict(self, monkeypatch):
         problem, _ = parallel_problem(100.0)
         lp = build_lp(problem)
         bad = lp.a_ub.copy()
         bad.indices[0] = bad.shape[0] + 5  # a row the model does not have
         with pytest.raises(SolverError, match="Model error"):
-            rateopt._run_highs(lp.c, replace(lp, a_ub=bad))
+            rateopt._highs_model(lp.c, replace(lp, a_ub=bad))
+        # a sweep never runs a model HiGHS refuses
+        runs = []
+        monkeypatch.setattr(rateopt, "_run_highs", lambda *a: runs.append(a))
+        with pytest.raises(SolverError, match="Model error"):
+            next(replace(lp, a_ub=bad).sweep((100.0, 200.0)))
+        assert runs == []
 
     def test_unbounded_or_infeasible_is_an_error_not_a_verdict(self, monkeypatch):
         class Undecided(highs._Highs):
@@ -384,31 +402,128 @@ class TestSolverStatuses:
         problem, _ = parallel_problem(100.0)
         lp = build_lp(problem)
         with pytest.raises(SolverError, match="infeasible or unbounded"):
-            rateopt._run_highs(lp.c, lp)
+            rateopt._run_highs(rateopt._highs_model(lp.c, lp), -100.0)
         with pytest.raises(SolverError):
             solve_min_loss(problem)
+
+
+def spy_on_solves(monkeypatch):
+    """(the real per-target solve, the list that each solve's verdict is appended to)."""
+    run_highs, verdicts = rateopt._run_highs, []
+
+    def spy(model, bound):
+        verdicts.append(run_highs(model, bound))
+        return verdicts[-1]
+
+    monkeypatch.setattr(rateopt, "_run_highs", spy)
+    return run_highs, verdicts
+
+
+def assert_sweep_equals_single_solves(lp, targets, verdicts):
+    # a solve on the sweep's one model, after any target and any verdict,
+    # gives what a fresh model solving only that target gives: the verdict,
+    # the exact point, the objective, the plan and the simplex iterations
+    # (an empty path set needs no solver: its verdicts are exact)
+    solves = len(targets) if lp.paths.paths else 0
+    verdicts.clear()
+    swept = list(lp.sweep(targets))
+    swept_points = [x for _status, x, _its in verdicts] or [None] * len(targets)
+    assert len(swept) == len(swept_points) == len(targets) and len(verdicts) == solves
+    for target, got, got_x in zip(targets, swept, swept_points):
+        verdicts.clear()
+        want = lp.solve(target)
+        (want_x,) = [x for _status, x, _its in verdicts] or [None]
+        assert (got.status, got.objective, got.plan) == (want.status, want.objective, want.plan)
+        assert np.array_equal(got_x, want_x) if want_x is not None else got_x is None
+        for key in ("iterations", "max_residual"):
+            assert got.diagnostics.get(key) == want.diagnostics.get(key)
+    return swept
+
+
+SWEEP_CASES = {
+    "grid4": (
+        lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("const", 0.1), seed=4),
+        True, 50, range(20), (1.0, 2900.0, 500.0, 2457.0),
+    ),
+    "grid47": (
+        lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("uniform", 0.1, 0.3), seed=47),
+        True, 50, range(20), (1.0, 3500.0, 500.0, 2457.0, 2900.0),
+    ),
+    "corridor-small": (
+        lambda: generate_corridor(rows=6, cols=15, kept_edges=110, route_count=300, seed=0),
+        False, 30, range(4), (200.0, 1e6, 500.0, 16000.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_CASES))
+def test_sweep_equals_single_solves(case, monkeypatch):
+    # every LP of the comparison sweep, the full set and every distinct
+    # subset, over targets with an infeasible one in the middle
+    make, full, limit, seeds, targets = SWEEP_CASES[case]
+    inst = Instance(make())
+    samples = [inst.sample(limit, k) for k in seeds]
+    pathsets = dict.fromkeys(([inst.paths()] if full else []) + samples)
+    _run_highs, verdicts = spy_on_solves(monkeypatch)
+    statuses = set()
+    for pathset in pathsets:
+        swept = assert_sweep_equals_single_solves(inst.lp(pathset), targets, verdicts)
+        statuses.update((target, sol.status) for target, sol in zip(targets, swept))
+    # the infeasible target follows a feasible one and precedes another
+    assert (targets[1], "infeasible") in statuses and (targets[2], "optimal") in statuses
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.integers(min_value=2, max_value=4),
+    cols=st.integers(min_value=2, max_value=4),
+    low=st.floats(min_value=0.05, max_value=0.3),
+    seed=st.integers(min_value=0, max_value=10**6),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.3), min_size=1, max_size=6),
+)
+def test_sweep_equals_single_solves_on_small_grids(rows, cols, low, seed, fractions):
+    sc = generate_grid(rows, cols, 10.0, 60.0, 2 * rows * cols, ("uniform", low, 0.3), seed=seed)
+    inst = Instance(sc)
+    try:
+        pathset = inst.paths(cap=2000)
+    except EnumerationCapError:
+        return
+    most = max_deliverable(LossMinProblem(pathset, sc.params, sc.network, inst.routes, 0.0))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _run_highs, verdicts = spy_on_solves(monkeypatch)
+        targets = list(dict.fromkeys(f * most for f in fractions))
+        for lp in (inst.lp(pathset), inst.lp(inst.sample(5, seed))):
+            assert_sweep_equals_single_solves(lp, targets, verdicts)
 
 
 @pytest.mark.parametrize(
     "flow, seed", [(("const", 0.1), 4), (("uniform", 0.1, 0.3), 47)], ids=["grid4", "grid47"]
 )
-def test_direct_highs_matches_linprog(flow, seed):
+def test_direct_highs_matches_linprog(flow, seed, monkeypatch):
     # every LP the comparison sweep assembles, at every paper target and one
-    # infeasible one: the direct call returns linprog's verdict and exact point
+    # infeasible one: the direct call on a fresh model, and the sweep on one
+    # model, return linprog's verdict and exact point
     inst = Instance(generate_grid(4, 4, 10.0, 60.0, 20, flow, seed=seed))
     pathsets = [inst.paths()] + [inst.sample(50, k) for k in range(20)]
+    targets = (1.0, 500.0, 3500.0, 2457.0, 2900.0)
+    run_highs, swept = spy_on_solves(monkeypatch)
     for pathset in pathsets:
         lp = inst.lp(pathset)
         bounds = list(zip(np.zeros_like(lp.upper), lp.upper))
-        for target in (1.0, 500.0, 2457.0, 2900.0, 3500.0):
+        swept.clear()
+        for _ in lp.sweep(targets):
+            pass
+        for target, (swept_status, swept_x, _) in zip(targets, swept):
             at = replace(lp, b_ub=np.concatenate([lp.b_ub[:-1], [-target]]))
             want = linprog(
                 at.c, A_ub=at.a_ub.tocsr(), b_ub=at.b_ub, bounds=bounds, method="highs",
                 options={"presolve": False, "primal_feasibility_tolerance": 1e-10},
             )
-            status, x, _ = rateopt._run_highs(at.c, at)
+            status, x, _ = run_highs(rateopt._highs_model(at.c, at), -target)
             assert (status, want.status) in (("optimal", 0), ("infeasible", 2))
             assert np.array_equal(x, want.x)
+            assert swept_status == status
+            assert np.array_equal(swept_x, want.x)
 
 
 def assert_matches_two_variable_lp(inst, pathset, targets):
@@ -584,15 +699,7 @@ def test_plans_hold_only_paths_that_carry_energy(flow, seed, monkeypatch):
     # of the plan of every column at the same solver point
     inst = Instance(generate_grid(4, 4, 10.0, 60.0, 20, flow, seed=seed))
     pathsets = dict.fromkeys([inst.paths()] + [inst.sample(50, k) for k in range(20)])
-    points = []
-    run_highs = rateopt._run_highs
-
-    def spy(c, lp):
-        status, g, iterations = run_highs(c, lp)
-        points.append(g)
-        return status, g, iterations
-
-    monkeypatch.setattr(rateopt, "_run_highs", spy)
+    _run_highs, verdicts = spy_on_solves(monkeypatch)
     solved = 0
     for pathset in pathsets:
         lp = inst.lp(pathset)
@@ -602,5 +709,6 @@ def test_plans_hold_only_paths_that_carry_energy(flow, seed, monkeypatch):
                 continue
             solved += 1
             assert all(e.rate > 0.0 for e in sol.plan.entries)
-            assert plan_totals(sol.plan) == plan_totals(dense_plan(lp, points[-1]))
+            _status, point, _iterations = verdicts[-1]
+            assert plan_totals(sol.plan) == plan_totals(dense_plan(lp, point))
     assert solved > len(pathsets)

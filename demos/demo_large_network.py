@@ -45,7 +45,7 @@ wall_greedy = time.perf_counter() - t0
 # on each, and average the losses — the subsets differ, so the quality of
 # the sampled optimum is itself a random variable worth averaging. Each
 # subset's LP is assembled once and swept over every target on one HiGHS
-# model; the first one also imports NumPy and SciPy.
+# model; the first one also loads NumPy and SciPy's HiGHS binding.
 # ---------------------------------------------------------------------------
 t0 = time.perf_counter()
 lps = [inst.lp(inst.sample(limit=30, seed=seed)) for seed in range(10)]

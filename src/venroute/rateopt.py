@@ -24,15 +24,26 @@ and gives a fresh model's point: a warm start can end on another tied vertex,
 and so on other paths. Presolve is off: on these small, well-scaled LPs it
 removes almost nothing and costs more than the simplex itself.
 
-This is the only module that uses NumPy or SciPy, and it imports them on the
-first LP it builds or solves, through ``_lp_backend``. Enumeration, the
-greedy and the growth study never load them. ``run_compare`` calls the
-loader once before its first row when method I or II is requested, so the
-import never lands inside a ``--timings`` row.
+This is the only module that uses NumPy or SciPy, and it loads them on the
+first LP it builds or solves, through ``_lp_backend``: NumPy, and the binding
+alone, from its own file. Importing the binding by name would first run
+``scipy/optimize/__init__.py``, which loads most of SciPy: on SciPy 1.17.1
+that takes the process from 27 MB after NumPy to 76 MB and adds about
+0.6 s, where the binding's file adds 3.5 MB and about 7 ms. The LP is held
+as the CSC arrays HiGHS reads, and its residual is computed from them, so
+``scipy.sparse`` stays unloaded too. Enumeration, the greedy and the growth
+study load neither package. ``run_compare`` calls the loader once before its
+first row when method I or II is requested, so the import never lands inside
+a ``--timings`` row.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from functools import cache
@@ -52,17 +63,52 @@ if TYPE_CHECKING:
     from .energy import EnergyPath
 
 RESIDUAL_TOL = 1e-6  # largest seen on the paper's grids and the corridor: 1.8e-12
+_HIGHS = "scipy.optimize._highspy._core"
+_highs_lock = threading.Lock()
+
+
+def _load_highs():
+    """SciPy's HiGHS binding: the module already imported, or else loaded from
+    its file in SciPy's package directory without importing ``scipy``.
+
+    The module is registered under its own name before it runs, so a later
+    ``import scipy.optimize`` reuses it and its types are never registered
+    twice; the lock keeps two first calls from loading it twice. Without
+    SciPy, or without the binding's file, it raises ModuleNotFoundError, as an
+    import would.
+    """
+    with _highs_lock:
+        module = sys.modules.get(_HIGHS)
+        if module is not None:
+            return module
+        scipy = importlib.util.find_spec("scipy")  # None when SciPy is missing
+        spec = scipy and importlib.machinery.PathFinder.find_spec(
+            _HIGHS, [os.path.join(d, "optimize", "_highspy")
+                     for d in scipy.submodule_search_locations]
+        )
+        if spec is None:
+            raise ModuleNotFoundError(
+                f"No module named {_HIGHS!r}: solving an LP needs SciPy 1.15 or later",
+                name=_HIGHS,
+            )
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[_HIGHS]
+            raise
+        return module
 
 
 @cache
 def _lp_backend():
-    """(numpy, scipy.sparse, the HiGHS binding, the options every solve passes),
-    imported and built on first use.
+    """(numpy, the HiGHS binding, the options every solve passes), loaded and
+    built on first use.
     """
     import numpy as np
-    from scipy import sparse
-    from scipy.optimize._highspy import _core as highs
 
+    highs = _load_highs()
     options = highs.HighsOptions()
     options.presolve = "off"
     options.primal_feasibility_tolerance = 1e-10
@@ -70,7 +116,7 @@ def _lp_backend():
     options.highs_debug_level = 0
     options.output_flag = False
     options.log_to_console = False
-    return np, sparse, highs, options
+    return np, highs, options
 
 
 @dataclass(frozen=True)
@@ -133,21 +179,43 @@ class LpInstance:
     """Assembled LP of a path set: minimize c @ g s.t. A_ub @ g <= b_ub, 0 <= g <= upper.
 
     Column j is path j's rate g_j, which delivers ``caps[j]`` * g_j kWh; rows
-    are ordered shared road arcs (sorted by arc id), target. HiGHS solves it
-    without presolve. The bounds every solve passes unchanged, the column and
-    row lower bounds and the integrality, are built once with it.
+    are ordered shared road arcs (sorted by arc id), target. A_ub is held as
+    the CSC arrays HiGHS reads, ``indptr``, ``indices`` and ``data``, with
+    ``len(b_ub)`` rows and ``len(c)`` columns; ``a_ub``, a SciPy matrix, is
+    built from them each time it is read, and nothing that solves reads it.
+    HiGHS solves it without presolve. The bounds every solve passes
+    unchanged, the column and row lower bounds and the integrality, are built
+    once with it.
     """
 
     paths: PathSet
     params: EnergyParams
     c: np.ndarray
-    a_ub: sparse.csc_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     b_ub: np.ndarray
     upper: np.ndarray
     caps: np.ndarray
     lower: np.ndarray = field(repr=False)
     row_lower: np.ndarray = field(repr=False)
     integrality: np.ndarray = field(repr=False)
+
+    @property
+    def a_ub(self) -> sparse.csc_matrix:
+        """A_ub as a ``scipy.sparse.csc_matrix`` over the LP's own arrays."""
+        from scipy import sparse
+
+        return sparse.csc_matrix(
+            (self.data, self.indices, self.indptr), shape=(len(self.b_ub), len(self.c))
+        )
+
+    def _a_ub_times(self, g: np.ndarray) -> np.ndarray:
+        """A_ub @ g, each row's products added in column order, as SciPy's CSC
+        product adds them, so each row's sum is the same float."""
+        np = _lp_backend()[0]
+        products = self.data * np.repeat(g, np.diff(self.indptr))
+        return np.bincount(self.indices, products, len(self.b_ub))
 
     def solve(self, target_kwh: float) -> LpSolution:
         """The min-loss plan at one energy target: a sweep of one."""
@@ -187,7 +255,9 @@ class LpInstance:
                 yield LpSolution("infeasible", None, None, {"solve_s": elapsed})
                 continue
             b_ub[-1] = -target_kwh
-            residual = max((self.a_ub @ g - b_ub).max(), (g - self.upper).max(), (-g).max(), 0.0)
+            residual = max(
+                (self._a_ub_times(g) - b_ub).max(), (g - self.upper).max(), (-g).max(), 0.0
+            )
             if residual > RESIDUAL_TOL * max(1.0, target_kwh):
                 raise ConsistencyError(f"LP solution violates its constraints by {residual:.3g}")
 
@@ -214,7 +284,7 @@ def build_lp(problem: LossMinProblem) -> LpInstance:
 
 def _assemble(pathset: PathSet, columns: _Columns, target_kwh: float = 0.0) -> LpInstance:
     """The LP of ``pathset`` from the columns of its scenario's network and routes."""
-    np, sparse, highs, _options = _lp_backend()
+    np, highs, _options = _lp_backend()
     params = columns.params
     cols = [columns[p] for p in pathset.paths]
     m = len(cols)
@@ -234,10 +304,10 @@ def _assemble(pathset: PathSet, columns: _Columns, target_kwh: float = 0.0) -> L
     data = np.insert(np.full(len(flat), 1.0 / params.packet_kwh), ends, -caps)
     indptr = np.arange(m + 1, dtype=np.int32)
     indptr[1:] += ends
-    a_ub = sparse.csc_matrix((data, indices, indptr), shape=(target_row + 1, m))
     b_ub = np.append(np.array(columns.flows, dtype=float)[used], -target_kwh)
     return LpInstance(
-        pathset, params, c=c, a_ub=a_ub, b_ub=b_ub, upper=upper, caps=caps,
+        pathset, params, c=c, indptr=indptr, indices=indices, data=data, b_ub=b_ub,
+        upper=upper, caps=caps,
         lower=np.zeros(m), row_lower=np.full(target_row + 1, -highs.kHighsInf),
         # every column continuous; HiGHS refuses an empty array
         integrality=np.zeros(m, dtype=np.int32),
@@ -246,15 +316,13 @@ def _assemble(pathset: PathSet, columns: _Columns, target_kwh: float = 0.0) -> L
 
 def _highs_model(c, lp: LpInstance):
     """A HiGHS model of ``lp`` under cost ``c``; one HiGHS refuses raises SolverError."""
-    _np, _sparse, highs, options = _lp_backend()
-    a = lp.a_ub
-    rows, cols = a.shape
+    _np, highs, options = _lp_backend()
     model = highs._Highs()
     model.passOptions(options)
     passed = model.passModel(
-        cols, rows, a.nnz, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
-        c, lp.lower, lp.upper, lp.row_lower, lp.b_ub, a.indptr, a.indices, a.data,
-        lp.integrality,
+        len(c), len(lp.b_ub), len(lp.data), highs.MatrixFormat.kColwise,
+        highs.ObjSense.kMinimize, 0.0, c, lp.lower, lp.upper, lp.row_lower, lp.b_ub,
+        lp.indptr, lp.indices, lp.data, lp.integrality,
     )
     if passed == highs.HighsStatus.kError:
         raise SolverError("LP solver failure: Model error")
@@ -266,7 +334,7 @@ def _run_highs(model, bound: float) -> tuple[str, np.ndarray | None, int]:
     last row, the target row, at most ``bound``; a status other than "optimal" or
     "infeasible" (no point) raises SolverError.
     """
-    np, _sparse, highs, _options = _lp_backend()
+    np, highs, _options = _lp_backend()
     model.changeRowBounds(model.getNumRow() - 1, -highs.kHighsInf, bound)
     model.clearSolver()  # a warm start may end on another tied vertex
     model.run()

@@ -1,4 +1,5 @@
-"""NumPy and SciPy load only when an LP is built or solved."""
+"""NumPy and SciPy load only when an LP is built or solved, and of SciPy only
+the HiGHS binding loads."""
 
 import json
 import os
@@ -72,3 +73,107 @@ def test_commands_without_an_lp_run_alike_with_numpy_and_scipy_blocked(tmp_path)
         "enumerate": 0, "enumerate-full": 0, "solve": 0, "solve-infeasible": 3, "compare": 0,
     }
     assert ",true\n" in normal["runs"]["growth-capped"][1]  # some instance hit the cap
+
+
+# Runs methods I, II and III on grid 47 and prints, as JSON, the exit codes and
+# the SciPy modules then loaded; then whether SciPy's own HiGHS users share the
+# solver's module.
+LP_COMMANDS = """
+import json, sys
+from venroute.cli import main
+from venroute.rateopt import _HIGHS, _lp_backend
+codes = [
+    main(["gen-grid", "--seed", "47", "--flow", "uniform:0.1,0.3", "--out", "grid47"]),
+    main(["compare", "--scenario", "grid47", "--targets", "1,500,2457,2900",
+          "--methods", "I,II,III", "--out", "compare"]),
+    main(["solve", "--scenario", "grid47", "--method", "I", "--target", "500", "--out", "plan"]),
+]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core, _highs_wrapper
+res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+highs = _lp_backend()[1]
+print(json.dumps({
+    "codes": codes, "loaded": loaded, "linprog": [res.status, res.x.tolist()],
+    "same": [highs is _core, highs is _highs_wrapper._h, highs is sys.modules[_HIGHS]],
+}))
+"""
+
+
+def test_lp_methods_load_only_the_highs_binding_of_scipy(tmp_path):
+    out = json.loads(run_python(["-c", LP_COMMANDS], tmp_path))
+    assert out["codes"] == [0, 0, 0]
+    core = "scipy.optimize._highspy._core"
+    assert core in out["loaded"]
+    assert all(m == core or m.startswith(core + ".") for m in out["loaded"]), out["loaded"]
+    # and SciPy, imported after, solves with the solver's own module
+    assert out["linprog"] == [0, [1.0, 0.0]]
+    assert out["same"] == [True, True, True]
+
+
+def test_solver_reuses_the_binding_scipy_optimize_loaded(tmp_path):
+    code = (
+        "import sys, scipy.optimize; from scipy.optimize._highspy import _core; "
+        "from venroute import rateopt; from venroute.cli import main; "
+        "main(['gen-grid', '--seed', '4', '--out', 'grid4']); "
+        "code = main(['solve', '--scenario', 'grid4', '--method', 'I', '--target', '200', "
+        "'--out', 'plan']); "
+        "print(code, rateopt._lp_backend()[1] is _core is sys.modules[rateopt._HIGHS])"
+    )
+    assert run_python(["-c", code], tmp_path) == "0 True\n"
+
+
+def test_concurrent_first_loads_get_one_module(tmp_path):
+    # each load waits inside the check-and-load, so without the lock every
+    # thread would find no module and load its own
+    code = """
+import importlib.util, sys, threading, time
+from venroute import rateopt
+module_from_spec = importlib.util.module_from_spec
+
+def slow_module_from_spec(spec):
+    time.sleep(0.05)
+    return module_from_spec(spec)
+
+importlib.util.module_from_spec = slow_module_from_spec
+sys.setswitchinterval(1e-6)
+barrier, got = threading.Barrier(4), []
+
+def load():
+    barrier.wait()
+    got.append(rateopt._load_highs())
+
+threads = [threading.Thread(target=load) for _ in range(4)]
+for th in threads:
+    th.start()
+for th in threads:
+    th.join(timeout=60)
+print(any(th.is_alive() for th in threads), len(got),
+      all(m is sys.modules[rateopt._HIGHS] for m in got))
+"""
+    assert run_python(["-c", code], tmp_path) == "False 4 True\n"
+
+
+def test_missing_scipy_or_binding_is_an_import_error(tmp_path):
+    # SciPy blocked, then a SciPy package without the binding's file
+    fake = tmp_path / "fake"
+    (fake / "scipy" / "optimize" / "_highspy").mkdir(parents=True)
+    (fake / "scipy" / "__init__.py").write_text("")
+    code = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+else:
+    sys.path.insert(0, sys.argv[1])
+from venroute.rateopt import _lp_backend
+try:
+    _lp_backend()
+except ImportError as exc:
+    print(type(exc).__name__, exc.name, exc)
+"""
+    want = (
+        "ModuleNotFoundError scipy.optimize._highspy._core No module named "
+        "'scipy.optimize._highspy._core': solving an LP needs SciPy 1.15 or later\n"
+    )
+    for arg in ("blocked", str(fake)):
+        assert run_python(["-c", code, arg], tmp_path) == want

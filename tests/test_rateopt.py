@@ -382,15 +382,15 @@ class TestSolverStatuses:
     def test_malformed_model_is_an_error_not_a_verdict(self, monkeypatch):
         problem, _ = parallel_problem(100.0)
         lp = build_lp(problem)
-        bad = lp.a_ub.copy()
-        bad.indices[0] = bad.shape[0] + 5  # a row the model does not have
+        bad = lp.indices.copy()
+        bad[0] = len(lp.b_ub) + 5  # a row the model does not have
         with pytest.raises(SolverError, match="Model error"):
-            rateopt._highs_model(lp.c, replace(lp, a_ub=bad))
+            rateopt._highs_model(lp.c, replace(lp, indices=bad))
         # a sweep never runs a model HiGHS refuses
         runs = []
         monkeypatch.setattr(rateopt, "_run_highs", lambda *a: runs.append(a))
         with pytest.raises(SolverError, match="Model error"):
-            next(replace(lp, a_ub=bad).sweep((100.0, 200.0)))
+            next(replace(lp, indices=bad).sweep((100.0, 200.0)))
         assert runs == []
 
     def test_unbounded_or_infeasible_is_an_error_not_a_verdict(self, monkeypatch):
@@ -471,6 +471,28 @@ def test_sweep_equals_single_solves(case, monkeypatch):
         statuses.update((target, sol.status) for target, sol in zip(targets, swept))
     # the infeasible target follows a feasible one and precedes another
     assert (targets[1], "infeasible") in statuses and (targets[2], "optimal") in statuses
+
+
+@pytest.mark.parametrize("case", ["grid47", "corridor-small"])
+def test_residual_rows_equal_scipy_product(case, monkeypatch):
+    # grid 47's method-I LP and the small corridor's sampled LPs: at each
+    # solver point, and at a random point, A_ub @ g - b_ub from the LP's
+    # arrays is SciPy's, float for float
+    make, full, limit, seeds, targets = SWEEP_CASES[case]
+    inst = Instance(make())
+    pathsets = [inst.paths()] if full else dict.fromkeys(inst.sample(limit, k) for k in seeds)
+    _run_highs, verdicts = spy_on_solves(monkeypatch)
+    rng = np.random.default_rng(0)
+    for pathset in pathsets:
+        lp = inst.lp(pathset)
+        verdicts.clear()
+        list(lp.sweep(targets))
+        points = [(t, x) for t, (_status, x, _its) in zip(targets, verdicts) if x is not None]
+        points.append((targets[0], rng.uniform(0.0, lp.upper.max(), len(lp.c))))
+        assert len(points) > 1
+        for target, g in points:
+            b_ub = np.append(lp.b_ub[:-1], -target)
+            np.testing.assert_array_equal(lp._a_ub_times(g) - b_ub, lp.a_ub @ g - b_ub)
 
 
 @settings(max_examples=30, deadline=None)
@@ -580,9 +602,11 @@ def assert_same_array(got, want):
 
 def assert_assembled_like_oracle(lp, params, arc_flows, target=0.0):
     c, a_ub, b_ub, upper, caps = oracle_assemble(lp.paths, params, arc_flows, target)
-    assert lp.a_ub.shape == a_ub.shape
+    # the LP's CSC arrays, and the SciPy matrix built from them on read
+    assert type(lp.a_ub) is type(a_ub) and lp.a_ub.shape == a_ub.shape
     for got, want in [
-        (lp.c, c), (lp.a_ub.indptr, a_ub.indptr), (lp.a_ub.indices, a_ub.indices),
+        (lp.c, c), (lp.indptr, a_ub.indptr), (lp.indices, a_ub.indices), (lp.data, a_ub.data),
+        (lp.a_ub.indptr, a_ub.indptr), (lp.a_ub.indices, a_ub.indices),
         (lp.a_ub.data, a_ub.data), (lp.b_ub, b_ub), (lp.upper, upper), (lp.caps, caps),
     ]:
         assert_same_array(got, want)

@@ -4,15 +4,16 @@ An ``Instance`` derives, each once and on first use, what one scenario's
 methods share: the normalized routes and the accessibility graph (the
 junction-route incidence), from one walk per route; the live successor map
 with hops to the destination, both from the incidence; the span table; the
-arc-flow table; the greedy's trajectory; and each junction sequence's
-sampled energy paths, as far as any sample has read them (a full enumeration
-streams and keeps none). ``run_compare``, ``run_growth`` and the ``ven``
-commands call only its methods, so a sweep shares these across every subset
-seed and target; the LP of a path set sweeps itself over any targets, and
-each distinct path's LP column is derived once per instance, for all its
-LPs. No method derives the accessibility arcs: only ``prepare`` and
-``run_growth`` do. No arcs are pruned: both enumerators keep only junctions
-that reach t over arcs, which follow roads.
+LP's columns, which sum each arc's flow over the routes; the greedy's
+trajectory; and each junction sequence's sampled energy paths, as far as
+any sample has read them (a full enumeration streams and keeps none).
+``run_compare``, ``run_growth`` and the ``ven`` commands call only its
+methods, so a sweep shares these across every subset seed and target; the
+LP of a path set sweeps itself over any targets, and each distinct path's
+LP column is derived once per instance, for all its LPs. No method derives
+the accessibility arcs: only ``prepare`` and ``run_growth`` do. No arcs are
+pruned: both enumerators keep only junctions that reach t over arcs, which
+follow roads.
 The greedy's picks do not depend on the target, so every target's plan is a
 prefix of one trajectory, extended only when a target needs more paths.
 
@@ -47,7 +48,7 @@ from typing import Sequence
 from .energy import plan_totals
 from .errors import DomainError, EnumerationCapError
 from .heuristic import COMBINATION_CAP, HeuristicResult, _levels, _Trajectory
-from .network import _incidence, _walk_routes, arc_flow_table, prune_unreachable
+from .network import _incidence, _walk_routes, prune_unreachable
 from .pathenum import (
     DEFAULT_CAP,
     PathSet,
@@ -98,14 +99,10 @@ class Instance:
         return _SpanTable(self.accessibility, self.scenario.network, self.accessibility.routes)
 
     @cached_property
-    def arc_flows(self):
-        return arc_flow_table(self.routes)
-
-    @cached_property
     def _columns(self):
         """Each distinct path's LP column, derived once for every LP of the instance."""
         sc = self.scenario
-        return _Columns(sc.params, sc.network, self.arc_flows)
+        return _Columns(sc.params, sc.network, self.routes)
 
     @cached_property
     def _sampled_paths(self):

@@ -347,15 +347,3 @@ def prune_unreachable(
     pruned = frozenset((i, j) for (i, j) in accessibility.arcs if j not in blocked)
     return pruned, blocked
 
-
-def arc_flow_table(routes: Iterable[VehicularRoute]) -> dict[ArcId, float]:
-    """Total EV flow over each road arc that some route traverses.
-
-    Each route's flow counts once per arc it traverses, added in route order.
-    """
-    table: dict[ArcId, float] = {}
-    for r in routes:
-        for a in set(r.arcs):
-            table[a] = table.get(a, 0.0) + r.flow
-    return table
-

@@ -248,20 +248,6 @@ def _entries(seq: JunctionSequence, table: Mapping) -> list:
     return [table[arc] for arc in zip(seq, seq[1:])]
 
 
-def _route_combos(
-    seq: JunctionSequence, table: _SpanTable
-) -> Iterator[tuple[tuple[RouteId, ...], tuple[SegmentSpan, ...]]]:
-    """Route-distinct (route ids, spans) combinations of one junction sequence,
-    from its checked entries. A combination that reuses a route forms no energy path.
-    """
-    entries = _entries(seq, table)
-    combos = zip(
-        itertools.product(*(rids for rids, _ in entries)),
-        itertools.product(*(spans for _, spans in entries)),
-    )
-    return ((rids, spans) for rids, spans in combos if len(set(rids)) == len(rids))
-
-
 def _count_distinct(route_sets: list[tuple[RouteId, ...]]) -> int:
     """Number of ways to pick one route from each set, no route twice.
 
@@ -299,14 +285,22 @@ def _count_distinct(route_sets: list[tuple[RouteId, ...]]) -> int:
 def _combo_paths(
     seq: JunctionSequence, table: _SpanTable
 ) -> Iterator[tuple[PathKey, EnergyPath]]:
-    """Expand one junction sequence into (sort key, energy path) pairs, combo by combo.
+    """Expand one junction sequence into (sort key, energy path) pairs, one per
+    route-distinct combination of its checked entries, in product order. A
+    combination that reuses a route forms no energy path.
 
     Every span runs along its arc and the sequence is loop-free, so each path
     chains from seq[0] to seq[-1] without repeating a boundary junction.
     """
     seq = tuple(seq)
-    for rids, spans in _route_combos(seq, table):
-        yield (seq, rids), assemble_energy_path(spans, seq[0])
+    entries = _entries(seq, table)
+    combos = zip(
+        itertools.product(*(rids for rids, _ in entries)),
+        itertools.product(*(spans for _, spans in entries)),
+    )
+    for rids, spans in combos:
+        if len(set(rids)) == len(rids):
+            yield (seq, rids), assemble_energy_path(spans, seq[0])
 
 
 class _PathCache(dict):

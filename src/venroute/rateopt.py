@@ -13,7 +13,9 @@ itself at any target, so one assembly serves a sweep, and its plan holds only
 the paths that carry energy (g_j > 0): the others would add exact zeros to
 every total. The LP is assembled from integer arrays: each path's column
 (``_Columns``) lists its arcs by their index among the network's arcs, and
-an ``Instance`` derives it once per distinct path, for all of its LPs.
+an ``Instance`` derives it once per distinct path, for all of its LPs. The
+columns also sum each arc's flow over the routes, the arc rows' bounds: this
+module alone builds what its LPs read.
 
 An LP's sweep over its targets runs on one model of HiGHS's dual simplex
 (Huangfu & Hall 2018), through SciPy's own binding
@@ -48,12 +50,12 @@ import time
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .energy import EnergyParams, PlanEntry, TransmissionPlan, check_target, loss_ratio, make_plan
 from .energy import window_cap as _window_cap
 from .errors import ConsistencyError, DomainError, SolverError
-from .network import ArcId, VehicularNetwork, VehicularRoute, arc_flow_table
+from .network import VehicularNetwork, VehicularRoute
 from .pathenum import PathSet
 
 if TYPE_CHECKING:
@@ -135,7 +137,9 @@ class _Columns(dict):
     """The LP column of each path over one network's arcs, derived on first read.
 
     Every arc of the network has a row index in sorted arc-id order, and the
-    total flow of the routes over it, 0 where no route covers it. A path's
+    total flow of the routes over it, summed here: each route's flow is added
+    once per distinct arc it rides, in route order from 0.0, so an arc no
+    route covers keeps 0.0 and an arc the network lacks gets no row. A path's
     column is its sorted distinct arc indices, its window cap (T - d) z^|p|,
     its cost loss_ratio * cap and its rate bound: w times its bottleneck flow,
     or 0 past the window, where it carries nothing. It depends only on the
@@ -144,13 +148,15 @@ class _Columns(dict):
     """
 
     def __init__(
-        self, params: EnergyParams, network: VehicularNetwork, arc_flows: Mapping[ArcId, float]
+        self, params: EnergyParams, network: VehicularNetwork, routes: Iterable[VehicularRoute]
     ):
         super().__init__()
         self.params = params
-        arcs = sorted(network.arc_by_id)
-        self.index = {a: k for k, a in enumerate(arcs)}
-        self.flows = [arc_flows.get(a, 0.0) for a in arcs]
+        self.index = index = {a: k for k, a in enumerate(sorted(network.arc_by_id))}
+        self.flows = flows = [0.0] * len(index)
+        for r in routes:
+            for k in {index[a] for a in r.arcs if a in index}:
+                flows[k] += r.flow
 
     def __missing__(self, path: EnergyPath) -> tuple[tuple[int, ...], float, float, float]:
         params, index = self.params, self.index
@@ -183,9 +189,9 @@ class LpInstance:
     the CSC arrays HiGHS reads, ``indptr``, ``indices`` and ``data``, with
     ``len(b_ub)`` rows and ``len(c)`` columns; ``a_ub``, a SciPy matrix, is
     built from them each time it is read, and nothing that solves reads it.
-    HiGHS solves it without presolve. The bounds every solve passes
-    unchanged, the column and row lower bounds and the integrality, are built
-    once with it.
+    HiGHS solves it without presolve. The arrays that are the same for every
+    LP, the column and row lower bounds and the integrality, are built with
+    each HiGHS model, once per sweep.
     """
 
     paths: PathSet
@@ -197,9 +203,6 @@ class LpInstance:
     b_ub: np.ndarray
     upper: np.ndarray
     caps: np.ndarray
-    lower: np.ndarray = field(repr=False)
-    row_lower: np.ndarray = field(repr=False)
-    integrality: np.ndarray = field(repr=False)
 
     @property
     def a_ub(self) -> sparse.csc_matrix:
@@ -278,13 +281,13 @@ def build_lp(problem: LossMinProblem) -> LpInstance:
     """Assemble the LP; rows are the network's arcs that some path rides, in
     arc-id order, then the target. A path off the network is a DomainError.
     """
-    columns = _Columns(problem.params, problem.network, arc_flow_table(problem.routes))
+    columns = _Columns(problem.params, problem.network, problem.routes)
     return _assemble(problem.paths, columns, problem.target_kwh)
 
 
 def _assemble(pathset: PathSet, columns: _Columns, target_kwh: float = 0.0) -> LpInstance:
     """The LP of ``pathset`` from the columns of its scenario's network and routes."""
-    np, highs, _options = _lp_backend()
+    np = _lp_backend()[0]
     params = columns.params
     cols = [columns[p] for p in pathset.paths]
     m = len(cols)
@@ -307,22 +310,20 @@ def _assemble(pathset: PathSet, columns: _Columns, target_kwh: float = 0.0) -> L
     b_ub = np.append(np.array(columns.flows, dtype=float)[used], -target_kwh)
     return LpInstance(
         pathset, params, c=c, indptr=indptr, indices=indices, data=data, b_ub=b_ub,
-        upper=upper, caps=caps,
-        lower=np.zeros(m), row_lower=np.full(target_row + 1, -highs.kHighsInf),
-        # every column continuous; HiGHS refuses an empty array
-        integrality=np.zeros(m, dtype=np.int32),
-    )
+        upper=upper, caps=caps)
 
 
 def _highs_model(c, lp: LpInstance):
     """A HiGHS model of ``lp`` under cost ``c``; one HiGHS refuses raises SolverError."""
-    _np, highs, options = _lp_backend()
+    np, highs, options = _lp_backend()
+    m, rows = len(c), len(lp.b_ub)
     model = highs._Highs()
     model.passOptions(options)
     passed = model.passModel(
-        len(c), len(lp.b_ub), len(lp.data), highs.MatrixFormat.kColwise,
-        highs.ObjSense.kMinimize, 0.0, c, lp.lower, lp.upper, lp.row_lower, lp.b_ub,
-        lp.indptr, lp.indices, lp.data, lp.integrality,
+        m, rows, len(lp.data), highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+        c, np.zeros(m), lp.upper, np.full(rows, -highs.kHighsInf), lp.b_ub,
+        lp.indptr, lp.indices, lp.data,
+        np.zeros(m, dtype=np.int32),  # every column continuous; HiGHS refuses an empty array
     )
     if passed == highs.HighsStatus.kError:
         raise SolverError("LP solver failure: Model error")
@@ -356,9 +357,8 @@ def max_deliverable(problem: LossMinProblem) -> float:
     """Largest delivered total any feasible plan can achieve (target ignored)."""
     if not problem.paths.paths:
         return 0.0
-    columns = _Columns(problem.params, problem.network, arc_flow_table(problem.routes))
-    lp = _assemble(problem.paths, columns)
-    status, g, _ = _run_highs(_highs_model(-lp.caps, lp), lp.b_ub[-1])
+    lp = build_lp(problem)
+    status, g, _ = _run_highs(_highs_model(-lp.caps, lp), 0.0)
     if status != "optimal":
         raise SolverError("capacity LP failure: infeasible")
     return float(lp.caps @ g)

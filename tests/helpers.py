@@ -263,6 +263,20 @@ def oracle_min_loss(caps, cycles, z, target, resolution=60):
     return float(best)
 
 
+def oracle_arc_flows(routes):
+    """Total EV flow over each road arc some route rides: per arc, the flows of
+    the routes that ride it, each route once, added from 0.0 in route order.
+    """
+    flows = {}
+    for arc in {a for r in routes for a in r.arcs}:
+        total = 0.0
+        for r in routes:
+            if arc in r.arcs:
+                total += r.flow
+        flows[arc] = total
+    return flows
+
+
 def oracle_two_variable_lp(paths, params, arc_flows, target):
     """(status, objective) of the min-loss LP over x_j (delivered) and g_j (rate).
 

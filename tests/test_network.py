@@ -19,7 +19,7 @@ from venroute import (
     normalize_routes,
     prune_unreachable,
 )
-from venroute.network import _incidence, _route_sequence, _walk_routes, arc_flow_table
+from venroute.network import _incidence, _route_sequence, _walk_routes
 
 from helpers import _incidence as oracle_incidence
 from helpers import _walk_routes as oracle_walk_routes
@@ -295,18 +295,6 @@ class TestPruning:
         acc = build_accessibility_graph(net, [VehicularRoute("r", ("a0",), 0.1)])
         with pytest.raises(DomainError):
             prune_unreachable(net, acc, "ghost")
-
-
-class TestArcFlow:
-    def test_sums_route_flows(self):
-        net = line_network()
-        routes = [
-            VehicularRoute("r1", ("a0", "a1"), 0.1),
-            VehicularRoute("r2", ("a1",), 0.25),
-        ]
-        table = arc_flow_table(routes)
-        assert table == pytest.approx({"a0": 0.1, "a1": 0.35})
-        assert "a2" not in table
 
 
 @settings(max_examples=40, deadline=None)

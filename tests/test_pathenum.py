@@ -36,10 +36,10 @@ import venroute.pathenum as pathenum
 from venroute.heuristic import _levels
 from venroute.pathenum import (
     DEFAULT_CAP,
+    _combo_paths,
     _count,
     _count_distinct,
     _live_successors,
-    _route_combos,
     _SpanTable,
     _Successors,
 )
@@ -388,13 +388,13 @@ def test_incidence_successors_match_the_arc_set_on_generated_scenarios(
 
 
 def combo_outcome(seqs, acc, network, routes, cap):
-    """_count's outcome with each count drawn from the combination generator:
-    the path count, or the cap error's message.
+    """_count's outcome with each count drawn from the pairs ``_combo_paths``
+    yields: the path count, or the cap error's message.
     """
     table = _SpanTable(acc, network, {r.route_id: r for r in routes})
     total = 0
     for seq in seqs:
-        total += sum(1 for _ in _route_combos(seq, table))
+        total += sum(1 for _ in _combo_paths(seq, table))
         if total > cap:
             return f"path expansion exceeded the cap of {cap}"
     return total

@@ -36,6 +36,7 @@ from venroute.rateopt import _window_cap
 
 from helpers import (
     dense_plan,
+    oracle_arc_flows,
     oracle_assemble,
     oracle_min_loss,
     oracle_two_variable_lp,
@@ -197,6 +198,24 @@ class TestCapacityAndExport:
         problem, _ = parallel_problem(0.0)
         assert max_deliverable(problem) == pytest.approx(sum(path_ceilings(problem)), rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "flow, seed, sampled",
+        [(("const", 0.1), 4, True), (("uniform", 0.1, 0.3), 47, False)],
+        ids=["grid4-sample", "grid47-full"],
+    )
+    def test_max_deliverable_ignores_the_target(self, flow, seed, sampled):
+        # its LP is assembled at the problem's target, whose row bound it overrides
+        inst = Instance(generate_grid(4, 4, 10.0, 60.0, 20, flow, seed=seed))
+        sc = inst.scenario
+        pathset = inst.sample(50, 0) if sampled else inst.paths()
+        problem = LossMinProblem(pathset, sc.params, sc.network, inst.routes, 0.0)
+        most = max_deliverable(problem)
+        above = replace(problem, target_kwh=2.0 * most)
+        assert most > 0.0 and solve_min_loss(above).status == "infeasible"
+        for target in (0.5 * most, 2.0 * most):
+            got = max_deliverable(replace(problem, target_kwh=target))
+            assert got.hex() == most.hex()
+
     def test_max_deliverable_empty(self):
         network, routes, params, s, t = parallel_paths_instance()
         problem = LossMinProblem(
@@ -256,6 +275,44 @@ def two_segment_problem(target):
         paths=PathSet((path,), True), params=params, network=net, routes=routes,
         target_kwh=target,
     )
+
+
+def lp_arrays(lp):
+    return lp.c, lp.indptr, lp.indices, lp.data, lp.b_ub, lp.upper, lp.caps
+
+
+class TestArcFlows:
+    """The LP's columns sum each arc's flow from the routes: the arc rows' bounds."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("const", 0.1), seed=4),
+            lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("uniform", 0.1, 0.3), seed=47),
+            lambda: generate_corridor(rows=6, cols=15, kept_edges=110, route_count=300, seed=0),
+        ],
+        ids=["grid4", "grid47", "corridor-small"],
+    )
+    def test_each_arcs_flow_is_its_routes_sum_in_route_order(self, make):
+        inst = Instance(make())
+        flows = oracle_arc_flows(inst.routes)
+        want = [flows.get(a, 0.0) for a in sorted(inst.scenario.network.arc_by_id)]
+        assert np.array(inst._columns.flows).tobytes() == np.array(want).tobytes()
+
+    def test_a_route_listing_an_arc_twice_counts_once(self):
+        problem = two_segment_problem(0.0)
+        r1, r2, r3 = problem.routes
+        twice = replace(problem, routes=(replace(r1, arcs=("sm", "sm")), r2, r3))
+        lp = build_lp(twice)
+        assert lp.b_ub.tolist() == [0.3, 0.1 + 0.5, -0.0]
+        for got, want in zip(lp_arrays(lp), lp_arrays(build_lp(problem))):
+            assert_same_array(got, want)
+
+    def test_a_route_off_the_network_changes_no_lp_array(self):
+        problem = two_segment_problem(250.0)
+        extra = replace(problem, routes=problem.routes + (VehicularRoute("r4", ("ghost",), 0.7),))
+        for got, want in zip(lp_arrays(build_lp(extra)), lp_arrays(build_lp(problem))):
+            assert_same_array(got, want)
 
 
 class TestRateBounds:
@@ -549,12 +606,10 @@ def test_direct_highs_matches_linprog(flow, seed, monkeypatch):
 
 
 def assert_matches_two_variable_lp(inst, pathset, targets):
-    lp = inst.lp(pathset)
+    lp, flows = inst.lp(pathset), oracle_arc_flows(inst.routes)
     for target in targets:
         got = lp.solve(target)
-        want = oracle_two_variable_lp(
-            pathset.paths, inst.scenario.params, inst.arc_flows, target
-        )
+        want = oracle_two_variable_lp(pathset.paths, inst.scenario.params, flows, target)
         assert got.status == want[0]
         if want[1] is not None:
             assert got.objective == pytest.approx(want[1], rel=1e-9, abs=1e-12)
@@ -614,12 +669,12 @@ def assert_assembled_like_oracle(lp, params, arc_flows, target=0.0):
 
 def assert_assemblies_match_oracle(inst, pathsets, targets=(0.0, 500.0)):
     # an instance's own columns, and build_lp's from its routes, at each target
-    sc = inst.scenario
+    sc, flows = inst.scenario, oracle_arc_flows(inst.routes)
     for pathset in pathsets:
-        assert_assembled_like_oracle(inst.lp(pathset), sc.params, inst.arc_flows)
+        assert_assembled_like_oracle(inst.lp(pathset), sc.params, flows)
         for target in targets:
             problem = LossMinProblem(pathset, sc.params, sc.network, inst.routes, target)
-            assert_assembled_like_oracle(build_lp(problem), sc.params, inst.arc_flows, target)
+            assert_assembled_like_oracle(build_lp(problem), sc.params, flows, target)
 
 
 @pytest.mark.parametrize(
@@ -633,8 +688,9 @@ def test_assembly_matches_string_keyed_oracle_on_grids(flow, seed):
     # the same sets under other parameters get that instance's columns
     sc = inst.scenario
     other = Instance(replace(sc, params=replace(sc.params, packet_kwh=2.0, window_s=9000.0)))
+    flows = oracle_arc_flows(other.routes)
     for pathset in pathsets:
-        assert_assembled_like_oracle(other.lp(pathset), other.scenario.params, other.arc_flows)
+        assert_assembled_like_oracle(other.lp(pathset), other.scenario.params, flows)
 
 
 def grid47():
@@ -645,13 +701,13 @@ def test_an_edited_set_assembles_and_solves_like_a_fresh_one():
     # a path set is only its paths: shortened or reversed, its LP is that of
     # a PathSet built from the same paths, row for row and column for column
     inst = grid47()
-    params = inst.scenario.params
+    params, flows = inst.scenario.params, oracle_arc_flows(inst.routes)
     ps = inst.sample(50, 0)
     for edited in (replace(ps, paths=ps.paths[:3]), replace(ps, paths=ps.paths[::-1])):
         fresh = PathSet(edited.paths, edited.complete)
         lp, fresh_lp = inst.lp(edited), inst.lp(fresh)
-        assert_assembled_like_oracle(lp, params, inst.arc_flows)
-        assert_assembled_like_oracle(fresh_lp, params, inst.arc_flows)
+        assert_assembled_like_oracle(lp, params, flows)
+        assert_assembled_like_oracle(fresh_lp, params, flows)
         for target in (200.0, 500.0):
             got, want = lp.solve(target), fresh_lp.solve(target)
             assert got.status == want.status == "optimal"

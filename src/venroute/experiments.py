@@ -28,6 +28,12 @@ targets on one HiGHS model, so a method's first row also counts setting up
 its models. A method-III row counts only the picks it adds to the shared
 trajectory, so a target that an earlier one covers costs almost nothing.
 
+``run_growth``'s instances are independent, so they are split over the CPUs
+this process may use: it computes one share itself and each other share in
+a forked child, which returns its rows over a pipe. The CSV is
+byte-identical on any number of CPUs, and a failing study raises its
+earliest failing instance's error, as one process would.
+
 NumPy and SciPy's HiGHS binding, and no other part of SciPy, are loaded by
 ``rateopt`` on the first LP, not with the package: about 15 MB and 0.15 s on
 NumPy 2.4 and SciPy 1.17, nearly all of it NumPy's. ``run_compare`` loads
@@ -40,13 +46,15 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .energy import plan_totals
-from .errors import DomainError, EnumerationCapError
+from .errors import ConsistencyError, DomainError, EnumerationCapError
 from .heuristic import COMBINATION_CAP, HeuristicResult, _levels, _Trajectory
 from .network import _incidence, _walk_routes, prune_unreachable
 from .pathenum import (
@@ -291,6 +299,128 @@ GROWTH_ROUTE_COUNT_FACTOR = 3  # routes per junction in each growth instance
 GROWTH_ROUTE_LENGTH_CAP = 2  # arcs per route in each growth instance
 
 
+def _growth_row(n: int, density: float, inst_seed: int, cap: int) -> tuple[float, int, bool]:
+    """(accessibility density, path count, capped) of one seeded growth instance."""
+    sc = generate_random(
+        n_junctions=n,
+        road_density=density,
+        route_length_cap=GROWTH_ROUTE_LENGTH_CAP,
+        route_count=GROWTH_ROUTE_COUNT_FACTOR * n,
+        seed=inst_seed,
+    )
+    inst = Instance(sc)
+    acc_density = len(inst.accessibility.arcs) / (n * (n - 1))
+    try:
+        # over the arcs the density column derived: on instances this small,
+        # cheaper than the incidence's successors
+        sequences = enumerate_sequences(
+            inst.accessibility.arcs, sc.source, sc.destination, cap=cap
+        )
+        return acc_density, _count(sequences, inst.span_table, cap), False
+    except EnumerationCapError:
+        return acc_density, 0, True
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on; 1 where the platform cannot tell."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _share(fn, specs) -> list:
+    """[(True, fn(*spec)), ...] in spec order, ending at the first spec that
+    raises, as (False, its exception)."""
+    out = []
+    for spec in specs:
+        try:
+            out.append((True, fn(*spec)))
+        except Exception as e:
+            out.append((False, e))
+            break
+    return out
+
+
+def _forked(fn, parts) -> list:
+    """Each part's ``_share``: the first part's computed here, every other
+    part's in a forked child that pickles it down a pipe.
+
+    A child inherits this process's module state and leaves through
+    ``os._exit``, so it never runs the caller's exit handlers. Every child is
+    waited for, whether this returns or raises; a child that exits without
+    its share, or with an error it cannot pickle, is a ConsistencyError.
+    """
+    import pickle  # here, so importing the package does not load it
+
+    children = []  # (pid, read end of its pipe)
+    received = []
+    try:
+        for part in parts[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:  # the child: its share goes down the pipe, and it never returns
+                code = 1
+                try:
+                    os.close(r)
+                    for _pid, fd in children:
+                        os.close(fd)
+                    with open(w, "wb") as pipe:
+                        pickle.dump(_share(fn, part), pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, r))
+        results = [_share(fn, parts[0])]
+        for _pid, fd in children:
+            with open(fd, "rb", closefd=False) as pipe:
+                received.append(pipe.read())
+    finally:
+        # closed first, so a child still writing gets EPIPE and exits
+        for _pid, fd in children:
+            os.close(fd)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _fd in children]
+    for (pid, _fd), code, data in zip(children, codes, received):
+        if code != 0 or not data:
+            raise ConsistencyError(
+                f"growth helper process {pid} exited with status {code} without its results"
+            )
+        results.append(pickle.loads(data))
+    return results
+
+
+def _map_instances(fn, specs: list) -> list:
+    """``[fn(*spec) for spec in specs]``, split over the CPUs this process may use.
+
+    Share w takes ``specs[w::shares]``, so the costly large instances spread
+    evenly. This process computes the first share; each other share runs in a
+    forked child when the platform can fork and no other thread is alive,
+    since forking a threaded process can deadlock, and here otherwise. The
+    error of the earliest failing spec is raised, as a serial run raises it.
+    """
+    shares = min(_usable_cpus(), len(specs))
+    parts = [specs[w::shares] for w in range(shares)]
+    if shares > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        results = _forked(fn, parts)
+    else:
+        results = [_share(fn, part) for part in parts]
+    out = [None] * len(specs)
+    failed = []  # (spec index, exception)
+    for w, got in enumerate(results):
+        for j, (ok, value) in enumerate(got):
+            if ok:
+                out[w + j * shares] = value
+            else:
+                failed.append((w + j * shares, value))
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return out
+
+
 def run_growth(
     n_values: Sequence[int],
     density_grid: Sequence[float],
@@ -304,12 +434,17 @@ def run_growth(
     enumerated and their route-distinct combinations counted, under one
     ``enumeration_cap``. Appends per-cell mean rows and a monotone-trend
     summary as comment lines. ``n_values`` and ``density_grid`` must be
-    non-empty and strictly increasing, since the trends compare neighbours.
+    non-empty and strictly increasing, since the trends compare neighbours,
+    with every size at least 2 and every density in (0, 1]. The instances
+    are independent, so they are split over the CPUs this process may use
+    (``_map_instances``); the CSV is byte-identical however many there are.
     """
     _at_least_one(instances_per_cell, "instances per cell")
     _at_least_one(enumeration_cap, "enumeration cap")
-    if not all(math.isfinite(d) for d in density_grid):
-        raise DomainError(f"densities must be finite, got {list(density_grid)}")
+    if not all(n >= 2 for n in n_values):
+        raise DomainError(f"n_values must be at least 2 junctions, got {list(n_values)}")
+    if not all(0.0 < d <= 1.0 for d in density_grid):
+        raise DomainError(f"density_grid entries must lie in (0, 1], got {list(density_grid)}")
     for name, grid in (("n_values", n_values), ("density_grid", density_grid)):
         if not grid:
             raise DomainError(f"{name} must not be empty")
@@ -320,41 +455,22 @@ def run_growth(
         raise DomainError(
             f"densities must differ in their first three decimals, got {list(density_grid)}"
         )
+    specs = [
+        (n, density, seed * 100003 + n * 1009 + int(density * 1000) * 7 + k, enumeration_cap)
+        for n in n_values
+        for density in density_grid
+        for k in range(instances_per_cell)
+    ]
     lines = [GROWTH_HEADER]
-    means: dict[tuple[int, float], float] = {}
-    for n in n_values:
-        for density in density_grid:
-            counts = []
-            for k in range(instances_per_cell):
-                inst_seed = seed * 100003 + n * 1009 + int(density * 1000) * 7 + k
-                sc = generate_random(
-                    n_junctions=n,
-                    road_density=density,
-                    route_length_cap=GROWTH_ROUTE_LENGTH_CAP,
-                    route_count=GROWTH_ROUTE_COUNT_FACTOR * n,
-                    seed=inst_seed,
-                )
-                inst = Instance(sc)
-                denom = n * (n - 1)
-                acc_density = len(inst.accessibility.arcs) / denom if denom else 0.0
-                capped = False
-                n_paths = 0
-                try:
-                    # over the arcs the density column derived: on instances
-                    # this small, cheaper than the incidence's successors
-                    sequences = enumerate_sequences(
-                        inst.accessibility.arcs, sc.source, sc.destination,
-                        cap=enumeration_cap,
-                    )
-                    n_paths = _count(sequences, inst.span_table, enumeration_cap)
-                except EnumerationCapError:
-                    capped = True
-                counts.append(n_paths)
-                lines.append(
-                    f"{n},{density:.4f},{inst_seed},{acc_density:.4f},{n_paths},"
-                    f"{str(capped).lower()}"
-                )
-            means[(n, density)] = sum(counts) / len(counts)
+    counts: dict[tuple[int, float], list[int]] = {}
+    for (n, density, inst_seed, _cap), (acc_density, n_paths, capped) in zip(
+        specs, _map_instances(_growth_row, specs)
+    ):
+        counts.setdefault((n, density), []).append(n_paths)
+        lines.append(
+            f"{n},{density:.4f},{inst_seed},{acc_density:.4f},{n_paths},{str(capped).lower()}"
+        )
+    means = {cell: sum(c) / len(c) for cell, c in counts.items()}
     for (n, density), mean in sorted(means.items()):
         lines.append(f"# mean n={n} density={density:.4f} mean_paths={mean:.4f}")
     density_ok = all(

@@ -125,15 +125,20 @@ class VehicularRoute:
 JunctionSequence = tuple[Junction, ...]
 
 
+def _check_flow(route: VehicularRoute) -> None:
+    """StructuralError unless the route carries a finite, nonnegative flow."""
+    if not (0.0 <= route.flow < math.inf):
+        raise StructuralError(
+            f"route {route.route_id!r}: flow must be finite and nonnegative, got {route.flow}"
+        )
+
+
 def _route_sequence(network: VehicularNetwork, route: VehicularRoute) -> JunctionSequence:
     """The route's junction sequence, checked to chain known arcs and to carry
     a finite, nonnegative flow.
     """
     rid = route.route_id
-    if not (0.0 <= route.flow < math.inf):
-        raise StructuralError(
-            f"route {rid!r}: flow must be finite and nonnegative, got {route.flow}"
-        )
+    _check_flow(route)
     if not route.arcs:
         raise StructuralError(f"route {rid!r}: empty arc sequence")
     arc_by_id = network.arc_by_id

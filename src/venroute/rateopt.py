@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from .energy import EnergyParams, PlanEntry, TransmissionPlan, check_target, loss_ratio, make_plan
 from .energy import window_cap as _window_cap
 from .errors import ConsistencyError, DomainError, SolverError
-from .network import VehicularNetwork, VehicularRoute
+from .network import VehicularNetwork, VehicularRoute, _check_flow
 from .pathenum import PathSet
 
 if TYPE_CHECKING:
@@ -131,6 +131,8 @@ class LossMinProblem:
 
     def __post_init__(self):
         check_target(self.target_kwh)
+        for r in self.routes:  # the arc rows' bounds sum these flows
+            _check_flow(r)
 
 
 class _Columns(dict):

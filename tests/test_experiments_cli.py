@@ -2,17 +2,21 @@
 
 import gc
 import hashlib
+import os
+import threading
 import weakref
 from collections import Counter
 
 import pytest
 
 from venroute import (
+    ConsistencyError,
     DomainError,
     EnergyParams,
     Instance,
     LossMinProblem,
     Scenario,
+    StructuralError,
     energy,
     experiments,
     enumerate_bounded,
@@ -527,9 +531,7 @@ class TestRunGrowth:
 
     def test_default_study_is_pinned(self):
         csv = run_growth([4, 6, 8, 10], [0.2, 0.35, 0.5], 30, 0)
-        assert hashlib.sha256(csv.encode()).hexdigest() == (
-            "7ff8320c7afdb357b385a7bddf83493d6663a99b3c91f1f386d467b41e0aaf61"
-        )
+        assert hashlib.sha256(csv.encode()).hexdigest() == DEFAULT_GROWTH_SHA256
 
     def test_paths_are_counted_not_built(self, monkeypatch):
         def no_path(*args, **kwargs):
@@ -554,17 +556,131 @@ class TestRunGrowth:
             dict(density_grid=[0.2001, 0.2004]),
             dict(enumeration_cap=0),
             dict(enumeration_cap=-1),
+            dict(n_values=[1, 4]),
+            dict(density_grid=[0.0, 0.5]),
+            dict(density_grid=[0.3, 1.5]),
         ],
         ids=[
             "no-instances", "negative-instances", "nan-density", "inf-density",
             "no-sizes", "no-densities", "repeated-size", "decreasing-densities",
             "colliding-densities", "zero-cap", "negative-cap",
+            "size-below-two", "zero-density", "density-above-one",
         ],
     )
     def test_bad_inputs_rejected(self, kwargs):
         args = dict(n_values=[4, 5], density_grid=[0.3, 0.5], instances_per_cell=1, seed=0)
         with pytest.raises(DomainError):
             run_growth(**{**args, **kwargs})
+
+    @pytest.mark.parametrize(
+        "kwargs, argument",
+        [
+            (dict(n_values=[4, 1]), "n_values"),
+            (dict(density_grid=[0.3, 0.5, 1.5]), "density_grid"),
+            (dict(density_grid=[0.0, 0.5]), "density_grid"),
+        ],
+        ids=["size-below-two", "density-above-one", "zero-density"],
+    )
+    def test_bad_sizes_and_densities_fail_before_any_instance(self, monkeypatch, kwargs, argument):
+        # generate_random rejects them too, but only after the earlier instances ran
+        monkeypatch.setattr(experiments, "generate_random", refuse)
+        args = dict(n_values=[4, 5], density_grid=[0.3, 0.5], instances_per_cell=1, seed=0)
+        with pytest.raises(DomainError, match=argument):
+            run_growth(**{**args, **kwargs})
+
+
+DEFAULT_GROWTH_SHA256 = "7ff8320c7afdb357b385a7bddf83493d6663a99b3c91f1f386d467b41e0aaf61"
+# the instance seeds of run_growth([4, 6], [0.3, 0.5], 2, 0), in spec order
+SMALL_GROWTH_SEEDS = (6136, 6137, 7536, 7537, 8154, 8155, 9554, 9555)
+
+
+class TestGrowthSplit:
+    """run_growth splits its instances over the usable CPUs, one share per CPU:
+    this process runs the first, a forked child each other."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def counted_forks(monkeypatch, shares):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: shares)
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    @pytest.mark.parametrize("shares", [1, 2, 3])
+    def test_outputs_do_not_depend_on_the_split(self, monkeypatch, shares):
+        forks = self.counted_forks(monkeypatch, shares)
+        csv = run_growth([4, 6, 8, 10], [0.2, 0.35, 0.5], 30, 0)
+        assert hashlib.sha256(csv.encode()).hexdigest() == DEFAULT_GROWTH_SHA256
+        assert run_growth([4, 6], [0.3, 0.5], 2, 0, enumeration_cap=8) == SMALL_CAPPED_GROWTH_CSV
+        assert len(forks) == 2 * (shares - 1)
+
+    def test_no_more_shares_than_instances(self, monkeypatch):
+        forks = self.counted_forks(monkeypatch, 3)
+        csv = run_growth([4], [0.3], 2, 0, enumeration_cap=8)
+        assert csv.splitlines()[1:3] == SMALL_CAPPED_GROWTH_CSV.splitlines()[1:3]
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("shares", [1, 2, 3])
+    @pytest.mark.parametrize("first, second", [(2, 5), (3, 4), (6, 1), (0, 7)])
+    def test_the_earliest_failing_instance_raises(self, monkeypatch, shares, first, second):
+        # two instances fail with different errors; share w runs specs w, w + shares, ...
+        forks = self.counted_forks(monkeypatch, shares)
+        errors = {
+            SMALL_GROWTH_SEEDS[first]: DomainError(f"instance {first} refused"),
+            SMALL_GROWTH_SEEDS[second]: StructuralError(f"instance {second} refused"),
+        }
+        real = experiments.generate_random
+
+        def generate(**kwargs):
+            if kwargs["seed"] in errors:
+                raise errors[kwargs["seed"]]
+            return real(**kwargs)
+
+        monkeypatch.setattr(experiments, "generate_random", generate)
+        want = errors[SMALL_GROWTH_SEEDS[min(first, second)]]
+        with pytest.raises(type(want)) as caught:
+            run_growth([4, 6], [0.3, 0.5], 2, 0, enumeration_cap=8)
+        assert type(caught.value) is type(want) and str(caught.value) == str(want)
+        assert len(forks) == shares - 1
+
+    def test_a_child_that_dies_is_a_consistency_error(self, monkeypatch):
+        self.counted_forks(monkeypatch, 2)
+        parent, real = os.getpid(), experiments._growth_row
+
+        def row(*spec):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*spec)
+
+        monkeypatch.setattr(experiments, "_growth_row", row)
+        with pytest.raises(ConsistencyError, match=r"process \d+ exited with status 3"):
+            run_growth([4, 6], [0.3, 0.5], 2, 0, enumeration_cap=8)
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", refuse)
+        done = threading.Event()
+        waiter = threading.Thread(target=done.wait)
+        waiter.start()
+        try:
+            csv = run_growth([4, 6], [0.3, 0.5], 2, 0, enumeration_cap=8)
+        finally:
+            done.set()
+            waiter.join()
+        assert csv == SMALL_CAPPED_GROWTH_CSV
 
 
 class TestCli:

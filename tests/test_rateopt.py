@@ -1,5 +1,6 @@
 """Rate-assignment LP: construction, optimality, feasibility, diagnostics."""
 
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from venroute import (
     EnumerationCapError,
     Instance,
     SolverError,
+    StructuralError,
     LossMinProblem,
     VehicularNetwork,
     VehicularRoute,
@@ -114,6 +116,18 @@ class TestBuildLp:
     def test_non_finite_target_rejected(self, target):
         with pytest.raises(DomainError):
             parallel_problem(target)
+
+    @pytest.mark.parametrize(
+        "flow", [float("nan"), -5.0, float("inf")], ids=["nan", "negative", "inf"]
+    )
+    def test_route_flow_must_be_finite_and_nonnegative(self, flow):
+        # the arc rows' bounds sum the routes' flows; such a flow used to reach
+        # the solver, which failed on NaN and answered for the others
+        problem = two_segment_problem(0.0)
+        r1, r2, r3 = problem.routes
+        want = f"route 'r3': flow must be finite and nonnegative, got {flow}"
+        with pytest.raises(StructuralError, match=re.escape(want)):
+            replace(problem, routes=(r1, r2, replace(r3, flow=flow)))
 
     def test_arc_no_route_covers_keeps_a_zero_flow_row(self):
         # the routes miss the path's second arc, mt: its row stays, first in

@@ -42,7 +42,7 @@ def _parse_flow_spec(text: str):
 def _csv_list(kind: type, what: str):
     def parse(text: str) -> list:  # "" gives [], which the library rejects as empty
         try:
-            return [kind(tok) for tok in text.split(",") if tok]
+            return [kind(tok) for tok in text.split(",")] if text else []
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
     return parse

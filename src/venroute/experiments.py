@@ -28,11 +28,12 @@ targets on one HiGHS model, so a method's first row also counts setting up
 its models. A method-III row counts only the picks it adds to the shared
 trajectory, so a target that an earlier one covers costs almost nothing.
 
-``run_growth``'s instances are independent, so they are split over the CPUs
-this process may use: it computes one share itself and each other share in
-a forked child, which returns its rows over a pipe. The CSV is
-byte-identical on any number of CPUs, and a failing study raises its
-earliest failing instance's error, as one process would.
+``run_growth``'s instances are independent, so they run on one process per
+CPU this process may use: itself and a forked child each other, which
+returns its rows over a pipe. Each claims the next instance from one pipe
+whenever it is free, so the CPUs finish together. The CSV is byte-identical
+on any number of CPUs, and a failing study raises its earliest failing
+instance's error, as one process would.
 
 NumPy and SciPy's HiGHS binding, and no other part of SciPy, are loaded by
 ``rateopt`` on the first LP, not with the package: about 15 MB and 0.15 s on
@@ -327,34 +328,47 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else 1
 
 
-def _share(fn, specs) -> list:
-    """[(True, fn(*spec)), ...] in spec order, ending at the first spec that
-    raises, as (False, its exception)."""
+_MAX_CLAIMS = 1024  # 4-byte claims fill at most 4 KiB, which every pipe holds unread
+
+
+def _claimed(fn, specs, claims, chunk: int = 1) -> list:
+    """[(i, True, fn(*specs[i])), ...] over the chunks of ``chunk`` specs whose
+    indices ``claims`` yields, ending at the first spec that raises, as
+    (i, False, its exception)."""
     out = []
-    for spec in specs:
-        try:
-            out.append((True, fn(*spec)))
-        except Exception as e:
-            out.append((False, e))
-            break
+    for c in claims:
+        for i in range(c * chunk, min(c * chunk + chunk, len(specs))):
+            try:
+                out.append((i, True, fn(*specs[i])))
+            except Exception as e:
+                out.append((i, False, e))
+                return out
     return out
 
 
-def _forked(fn, parts) -> list:
-    """Each part's ``_share``: the first part's computed here, every other
-    part's in a forked child that pickles it down a pipe.
+def _forked(fn, specs, shares: int) -> list:
+    """``_claimed`` of this process and of ``shares - 1`` forked children, which
+    all claim chunks of specs, one at a time and in order, from one pipe.
 
-    A child inherits this process's module state and leaves through
+    Every claim is written and the pipe's write end closed before the first
+    fork, so a process stops at the end of the claims or at its first
+    failure, and waits for no other. A child pickles its results down a pipe
+    of its own, inherits this process's module state and leaves through
     ``os._exit``, so it never runs the caller's exit handlers. Every child is
     waited for, whether this returns or raises; a child that exits without
-    its share, or with an error it cannot pickle, is a ConsistencyError.
+    its results, or with an error it cannot pickle, is a ConsistencyError.
     """
     import pickle  # here, so importing the package does not load it
 
+    chunk = -(-len(specs) // _MAX_CLAIMS)
+    claims_r, claims_w = os.pipe()
     children = []  # (pid, read end of its pipe)
     received = []
     try:
-        for part in parts[1:]:
+        with open(claims_w, "wb") as pipe:
+            pipe.write(b"".join(c.to_bytes(4, "little") for c in range(-(-len(specs) // chunk))))
+        claims = (int.from_bytes(c, "little") for c in iter(lambda: os.read(claims_r, 4), b""))
+        for _ in range(shares - 1):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -362,26 +376,26 @@ def _forked(fn, parts) -> list:
                 os.close(r)
                 os.close(w)
                 raise
-            if pid == 0:  # the child: its share goes down the pipe, and it never returns
+            if pid == 0:  # the child: its results go down the pipe, and it never returns
                 code = 1
                 try:
                     os.close(r)
                     for _pid, fd in children:
                         os.close(fd)
                     with open(w, "wb") as pipe:
-                        pickle.dump(_share(fn, part), pipe)
+                        pickle.dump(_claimed(fn, specs, claims, chunk), pipe)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(w)
             children.append((pid, r))
-        results = [_share(fn, parts[0])]
+        results = _claimed(fn, specs, claims, chunk)
         for _pid, fd in children:
             with open(fd, "rb", closefd=False) as pipe:
                 received.append(pipe.read())
     finally:
         # closed first, so a child still writing gets EPIPE and exits
-        for _pid, fd in children:
+        for fd in [claims_r, *(fd for _pid, fd in children)]:
             os.close(fd)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _fd in children]
     for (pid, _fd), code, data in zip(children, codes, received):
@@ -389,36 +403,34 @@ def _forked(fn, parts) -> list:
             raise ConsistencyError(
                 f"growth helper process {pid} exited with status {code} without its results"
             )
-        results.append(pickle.loads(data))
+        results += pickle.loads(data)
     return results
 
 
 def _map_instances(fn, specs: list) -> list:
-    """``[fn(*spec) for spec in specs]``, split over the CPUs this process may use.
+    """``[fn(*spec) for spec in specs]``, over the CPUs this process may use.
 
-    Share w takes ``specs[w::shares]``, so the costly large instances spread
-    evenly. This process computes the first share; each other share runs in a
-    forked child when the platform can fork and no other thread is alive,
-    since forking a threaded process can deadlock, and here otherwise. The
-    error of the earliest failing spec is raised, as a serial run raises it.
+    One process per CPU claims the next spec, or the next chunk of specs in a
+    study of more than ``_MAX_CLAIMS``, whenever it is free, so the CPUs
+    finish together however the costs fall (self-scheduling). This process
+    is one of them; the others are forked children when the platform can
+    fork and no other thread is alive, since forking a threaded process can
+    deadlock, and otherwise this process computes every spec. Claims go out
+    in spec order, so the earliest failing spec is always computed, and its
+    error is raised, as a serial run raises it.
     """
     shares = min(_usable_cpus(), len(specs))
-    parts = [specs[w::shares] for w in range(shares)]
     if shares > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        results = _forked(fn, parts)
+        done = _forked(fn, specs, shares)
     else:
-        results = [_share(fn, part) for part in parts]
-    out = [None] * len(specs)
-    failed = []  # (spec index, exception)
-    for w, got in enumerate(results):
-        for j, (ok, value) in enumerate(got):
-            if ok:
-                out[w + j * shares] = value
-            else:
-                failed.append((w + j * shares, value))
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    return out
+        done = _claimed(fn, specs, range(len(specs)))
+    done.sort(key=lambda d: d[0])
+    for _i, ok, value in done:
+        if not ok:
+            raise value
+    if [i for i, _ok, _value in done] != list(range(len(specs))):
+        raise ConsistencyError("the growth instances were not each computed once")
+    return [value for _i, _ok, value in done]
 
 
 def run_growth(
@@ -436,8 +448,9 @@ def run_growth(
     summary as comment lines. ``n_values`` and ``density_grid`` must be
     non-empty and strictly increasing, since the trends compare neighbours,
     with every size at least 2 and every density in (0, 1]. The instances
-    are independent, so they are split over the CPUs this process may use
-    (``_map_instances``); the CSV is byte-identical however many there are.
+    are independent, so each CPU this process may use claims the next one
+    whenever it is free (``_map_instances``); the CSV is byte-identical
+    however many there are.
     """
     _at_least_one(instances_per_cell, "instances per cell")
     _at_least_one(enumeration_cap, "enumeration cap")

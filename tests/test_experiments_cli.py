@@ -595,8 +595,9 @@ SMALL_GROWTH_SEEDS = (6136, 6137, 7536, 7537, 8154, 8155, 9554, 9555)
 
 
 class TestGrowthSplit:
-    """run_growth splits its instances over the usable CPUs, one share per CPU:
-    this process runs the first, a forked child each other."""
+    """run_growth runs its instances on one process per usable CPU: this one
+    and a forked child each other, every process claiming the next instance
+    from one pipe whenever it is free."""
 
     @pytest.fixture(autouse=True)
     def no_child_left(self):
@@ -627,21 +628,43 @@ class TestGrowthSplit:
         assert run_growth([4, 6], [0.3, 0.5], 2, 0, enumeration_cap=8) == SMALL_CAPPED_GROWTH_CSV
         assert len(forks) == 2 * (shares - 1)
 
+    @pytest.mark.parametrize("shares", [1, 2, 3])
+    def test_every_instance_is_computed_once(self, monkeypatch, tmp_path, shares):
+        forks = self.counted_forks(monkeypatch, shares)
+        log, real = tmp_path / "computed.txt", experiments._growth_row
+
+        def row(n, density, inst_seed, cap):
+            with open(log, "a") as fh:  # one short append per line, so lines never mix
+                fh.write(f"{os.getpid()} {inst_seed}\n")
+            return real(n, density, inst_seed, cap)
+
+        monkeypatch.setattr(experiments, "_growth_row", row)
+        assert run_growth([4, 6], [0.3, 0.5], 2, 0, enumeration_cap=8) == SMALL_CAPPED_GROWTH_CSV
+        computed = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(seed) for _pid, seed in computed) == sorted(SMALL_GROWTH_SEEDS)
+        assert {int(pid) for pid, _seed in computed} <= {os.getpid(), *forks}
+        assert len(forks) == shares - 1
+
+    @pytest.mark.parametrize("shares", [1, 2, 3])
+    @pytest.mark.parametrize("max_claims", [1, 3, 7])
+    def test_chunked_claims_give_the_same_study(self, monkeypatch, shares, max_claims):
+        # 8 instances in chunks of 8, 3 or 2: the last chunk may be short
+        self.counted_forks(monkeypatch, shares)
+        monkeypatch.setattr(experiments, "_MAX_CLAIMS", max_claims)
+        assert run_growth([4, 6], [0.3, 0.5], 2, 0, enumeration_cap=8) == SMALL_CAPPED_GROWTH_CSV
+
     def test_no_more_shares_than_instances(self, monkeypatch):
         forks = self.counted_forks(monkeypatch, 3)
         csv = run_growth([4], [0.3], 2, 0, enumeration_cap=8)
         assert csv.splitlines()[1:3] == SMALL_CAPPED_GROWTH_CSV.splitlines()[1:3]
         assert len(forks) == 1
 
-    @pytest.mark.parametrize("shares", [1, 2, 3])
-    @pytest.mark.parametrize("first, second", [(2, 5), (3, 4), (6, 1), (0, 7)])
-    def test_the_earliest_failing_instance_raises(self, monkeypatch, shares, first, second):
-        # two instances fail with different errors; share w runs specs w, w + shares, ...
-        forks = self.counted_forks(monkeypatch, shares)
-        errors = {
-            SMALL_GROWTH_SEEDS[first]: DomainError(f"instance {first} refused"),
-            SMALL_GROWTH_SEEDS[second]: StructuralError(f"instance {second} refused"),
-        }
+    @staticmethod
+    def raises_the_earliest_error(monkeypatch, first, *later):
+        # instances fail with different errors, whichever processes claim them
+        errors = {SMALL_GROWTH_SEEDS[first]: DomainError(f"instance {first} refused")}
+        for i in later:
+            errors[SMALL_GROWTH_SEEDS[i]] = StructuralError(f"instance {i} refused")
         real = experiments.generate_random
 
         def generate(**kwargs):
@@ -650,24 +673,48 @@ class TestGrowthSplit:
             return real(**kwargs)
 
         monkeypatch.setattr(experiments, "generate_random", generate)
-        want = errors[SMALL_GROWTH_SEEDS[min(first, second)]]
+        want = errors[SMALL_GROWTH_SEEDS[min(first, *later)]]
         with pytest.raises(type(want)) as caught:
             run_growth([4, 6], [0.3, 0.5], 2, 0, enumeration_cap=8)
         assert type(caught.value) is type(want) and str(caught.value) == str(want)
+
+    @pytest.mark.parametrize("shares", [1, 2, 3])
+    @pytest.mark.parametrize("first, second", [(2, 5), (3, 4), (6, 1), (0, 7)])
+    def test_the_earliest_failing_instance_raises(self, monkeypatch, shares, first, second):
+        forks = self.counted_forks(monkeypatch, shares)
+        self.raises_the_earliest_error(monkeypatch, first, second)
         assert len(forks) == shares - 1
 
-    def test_a_child_that_dies_is_a_consistency_error(self, monkeypatch):
-        self.counted_forks(monkeypatch, 2)
-        parent, real = os.getpid(), experiments._growth_row
+    @pytest.mark.parametrize("shares", [2, 3])
+    @pytest.mark.parametrize("first, second", [(2, 5), (4, 3), (7, 6)])
+    def test_the_earliest_failing_instance_raises_from_chunks(
+        self, monkeypatch, shares, first, second
+    ):
+        # chunks of 3: the two failures share a chunk or lie in neighbouring ones
+        self.counted_forks(monkeypatch, shares)
+        monkeypatch.setattr(experiments, "_MAX_CLAIMS", 3)
+        self.raises_the_earliest_error(monkeypatch, first, second)
 
-        def row(*spec):
+    @pytest.mark.parametrize("shares", [2, 3])
+    def test_claims_go_out_in_order(self, monkeypatch, shares):
+        # every process may stop at a late failure, unless claims go out in spec order
+        self.counted_forks(monkeypatch, shares)
+        self.raises_the_earliest_error(monkeypatch, 1, 5, 6, 7)
+
+    def test_a_child_that_dies_is_a_consistency_error(self, monkeypatch):
+        # the child dies before it claims anything, so the parent may claim every instance
+        forks = self.counted_forks(monkeypatch, 2)
+        parent, real = os.getpid(), experiments._claimed
+
+        def claimed(*args):
             if os.getpid() != parent:
                 os._exit(3)
-            return real(*spec)
+            return real(*args)
 
-        monkeypatch.setattr(experiments, "_growth_row", row)
+        monkeypatch.setattr(experiments, "_claimed", claimed)
         with pytest.raises(ConsistencyError, match=r"process \d+ exited with status 3"):
             run_growth([4, 6], [0.3, 0.5], 2, 0, enumeration_cap=8)
+        assert len(forks) == 1
 
     def test_no_fork_while_another_thread_runs(self, monkeypatch):
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
@@ -885,8 +932,19 @@ class TestCli:
              "argument --n-values: expected comma-separated integers, got '4,1.5'"),
             (["growth", "--densities", "0.2,,y"],
              "argument --densities: expected comma-separated numbers, got '0.2,,y'"),
+            (["compare", "--scenario", "s.txt", "--targets", "1,,200,"],
+             "argument --targets: expected comma-separated numbers, got '1,,200,'"),
+            (["compare", "--scenario", "s.txt", "--targets", "1", "--subset-seeds", ",1"],
+             "argument --subset-seeds: expected comma-separated integers, got ',1'"),
+            (["growth", "--n-values", "4,,6"],
+             "argument --n-values: expected comma-separated integers, got '4,,6'"),
+            (["growth", "--densities", "0.2,"],
+             "argument --densities: expected comma-separated numbers, got '0.2,'"),
         ],
-        ids=["targets", "subset-seeds", "n-values", "densities"],
+        ids=[
+            "targets", "subset-seeds", "n-values", "densities", "empty-target",
+            "empty-seed", "empty-size", "empty-density",
+        ],
     )
     def test_malformed_list_names_the_format(self, args, message, capsys):
         with pytest.raises(SystemExit) as exit_info:

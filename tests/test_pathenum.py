@@ -432,3 +432,25 @@ def test_count_matches_the_combination_generator(
 def test_distinct_route_count_matches_brute_force(route_sets):
     want = sum(1 for c in itertools.product(*route_sets) if len(set(c)) == len(c))
     assert _count_distinct(route_sets) == want
+
+
+@pytest.mark.parametrize(
+    "route_sets, want",
+    [
+        ([], 1),
+        ([()], 0),
+        ([("a", "b"), (), ("a",)], 0),
+        ([("a", "b"), ("c",)], 2),
+        # "a" recurs two sets later: 2*1*2 picks, less the 1 that takes "a" twice
+        ([("a", "b"), ("c",), ("a", "d")], 3),
+        # "a" in three sets: 2*2*2 picks, less the 4 that take "a" more than once
+        ([("a", "b"), ("a", "c"), ("a", "d")], 4),
+        ([("a",), ("a",), ("a",)], 0),
+    ],
+    ids=[
+        "no-sets", "one-empty-set", "empty-set-among-shared", "no-shared-route",
+        "recurs-non-adjacent", "in-three-sets", "only-one-route",
+    ],
+)
+def test_distinct_route_count_exact_cases(route_sets, want):
+    assert _count_distinct(route_sets) == want

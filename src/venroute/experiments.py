@@ -4,13 +4,13 @@ An ``Instance`` derives, each once and on first use, what one scenario's
 methods share: the normalized routes and the accessibility graph (the
 junction-route incidence), from one walk per route; the live successor map
 with hops to the destination, both from the incidence; the span table; the
-LP's columns, which sum each arc's flow over the routes; the greedy's
+LP's arc index, with each arc's flow summed over the routes; the greedy's
 trajectory; and each junction sequence's sampled energy paths, as far as
 any sample has read them (a full enumeration streams and keeps none).
 ``run_compare``, ``run_growth`` and the ``ven`` commands call only its
 methods, so a sweep shares these across every subset seed and target; the
-LP of a path set sweeps itself over any targets, and each distinct path's
-LP column is derived once per instance, for all its LPs. No method derives
+LP of a path set sweeps itself over any targets, and works out its paths'
+columns over the instance's arc index and flows. No method derives
 the accessibility arcs: only ``prepare`` and ``run_growth`` do. No arcs are
 pruned: both enumerators keep only junctions that reach t over arcs, which
 follow roads.
@@ -109,7 +109,7 @@ class Instance:
 
     @cached_property
     def _columns(self):
-        """Each distinct path's LP column, derived once for every LP of the instance."""
+        """The arc index and flows over which each of the instance's LPs works out its columns."""
         sc = self.scenario
         return _Columns(sc.params, sc.network, self.routes)
 

@@ -190,7 +190,10 @@ class _RouteIds(dict):
         if not per_route:
             raise ConsistencyError(f"no index set for accessibility arc ({i}, {j})")
         rids = tuple(sorted(per_route))
-        subs = [(rid, *per_route[rid], self._routes_by_id[rid].arcs) for rid in rids]
+        try:
+            subs = [(rid, *per_route[rid], self._routes_by_id[rid].arcs) for rid in rids]
+        except KeyError as e:
+            raise DomainError(f"no route {e.args[0]!r} given for the accessibility graph") from None
         for rid, n, m, arcs in subs:
             if not (1 <= n <= m <= len(arcs)):
                 raise StructuralError(f"segment ({rid}, {n}, {m}) out of range")
@@ -251,44 +254,35 @@ def _entries(seq: JunctionSequence, table: Mapping) -> list:
 def _count_distinct(route_sets: list[tuple[RouteId, ...]]) -> int:
     """Number of ways to pick one route from each set, no route twice.
 
-    A dynamic program over the sets in order. Only a route in two or more
-    sets gets a bit, and a state is the mask of such routes picked so far
-    that appear in a later set. A route in one set adds to the multiplicity
-    of its step, and a step without a shared route only multiplies the count.
+    A dynamic program over the sets in order. Its state is the set of routes
+    picked so far that appear in a later set; a route in no later set adds to
+    the multiplicity of a step, not to the states.
     """
-    seen: set[RouteId] = set()
-    shared: set[RouteId] = set()
-    for rids in route_sets:
-        shared.update(seen.intersection(rids))
-        seen.update(rids)
-    if not shared:
-        return math.prod(map(len, route_sets))
-    bit = {r: 1 << i for i, r in enumerate(shared)}
-    mult, steps, later = 1, [], 0  # steps from the last: (bits of its routes, of later sets)
+    suffix = []  # per set, the routes of the sets after it
+    seen: frozenset[RouteId] = frozenset()
     for rids in reversed(route_sets):
-        if shared.isdisjoint(rids):
-            mult *= len(rids)
-        else:
-            bits = [bit.get(r, 0) for r in rids]
-            steps.append((bits, later))
-            later |= sum(bits)
-    states = {0: 1}  # picked routes that appear later -> ways
-    for bits, later in reversed(steps):
-        nxt: dict[int, int] = {}
+        suffix.append(seen)
+        seen = seen.union(rids)
+    if len(seen) == sum(map(len, route_sets)):
+        return math.prod(map(len, route_sets))  # no route in two sets
+    states = {frozenset(): 1}  # picked routes that appear later -> ways
+    for rids, later in zip(route_sets, reversed(suffix)):
+        nxt: dict[frozenset[RouteId], int] = {}
         for state, ways in states.items():
             kept = state & later
             free = 0
-            for b in bits:
-                if state & b:
+            for r in rids:
+                if r in state:
                     continue
-                if b & later:
-                    nxt[kept | b] = nxt.get(kept | b, 0) + ways
+                if r in later:
+                    key = kept | {r}
+                    nxt[key] = nxt.get(key, 0) + ways
                 else:
                     free += 1
             if free:
                 nxt[kept] = nxt.get(kept, 0) + ways * free
         states = nxt
-    return mult * sum(states.values())
+    return sum(states.values())
 
 
 def _combo_paths(

@@ -13,9 +13,9 @@ itself at any target, so one assembly serves a sweep, and its plan holds only
 the paths that carry energy (g_j > 0): the others would add exact zeros to
 every total. The LP is assembled from integer arrays: each path's column
 (``_Columns``) lists its arcs by their index among the network's arcs, and
-an ``Instance`` derives it once per distinct path, for all of its LPs. The
-columns also sum each arc's flow over the routes, the arc rows' bounds: this
-module alone builds what its LPs read.
+is worked out afresh for each LP. That index and each arc's flow summed over
+the routes, the arc rows' bounds, are built once for all of an instance's
+LPs: this module alone builds what its LPs read.
 
 An LP's sweep over its targets runs on one model of HiGHS's dual simplex
 (Huangfu & Hall 2018), through SciPy's own binding
@@ -133,26 +133,28 @@ class LossMinProblem:
         check_target(self.target_kwh)
         for r in self.routes:  # the arc rows' bounds sum these flows
             _check_flow(r)
+        given = {r.route_id for r in self.routes}
+        for rid, _n, _m in chain.from_iterable(p.segments for p in self.paths.paths):
+            if rid not in given:  # its flow would bound no arc row
+                raise DomainError(f"path rides route {rid!r}, which the problem's routes lack")
 
 
-class _Columns(dict):
-    """The LP column of each path over one network's arcs, derived on first read.
+class _Columns:
+    """The LP columns of paths over one network's arcs.
 
     Every arc of the network has a row index in sorted arc-id order, and the
     total flow of the routes over it, summed here: each route's flow is added
     once per distinct arc it rides, in route order from 0.0, so an arc no
     route covers keeps 0.0 and an arc the network lacks gets no row. A path's
-    column is its sorted distinct arc indices, its window cap (T - d) z^|p|,
-    its cost loss_ratio * cap and its rate bound: w times its bottleneck flow,
-    or 0 past the window, where it carries nothing. It depends only on the
-    path, a frozen value, so it is kept by path. A path that rides an arc the
-    network lacks is a DomainError.
+    column, worked out on each call, is its sorted distinct arc indices, its
+    window cap (T - d) z^|p|, its cost loss_ratio * cap and its rate bound: w
+    times its bottleneck flow, or 0 past the window, where it carries
+    nothing. A path that rides an arc the network lacks is a DomainError.
     """
 
     def __init__(
         self, params: EnergyParams, network: VehicularNetwork, routes: Iterable[VehicularRoute]
     ):
-        super().__init__()
         self.params = params
         self.index = index = {a: k for k, a in enumerate(sorted(network.arc_by_id))}
         self.flows = flows = [0.0] * len(index)
@@ -160,7 +162,7 @@ class _Columns(dict):
             for k in {index[a] for a in r.arcs if a in index}:
                 flows[k] += r.flow
 
-    def __missing__(self, path: EnergyPath) -> tuple[tuple[int, ...], float, float, float]:
+    def column(self, path: EnergyPath) -> tuple[tuple[int, ...], float, float, float]:
         params, index = self.params, self.index
         try:
             arcs = tuple(sorted({index[a] for a in path.arc_ids}))
@@ -168,8 +170,7 @@ class _Columns(dict):
             raise DomainError(f"path rides arc {e.args[0]!r}, which the network lacks") from None
         cap = _window_cap(path, params)
         upper = 0.0 if cap == 0.0 else params.packet_kwh * path.bottleneck_flow
-        self[path] = column = (arcs, cap, cap * loss_ratio(path.cycles, params.efficiency), upper)
-        return column
+        return arcs, cap, cap * loss_ratio(path.cycles, params.efficiency), upper
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,7 @@ def _assemble(pathset: PathSet, columns: _Columns, target_kwh: float = 0.0) -> L
     """The LP of ``pathset`` from the columns of its scenario's network and routes."""
     np = _lp_backend()[0]
     params = columns.params
-    cols = [columns[p] for p in pathset.paths]
+    cols = list(map(columns.column, pathset.paths))
     m = len(cols)
     arcs, caps, c, upper = zip(*cols) if cols else ((), (), (), ())
     caps, c, upper = (np.array(v, dtype=float) for v in (caps, c, upper))

@@ -9,16 +9,17 @@ A scenario is one human-readable text document with bracketed sections:
     [arcs]        arc_id tail head delay_s=<s>   (or length_km=<km> speed_kmh=<kmh>)
     [routes]      route_id flow_ev_per_s=<f> arcs=<id,id,...>
 
-Saving is canonical (sorted, repr floats), so load(save(x)) == x and
-re-saving a loaded file is byte-identical. Loading takes no key or field
-beyond these, and an arc takes one of its two delay forms; anything else
-raises ScenarioFormatError naming the line.
+Saving is canonical (sorted, repr floats), so load(save(x)) == x and re-saving
+a loaded file is byte-identical. Loading takes no key or field beyond these,
+an arc takes one of its two delay forms, and no id holds a separator of the
+outputs (, | ; :); anything else raises ScenarioFormatError naming the line.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import re
 
 from .energy import EnergyParams, check_target
 from .errors import DomainError, ScenarioFormatError
@@ -90,6 +91,8 @@ def _check_known(fields: dict[str, str], known: tuple[str, ...], lineno: int) ->
 
 # the key = value sections, each with its required keys; x_target_kwh is optional
 _KEYED = {"meta": ("name", "seed"), "params": ("w_kwh", "zc", "zd", "T_s"), "endpoints": ("s", "t")}
+# an id holding one would break the fields of the output CSVs or of their paths
+_SEPARATOR = re.compile("[,|;:]").search
 
 
 def loads_scenario(text: str) -> Scenario:
@@ -126,14 +129,17 @@ def loads_scenario(text: str) -> Scenario:
                     check_target(target)
                 except (ValueError, DomainError):
                     _fail(lineno, f"x_target_kwh is not a finite, nonnegative number: {value!r}")
-        elif section == "junctions":
-            if len(line.split()) != 1:
+            continue
+        tokens = line.split()  # the first is the line's junction, arc or route id
+        if _SEPARATOR(tokens[0]):
+            _fail(lineno, f"{section[:-1]} id {tokens[0]!r} holds one of , | ; :")
+        if section == "junctions":
+            if len(tokens) != 1:
                 _fail(lineno, "one junction id per line")
             if line in junctions:
                 _fail(lineno, f"repeated junction {line!r}")
             junctions.add(line)
         elif section == "arcs":
-            tokens = line.split()
             if len(tokens) < 4:
                 _fail(lineno, "arc needs: id tail head delay_s=... (or length/speed)")
             aid, tail, head = tokens[:3]
@@ -157,7 +163,6 @@ def loads_scenario(text: str) -> Scenario:
                 _fail(lineno, "arc delay must be positive and finite")
             arcs.append((aid, tail, head, delay))
         elif section == "routes":
-            tokens = line.split()
             if len(tokens) < 3:
                 _fail(lineno, "route needs: id flow_ev_per_s=... arcs=...")
             rid = tokens[0]

@@ -454,3 +454,33 @@ def test_distinct_route_count_matches_brute_force(route_sets):
 )
 def test_distinct_route_count_exact_cases(route_sets, want):
     assert _count_distinct(route_sets) == want
+
+
+def test_routes_lacking_a_route_of_the_graph_is_a_domain_error():
+    # every span lookup checks the arc's route ids first, so no raw KeyError escapes
+    sc = generate_grid(4, 4, 10.0, 60.0, 20, ("uniform", 0.1, 0.3), seed=47)
+    routes, acc, pruned, _blocked = prepared(sc.network, sc.routes, sc.destination)
+    s, t, net = sc.source, sc.destination, sc.network
+    seqs = enumerate_sequences(pruned, s, t)
+    calls = [
+        lambda: expand_to_paths(seqs, acc, net, routes[1:]),
+        lambda: enumerate_paths(pruned, s, t, acc, net, routes[1:]),
+        lambda: enumerate_bounded(pruned, s, t, acc, net, routes[1:], limit=20, seed=0),
+    ]
+    assert routes[0].route_id == "r01"
+    for call in calls:
+        with pytest.raises(DomainError, match="no route 'r01' given for the accessibility graph"):
+            call()
+
+
+def test_count_on_an_instance_with_many_shared_route_states():
+    # far more sequences, and routes shared along them, than the growth study's instances
+    sc = generate_random(
+        n_junctions=14, road_density=0.2, route_length_cap=4, route_count=56, seed=1
+    )
+    inst = Instance(sc)
+    seqs = enumerate_sequences(inst.accessibility.arcs, sc.source, sc.destination)
+    assert len(seqs) == 6234
+    assert _count(seqs, inst.span_table, DEFAULT_CAP * 100) == 24_370_995
+    with pytest.raises(EnumerationCapError):
+        _count(seqs, inst.span_table, DEFAULT_CAP)

@@ -130,11 +130,12 @@ class TestBuildLp:
             replace(problem, routes=(r1, r2, replace(r3, flow=flow)))
 
     def test_arc_no_route_covers_keeps_a_zero_flow_row(self):
-        # the routes miss the path's second arc, mt: its row stays, first in
-        # arc-id order, with flow 0, so the path can carry nothing
+        # the given r2 rides no arc, so no route covers the path's second arc,
+        # mt: its row stays, first in arc-id order, with flow 0, so the path
+        # can carry nothing
         problem = two_segment_problem(0.0)
-        r1, _r2, r3 = problem.routes
-        uncovered = replace(problem, routes=(r1, r3))
+        r1, r2, r3 = problem.routes
+        uncovered = replace(problem, routes=(r1, replace(r2, arcs=()), r3))
         lp = build_lp(uncovered)
         assert lp.a_ub.shape == (3, 1)
         assert lp.b_ub.tolist() == [0.0, 0.1 + 0.5, -0.0]
@@ -743,20 +744,19 @@ def test_a_path_off_the_network_is_a_domain_error_naming_the_arc():
         assert arc in foreign.scenario.network.arc_by_id
 
 
-def test_each_distinct_path_column_is_derived_once(monkeypatch):
-    # across one instance's full set and every subset of the comparison sweep
-    calls = []
-
-    def counted(path, params):
-        calls.append(path)
-        return _window_cap(path, params)
-
-    monkeypatch.setattr(rateopt, "_window_cap", counted)
+def test_a_path_on_a_route_not_given_is_a_domain_error():
+    # that route's flow would bound no arc row: given no routes, every row used
+    # to get a flow of 0, and the LP came out infeasible
     inst = grid47()
-    inst.lp(inst.paths())
-    for k in range(20):
-        inst.lp(inst.sample(50, k))
-    assert len(calls) == len(set(calls)) == 979
+    sc = inst.scenario
+    full = inst.paths()
+    given = LossMinProblem(full, sc.params, sc.network, inst.routes, 5.0)
+    assert solve_min_loss(given).status == "optimal"
+    first = full.paths[0].segments[0][0]
+    without_r01 = tuple(r for r in inst.routes if r.route_id != "r01")
+    for routes, rid in (((), first), (without_r01, "r01")):
+        with pytest.raises(DomainError, match=f"rides route '{rid}', which the problem's routes"):
+            replace(given, routes=routes)
 
 
 def test_assembly_matches_string_keyed_oracle_on_corridor():

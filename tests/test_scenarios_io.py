@@ -25,6 +25,7 @@ from venroute.scenarios import DEFAULT_PARAMS
 BAD_TARGET = "x_target_kwh is not a finite, nonnegative number"
 BOTH_DELAYS = "arc takes delay_s or length_km\\+speed_kmh, not both"
 BAD_LENGTH_SPEED = "length_km and speed_kmh must be positive and finite"
+SEPARATOR = "holds one of , \\| ; :$"
 
 
 class TestGenerators:
@@ -274,6 +275,11 @@ class TestFileFormat:
             ("zd = 1.0\n", "zd = 1.0\nfoo = 1\n", "line 8: unknown key 'foo' in \\[params\\]"),
             ("seed = 0\n", "seed = 0\nfoo = 1\n", "line 4: unknown key 'foo' in \\[meta\\]"),
             ("t = b\n", "t = b\nu = c\n", "line 12: unknown key 'u' in \\[endpoints\\]"),
+            # the CSVs separate fields by "," and a path's parts by "|", ";" and ":"
+            ("a\nb\n", "a,1\nb\n", f"line 13: junction id 'a,1' {SEPARATOR}"),
+            ("ab a b", "a|b a b", f"line 16: arc id 'a\\|b' {SEPARATOR}"),
+            ("r1 flow", "r;1 flow", f"line 18: route id 'r;1' {SEPARATOR}"),
+            ("a\nb\n", "a\nb:2\n", f"line 14: junction id 'b:2' {SEPARATOR}"),
         ],
         ids=[
             "target-not-a-number", "target-nan", "target-negative", "target-inf",
@@ -286,7 +292,8 @@ class TestFileFormat:
             "negative-length", "infinite-length", "zero-delay", "nan-delay", "overflowing-delay",
             "unknown-route-field", "empty-arc-id",
             "trailing-comma-in-arcs", "unknown-params-key", "unknown-meta-key",
-            "unknown-endpoints-key",
+            "unknown-endpoints-key", "comma-in-junction-id", "bar-in-arc-id",
+            "semicolon-in-route-id", "colon-in-junction-id",
         ],
     )
     def test_bad_file_is_a_format_error(self, old, new, message):

@@ -126,20 +126,16 @@ def _cmd_solve(args) -> int:
     inst = Instance(sc)
     if args.method == "III":
         result = inst.greedy(target)
-        entries = result.plan.entries
-        _write(args.out, _plan_csv(entries, result.delivered_kwh, result.loss_kwh))
+        _write(args.out, _plan_csv(result.plan.entries, result.delivered_kwh, result.loss_kwh))
         if result.stop_reason == COMBINATION_CAP:  # a safety cap is not infeasibility
             raise EnumerationCapError(f"{COMBINATION_CAP}: a safety cap cut the greedy short")
         return EXIT_OK if result.status == "success" else EXIT_INFEASIBLE
-    exact = args.method == "I"  # else method II
-    pathset = inst.paths(args.cap) if exact else inst.sample(args.subset_limit, args.seed)
-    sol = inst.lp(pathset).solve(target)
+    draw = inst.paths(args.cap) if args.method == "I" else inst.sample(args.subset_limit, args.seed)
+    sol = inst.lp(draw).solve(target)
     if sol.status != "optimal":
         _write(args.out, "status,infeasible\n")
         return EXIT_INFEASIBLE
-    delivered, loss = plan_totals(sol.plan)
-    entries = [e for e in sol.plan.entries if e.delivered_kwh > 1e-9 or e.rate > 1e-12]
-    _write(args.out, _plan_csv(entries, delivered, loss))
+    _write(args.out, _plan_csv(sol.plan.entries, *plan_totals(sol.plan)))
     return EXIT_OK
 
 
@@ -226,8 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset-seeds", type=_csv_list(int, "integers"), default=list(range(20)))
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     timings = (
-        "wall times; I and II rows add one-off costs (II: sampling every seed, one LP and "
-        "one solve per distinct subset), III rows only the picks they add"
+        "wall times; the methods run one after another, in the order given; I and II rows "
+        "add one-off costs (II: sampling every seed, one LP and one solve per distinct "
+        "subset), III rows only the picks they add"
     )
     p.add_argument("--timings", action="store_true", help=timings)
     p.add_argument("--out", default="-")

@@ -20,13 +20,14 @@ prefix of one trajectory, extended only when a target needs more paths.
 Results are plain rows rendered to CSV with units in the headers. Wall times
 are measured around computation only (no file I/O) and are emitted only on
 request, so default outputs are byte-stable across runs. Route normalization
-and the incidence build stay outside every row. A row's wall time adds its
-method's one-off costs to its own solve: the successors, enumeration or
-sampling, and LP assembly for methods I and II. Method II samples every
-seed but assembles each distinct subset once. Each LP is swept over all
-targets on one HiGHS model, so a method's first row also counts setting up
-its models. A method-III row counts only the picks it adds to the shared
-trajectory, so a target that an earlier one covers costs almost nothing.
+and the incidence build stay outside every row. The methods run one after
+another, in the order requested, so what two share counts in the first's
+rows. A row's wall time adds its method's one-off costs to its own solve:
+the successors, the draws (method I's full path set, or method II's subset
+per seed) and each distinct set's LP, which is swept over all targets on one
+HiGHS model, so a method's first row also counts setting up its models. A
+method-III row counts only the picks it adds to the shared trajectory, so a
+target that an earlier one covers costs almost nothing.
 
 ``run_growth``'s instances are independent, so they run on one process per
 CPU this process may use: itself and a forked child each other, which
@@ -153,7 +154,7 @@ class ResultRow:
     status: str  # "optimal" | "infeasible" | "error:<what>"
     loss_kwh: float | None
     delivered_kwh: float | None
-    paths_used: float | None
+    paths_used: float | None  # the plan's entries (I, III), or the subset's size (II)
     wall_ms: float
 
 
@@ -201,15 +202,15 @@ def run_compare(
 ) -> ResultTable:
     """Run the requested methods over a sweep of energy targets.
 
-    Method II is averaged over the given subset seeds; seeds that draw the
-    same subset share one LP. Method I's LP and each distinct subset's are
-    swept over all targets, one after another, so one HiGHS model is alive at
-    a time, and each solve is reduced to its totals. Per-cell failures are
-    recorded in their row and never abort the sweep. A malformed sweep raises
-    DomainError before any work: no, unknown or repeated methods or targets,
-    a negative or non-finite target, no or repeated seeds for method II, a
-    limit or cap below 1, whether or not a requested method reads it. One
-    ``Instance`` derives what the methods share.
+    Methods I and II draw the full path set once or a subset per seed and
+    average their draws' totals; draws of one set share one LP, swept over all
+    targets. The methods run in the order given, each freeing its LPs before
+    the next draws. Per-cell failures are recorded in their row and never
+    abort the sweep. A malformed sweep raises DomainError before any work: no,
+    unknown or repeated methods or targets, a negative or non-finite target,
+    no or repeated seeds for method II, a limit or cap below 1, whether or not
+    a requested method reads it. One ``Instance`` derives what the methods
+    share.
     """
     if not methods or len(set(methods)) < len(methods) or not set(methods) <= set(METHODS):
         raise DomainError(f"methods must be distinct ones of {list(METHODS)}, got {list(methods)}")
@@ -221,78 +222,69 @@ def run_compare(
         raise DomainError(f"method II needs distinct subset seeds, got {list(subset_seeds)}")
     _at_least_one(subset_limit, "limit")  # checked whether or not a method reads it
     _at_least_one(enumeration_cap, "enumeration cap")
-    rows: list[ResultRow] = []
     inst = Instance(scenario)
     inst.accessibility  # normalization and the incidence build stay outside every row
     if {"I", "II"} & set(methods):
         _lp_backend()  # and so does loading NumPy and the HiGHS binding
-    once: dict[str, float] = {}  # each method's one-off seconds, added to each of its rows
+    draws = {  # how methods I and II draw their path sets, and count paths used
+        "I": (lambda: [inst.paths(enumeration_cap)], lambda _pathset, plan: len(plan.entries)),
+        "II": (lambda: [inst.sample(subset_limit, seed) for seed in subset_seeds],
+               lambda pathset, _plan: len(pathset.paths)),
+    }
+    # one method at a time, so each one's LPs are freed before the next draws
+    rows = {
+        m: [_greedy_row(inst, x) for x in targets] if m == "III"
+        else _lp_rows(inst, m, targets, *draws[m])
+        for m in methods
+    }
+    return ResultTable([row for at in zip(*(rows[m] for m in METHODS if m in rows)) for row in at])
 
-    def row(target: float, method: str, seconds: float, totals, error: str = "") -> ResultRow:
-        """The method's row; ``totals`` is (loss, delivered, paths used), None without a plan,
-        which is infeasible unless ``error`` names what stopped the method."""
-        wall = (seconds + once[method]) * 1000.0
-        status = error or ("infeasible" if totals is None else "optimal")
-        return ResultRow(target, method, status, *(totals or (None, None, None)), wall)
 
-    def swept(lp: LpInstance, paths_used) -> list:
-        """(totals, seconds) of ``lp`` at each target; each plan is reduced as it is solved."""
-        out = []
+def _row(target: float, method: str, seconds: float, totals, error: str = "") -> ResultRow:
+    """The method's row; ``totals`` is (loss, delivered, paths used), None without a plan,
+    which is infeasible unless ``error`` names what stopped the method."""
+    status = error or ("infeasible" if totals is None else "optimal")
+    return ResultRow(target, method, status, *(totals or (None, None, None)), seconds * 1000.0)
+
+
+def _lp_rows(inst: Instance, method: str, targets, draw, used) -> list[ResultRow]:
+    """An LP method's row at each target: ``draw()`` lists its path sets, each
+    distinct one's LP is swept over the targets, and each row averages every
+    draw's totals, in draw order, with ``used(pathset, plan)`` paths used."""
+    t0 = time.perf_counter()
+    try:
+        drawn = draw()
+    except EnumerationCapError:
+        return [_row(target, method, 0.0, None, "error:enumeration-cap") for target in targets]
+    index: dict[PathSet, int] = {}
+    which = [index.setdefault(pathset, len(index)) for pathset in drawn]
+    lps = [inst.lp(pathset) for pathset in index]
+    seconds = [time.perf_counter() - t0] * len(targets)  # the one-off costs count in every row
+    totals = [[None] * len(targets) for _lp in lps]  # per distinct path set and target
+    for j, lp in enumerate(lps):
         t0 = time.perf_counter()
-        for sol in lp.sweep(targets):
-            totals = None
-            if sol.status == "optimal":
+        for k, sol in enumerate(lp.sweep(targets)):
+            if sol.status == "optimal":  # each plan is reduced to its totals as it is solved
                 delivered, loss = plan_totals(sol.plan)
-                totals = (loss, delivered, paths_used(sol.plan))
-            out.append((totals, time.perf_counter() - t0))
+                totals[j][k] = (loss, delivered, used(lp.paths, sol.plan))
+            seconds[k] += time.perf_counter() - t0
             t0 = time.perf_counter()
-        return out
-
-    full = None
-    subsets = []  # the LP of each distinct subset, in order of first draw
-    which = []  # per seed, the index of its subset
-    for method in methods:
-        t0 = time.perf_counter()
-        if method == "I":
-            try:
-                full = inst.lp(inst.paths(enumeration_cap))
-            except EnumerationCapError:
-                pass
-        elif method == "II":
-            index: dict[PathSet, int] = {}
-            for seed in subset_seeds:
-                which.append(index.setdefault(inst.sample(subset_limit, seed), len(index)))
-            subsets = [inst.lp(pathset) for pathset in index]
-        once[method] = time.perf_counter() - t0
-
-    if full is not None:
-        exact = swept(full, lambda plan: sum(1 for e in plan.entries if e.delivered_kwh > 1e-9))
-    sampled = [swept(lp, lambda _plan, n=len(lp.paths.paths): n) for lp in subsets]
+    rows = []
     for k, target in enumerate(targets):
-        if "I" in methods:
-            if full is None:
-                rows.append(
-                    ResultRow(target, "I", "error:enumeration-cap", None, None, None, 0.0)
-                )
-            else:
-                rows.append(row(target, "I", exact[k][1], exact[k][0]))
+        solved = [totals[j][k] for j in which if totals[j][k] is not None]
+        means = [sum(col) / len(solved) for col in zip(*solved)] if solved else None
+        rows.append(_row(target, method, seconds[k], means))
+    return rows
 
-        if "II" in methods:
-            # every seed counts, in seed order, so the sums are those of one solve per seed
-            solved = [sampled[j][k][0] for j in which if sampled[j][k][0] is not None]
-            means = [sum(col) / len(solved) for col in zip(*solved)] if solved else None
-            rows.append(row(target, "II", sum(s[k][1] for s in sampled), means))
 
-        if "III" in methods:
-            t0 = time.perf_counter()
-            res = inst.greedy(target)
-            ok = res.status == "success"
-            totals = (res.loss_kwh, res.delivered_kwh, res.paths_used) if ok else None
-            # a safety cap that cut the greedy short is an error, not infeasibility
-            error = f"error:{COMBINATION_CAP}" if res.stop_reason == COMBINATION_CAP else ""
-            rows.append(row(target, "III", time.perf_counter() - t0, totals, error))
-
-    return ResultTable(rows)
+def _greedy_row(inst: Instance, target: float) -> ResultRow:
+    """Method III's row, timed over the picks the target adds."""
+    t0 = time.perf_counter()
+    res = inst.greedy(target)
+    totals = (res.loss_kwh, res.delivered_kwh, res.paths_used) if res.status == "success" else None
+    # a safety cap that cut the greedy short is an error, not infeasibility
+    error = f"error:{COMBINATION_CAP}" if res.stop_reason == COMBINATION_CAP else ""
+    return _row(target, "III", time.perf_counter() - t0, totals, error)
 
 
 GROWTH_HEADER = "n_junctions,road_density,seed,accessibility_density,n_paths,capped"

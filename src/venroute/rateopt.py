@@ -10,12 +10,12 @@ the delivered total to meet the energy target. Writing the delivered energy
 as cap_j * g_j is exact: the loss puts no cost on a rate, and lowering g_j to
 x_j / cap_j only loosens the arc rows. An assembled ``LpInstance`` solves
 itself at any target, so one assembly serves a sweep, and its plan holds only
-the paths that carry energy (g_j > 0): the others would add exact zeros to
-every total. The LP is assembled from integer arrays: each path's column
-(``_Columns``) lists its arcs by their index among the network's arcs, and
-is worked out afresh for each LP. That index and each arc's flow summed over
-the routes, the arc rows' bounds, are built once for all of an instance's
-LPs: this module alone builds what its LPs read.
+the paths that carry energy, as ``LpInstance.sweep`` defines them; no other
+module filters a plan again. The LP is assembled from integer arrays: each
+path's column (``_Columns``) lists its arcs by their index among the
+network's arcs, and is worked out afresh for each LP. That index and each
+arc's flow summed over the routes, the arc rows' bounds, are built once for
+all of an instance's LPs: this module alone builds what its LPs read.
 
 An LP's sweep over its targets runs on one model of HiGHS's dual simplex
 (Huangfu & Hall 2018), through SciPy's own binding
@@ -133,10 +133,17 @@ class LossMinProblem:
         check_target(self.target_kwh)
         for r in self.routes:  # the arc rows' bounds sum these flows
             _check_flow(r)
-        given = {r.route_id for r in self.routes}
-        for rid, _n, _m in chain.from_iterable(p.segments for p in self.paths.paths):
-            if rid not in given:  # its flow would bound no arc row
-                raise DomainError(f"path rides route {rid!r}, which the problem's routes lack")
+        arcs = {r.route_id: r.arcs for r in self.routes}
+        for path in self.paths.paths:  # each segment's route flow bounds the rows of its arcs
+            at = 0
+            for rid, n, m in path.segments:
+                if rid not in arcs:
+                    raise DomainError(f"path rides route {rid!r}, which the problem's routes lack")
+                if not 1 <= n <= m or path.arc_ids[at : at + m - n + 1] != arcs[rid][n - 1 : m]:
+                    raise DomainError(f"path segment {rid}:{n}:{m} rides arcs off route {rid!r}")
+                at += m - n + 1
+            if at != len(path.arc_ids):
+                raise DomainError(f"path lists {len(path.arc_ids)} arcs, its segments span {at}")
 
 
 class _Columns:
@@ -175,7 +182,7 @@ class _Columns:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """A verdict, and the optimal plan, which holds only the paths that carry energy."""
+    """A verdict, and the optimal plan, of only the paths that carry energy (see ``sweep``)."""
 
     status: str  # "optimal" | "infeasible"
     plan: TransmissionPlan | None
@@ -235,8 +242,9 @@ class LpInstance:
         bound: the LP never changes. A solver point that violates a row, a rate
         bound or a rate's floor of 0 by more than ``RESIDUAL_TOL`` times
         max(1, target) raises ConsistencyError. The plan holds only the paths
-        whose rate is above 0, in path order. The first solve's ``solve_s``
-        also counts setting up the model.
+        that carry energy, in path order: those that deliver more than 1e-9 kWh
+        or whose rate exceeds 1e-12 kWh/s. The first solve's ``solve_s`` also
+        counts setting up the model.
         """
         targets = tuple(targets)
         for target_kwh in targets:
@@ -267,13 +275,14 @@ class LpInstance:
             if residual > RESIDUAL_TOL * max(1.0, target_kwh):
                 raise ConsistencyError(f"LP solution violates its constraints by {residual:.3g}")
 
-            # a path at rate 0 would add exact zeros to every total, so it is left out
-            carrying = (g > 0.0).nonzero()[0]
-            rates = g[carrying]
-            delivered = self.caps[carrying] * rates
+            # below both thresholds, g_j is 0 or the solver's round-off
+            positive = (g > 0.0).nonzero()[0]
+            rates = g[positive]
+            delivered = self.caps[positive] * rates
             entries = [
                 PlanEntry(path=paths[j], rate=rate, delivered_kwh=kwh)
-                for j, rate, kwh in zip(carrying.tolist(), rates.tolist(), delivered.tolist())
+                for j, rate, kwh in zip(positive.tolist(), rates.tolist(), delivered.tolist())
+                if kwh > 1e-9 or rate > 1e-12
             ]
             plan = make_plan(entries, self.params)
             diagnostics = dict(iterations=iterations, max_residual=float(residual), solve_s=elapsed)

@@ -156,8 +156,7 @@ def per_call_rows(sc, targets, methods, limit, seeds):
             sol = solve(full, target)
             if sol.status == "optimal":
                 delivered, loss = plan_totals(sol.plan)
-                used = sum(1 for e in sol.plan.entries if e.delivered_kwh > 1e-9)
-                rows.append((target, "I", "optimal", loss, delivered, used))
+                rows.append((target, "I", "optimal", loss, delivered, len(sol.plan.entries)))
             else:
                 rows.append((target, "I", "infeasible", None, None, None))
         if "II" in methods:
@@ -254,6 +253,51 @@ def test_one_highs_model_per_distinct_lp_and_one_alive_at_a_time(monkeypatch):
         run_compare(sc, (1.0, 200.0), methods)
         assert len(built) == models
         assert max(most_alive) == 1 and alive == []
+
+
+def test_method_i_frees_its_lp_and_paths_before_method_ii_draws(monkeypatch, small_scenario):
+    # each method is swept and its LPs freed before the next draws, so method
+    # I's LP and its full path set are gone when method II samples
+    kept, at_first_sample = [], []
+    paths, lp, sample = Instance.paths, Instance.lp, Instance.sample
+
+    def keep(make):
+        def made(self, *args):
+            kept.append(weakref.ref(out := make(self, *args)))
+            return out
+        return made
+
+    def first_sample(self, *args):
+        if not at_first_sample:
+            at_first_sample.append([ref() is None for ref in kept])
+        return sample(self, *args)
+
+    monkeypatch.setattr(Instance, "paths", keep(paths))
+    monkeypatch.setattr(Instance, "lp", keep(lp))
+    monkeypatch.setattr(Instance, "sample", first_sample)
+    run_compare(small_scenario, (1.0, 200.0), ("I", "II"))
+    assert at_first_sample == [[True, True]]
+    assert len(kept) == 2 + 7  # and one LP per distinct subset
+
+
+def test_method_i_counts_its_plan_entries_and_a_plan_drops_round_off(tmp_path):
+    # at its capacity, one column of this instance's full LP sits at the
+    # solver's round-off (rate 7e-16 kWh/s, 7.7e-12 kWh): neither the plan nor
+    # the plan CSV holds it, and method I's paths used count the plan's entries
+    sc = generate_random(8, 0.35, 4, 24, seed=55)
+    inst = Instance(sc)
+    full = inst.paths()
+    top = rateopt.max_deliverable(LossMinProblem(full, sc.params, sc.network, inst.routes, 0.0))
+    plan = inst.lp(full).solve(top).plan
+    assert not [e for e in plan.entries if e.rate <= 1e-12 and e.delivered_kwh <= 1e-9]
+    [row] = run_compare(sc, (top,), ("I",)).rows
+    assert row.status == "optimal"
+    assert row.paths_used == len(plan.entries) == 8
+    path, out = tmp_path / "rand55.txt", tmp_path / "plan.csv"
+    save_scenario(sc, str(path))
+    argv = ["solve", "--scenario", str(path), "--method", "I", "--target", repr(top)]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 1 + 8 + 2  # header, entries, total and loss
 
 
 def test_pruning_leaves_the_live_successor_map_unchanged():

@@ -130,12 +130,16 @@ class TestBuildLp:
             replace(problem, routes=(r1, r2, replace(r3, flow=flow)))
 
     def test_arc_no_route_covers_keeps_a_zero_flow_row(self):
-        # the given r2 rides no arc, so no route covers the path's second arc,
-        # mt: its row stays, first in arc-id order, with flow 0, so the path
-        # can carry nothing
+        # only r2, at flow 0, covers the path's second arc, mt: its row stays,
+        # first in arc-id order, with flow 0, so the path can carry nothing
         problem = two_segment_problem(0.0)
         r1, r2, r3 = problem.routes
-        uncovered = replace(problem, routes=(r1, replace(r2, arcs=()), r3))
+        routes = (r1, replace(r2, flow=0.0), r3)
+        path = build_energy_path(
+            problem.network, {r.route_id: r for r in routes}, problem.paths.paths[0].segments,
+            "s", "t",
+        )
+        uncovered = replace(problem, paths=PathSet((path,), True), routes=routes)
         lp = build_lp(uncovered)
         assert lp.a_ub.shape == (3, 1)
         assert lp.b_ub.tolist() == [0.0, 0.1 + 0.5, -0.0]
@@ -735,7 +739,8 @@ def test_a_path_off_the_network_is_a_domain_error_naming_the_arc():
     sc = inst.scenario
     foreign = Instance(generate_grid(3, 6, 10.0, 60.0, 20, ("uniform", 0.1, 0.3), seed=47))
     pathset = foreign.sample(20, 0)
-    problem = LossMinProblem(pathset, sc.params, sc.network, inst.routes, 200.0)
+    # the paths ride the foreign routes, over arcs that this network lacks
+    problem = LossMinProblem(pathset, sc.params, sc.network, foreign.routes, 200.0)
     for build in (inst.lp, lambda _: build_lp(problem), lambda _: max_deliverable(problem)):
         with pytest.raises(DomainError, match="which the network lacks") as error:
             build(pathset)
@@ -757,6 +762,30 @@ def test_a_path_on_a_route_not_given_is_a_domain_error():
     for routes, rid in (((), first), (without_r01, "r01")):
         with pytest.raises(DomainError, match=f"rides route '{rid}', which the problem's routes"):
             replace(given, routes=routes)
+
+
+def test_a_route_that_rides_other_arcs_is_a_domain_error():
+    # a route that keeps a path's route id but rides other arcs would bound,
+    # with its flow, the rows of arcs that the path never rides
+    problem = two_segment_problem(0.0)
+    r1, r2, r3 = problem.routes
+    long_r2 = replace(r2, arcs=("sm", "mt"))
+    second = build_energy_path(
+        problem.network, {"r1": r1, "r2": long_r2}, [("r1", 1, 1), ("r2", 2, 2)], "s", "t"
+    )
+    replace(problem, paths=PathSet((second,), True), routes=(r1, long_r2, r3))  # its own routes
+    for paths, given, segment in (
+        (problem.paths, replace(r2, arcs=()), "r2:1:1"),
+        (problem.paths, replace(r2, arcs=("sm",)), "r2:1:1"),
+        (PathSet((second,), True), r2, "r2:2:2"),  # past the end of r2's one arc
+    ):
+        want = f"path segment {segment} rides arcs off route 'r2'"
+        with pytest.raises(DomainError, match=re.escape(want)):
+            replace(problem, paths=paths, routes=(r1, given, r3))
+    path = problem.paths.paths[0]
+    longer = PathSet((replace(path, arc_ids=path.arc_ids + ("mt",)),), True)
+    with pytest.raises(DomainError, match="path lists 3 arcs, its segments span 2"):
+        replace(problem, paths=longer)
 
 
 def test_assembly_matches_string_keyed_oracle_on_corridor():
@@ -785,24 +814,39 @@ def test_assembly_matches_string_keyed_oracle_on_random_instances(
     assert_assemblies_match_oracle(inst, [full, inst.sample(limit, seed)], targets=(1.0,))
 
 
-@pytest.mark.parametrize(
-    "flow, seed", [(("const", 0.1), 4), (("uniform", 0.1, 0.3), 47)], ids=["grid4", "grid47"]
-)
-def test_plans_hold_only_paths_that_carry_energy(flow, seed, monkeypatch):
-    # on every LP of the comparison sweep, the plan's totals are exactly those
-    # of the plan of every column at the same solver point
-    inst = Instance(generate_grid(4, 4, 10.0, 60.0, 20, flow, seed=seed))
-    pathsets = dict.fromkeys([inst.paths()] + [inst.sample(50, k) for k in range(20)])
+CARRY_CASES = {
+    "grid4": lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("const", 0.1), seed=4),
+    "grid47": lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("uniform", 0.1, 0.3), seed=47),
+    # at its capacity, one column of the full LP sits at the solver's round-off
+    "rand55": lambda: generate_random(8, 0.35, 4, 24, seed=55),
+}
+
+
+@pytest.mark.parametrize("case", list(CARRY_CASES))
+def test_plans_hold_only_paths_that_carry_energy(case, monkeypatch):
+    # on every LP of the comparison sweep, at the paper's targets and at the
+    # full set's capacity, the plan holds exactly the entries of the plan of
+    # every column at the same solver point that deliver more than 1e-9 kWh or
+    # run at more than 1e-12 kWh/s, and so it has their totals
+    inst = Instance(CARRY_CASES[case]())
+    sc, full = inst.scenario, inst.paths()
+    top = max_deliverable(LossMinProblem(full, sc.params, sc.network, inst.routes, 0.0))
+    pathsets = dict.fromkeys([full] + [inst.sample(50, k) for k in range(20)])
     _run_highs, verdicts = spy_on_solves(monkeypatch)
-    solved = 0
+    solved = round_off = 0
     for pathset in pathsets:
         lp = inst.lp(pathset)
-        for target in (1.0, 500.0, 2457.0, 2900.0):
+        for target in (1.0, 500.0, 2457.0, 2900.0, top):
             sol = lp.solve(target)
             if sol.status != "optimal":
                 continue
             solved += 1
-            assert all(e.rate > 0.0 for e in sol.plan.entries)
             _status, point, _iterations = verdicts[-1]
-            assert plan_totals(sol.plan) == plan_totals(dense_plan(lp, point))
+            dense = dense_plan(lp, point)
+            carrying = [e for e in dense.entries if e.delivered_kwh > 1e-9 or e.rate > 1e-12]
+            assert sol.plan.entries == tuple(carrying)
+            assert plan_totals(sol.plan) == plan_totals(replace(dense, entries=tuple(carrying)))
+            round_off += sum(1 for e in dense.entries if e.rate > 0.0) - len(carrying)
     assert solved > len(pathsets)
+    if case == "rand55":
+        assert round_off > 0

@@ -130,8 +130,11 @@ def _cmd_solve(args) -> int:
         if result.stop_reason == COMBINATION_CAP:  # a safety cap is not infeasibility
             raise EnumerationCapError(f"{COMBINATION_CAP}: a safety cap cut the greedy short")
         return EXIT_OK if result.status == "success" else EXIT_INFEASIBLE
-    draw = inst.paths(args.cap) if args.method == "I" else inst.sample(args.subset_limit, args.seed)
-    sol = inst.lp(draw).solve(target)
+    if args.method == "I":
+        lp = inst.full_lp(args.cap)
+    else:
+        lp = inst.lp(inst.sample(args.subset_limit, args.seed))
+    sol = lp.solve(target)
     if sol.status != "optimal":
         _write(args.out, "status,infeasible\n")
         return EXIT_INFEASIBLE

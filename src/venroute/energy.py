@@ -93,16 +93,24 @@ def segment_span(
     )
 
 
-def assemble_energy_path(spans: Sequence[SegmentSpan], source: Junction) -> EnergyPath:
-    """The energy path along spans already checked to chain loop-free from source."""
-    arc_ids: tuple[str, ...] = ()
+def span_totals(spans: Sequence[SegmentSpan]) -> tuple[float, float]:
+    """(delay, bottleneck flow) of a chain of spans: the delays summed in order
+    from 0.0, and the least route flow."""
     delay = 0.0
     bottleneck = math.inf
     for sp in spans:
-        arc_ids += sp.arc_ids
         delay += sp.delay_s
         if sp.flow < bottleneck:
             bottleneck = sp.flow
+    return delay, bottleneck
+
+
+def assemble_energy_path(spans: Sequence[SegmentSpan], source: Junction) -> EnergyPath:
+    """The energy path along spans already checked to chain loop-free from source."""
+    delay, bottleneck = span_totals(spans)
+    arc_ids: tuple[str, ...] = ()
+    for sp in spans:
+        arc_ids += sp.arc_ids
     return EnergyPath(
         segments=tuple([sp.segment for sp in spans]),
         boundaries=(source, *[sp.head for sp in spans]),
@@ -157,10 +165,15 @@ def window_cap(path: EnergyPath, params: EnergyParams) -> float:
     Paths whose propagation delay meets or exceeds the window have zero
     capacity (they are included and ignored rather than rejected).
     """
-    usable = params.window_s - path.delay_s
+    return delay_window_cap(path.delay_s, path.cycles, params)
+
+
+def delay_window_cap(delay_s: float, cycles: int, params: EnergyParams) -> float:
+    """``window_cap`` of a path with this delay and this many cycles."""
+    usable = params.window_s - delay_s
     if usable <= 0.0:
         return 0.0
-    return usable * params.efficiency**path.cycles
+    return usable * params.efficiency**cycles
 
 
 def transferable_energy(path: EnergyPath, params: EnergyParams, rate: float) -> float:

@@ -8,12 +8,15 @@ LP's arc index, with each arc's flow summed over the routes; the greedy's
 trajectory; and each junction sequence's sampled energy paths, as far as
 any sample has read them (a full enumeration streams and keeps none).
 ``run_compare``, ``run_growth`` and the ``ven`` commands call only its
-methods, so a sweep shares these across every subset seed and target; the
-LP of a path set sweeps itself over any targets, and works out its paths'
-columns over the instance's arc index and flows. No method derives
-the accessibility arcs: only ``prepare`` and ``run_growth`` do. No arcs are
-pruned: both enumerators keep only junctions that reach t over arcs, which
-follow roads.
+methods, so a sweep shares these across every subset seed and target; an
+LP sweeps itself over any targets, and works out its columns, classes of
+interchangeable paths, over the instance's arc index and flows. Method I's
+LP (``full_lp``) is summed into its classes straight from the span table:
+it builds only the paths a plan carries. Both full enumerations count
+before they build, so a path set past the cap is refused in counting time.
+No method derives the accessibility arcs: only ``prepare`` and
+``run_growth`` do. No arcs are pruned: both enumerators keep only junctions
+that reach t over arcs, which follow roads.
 The greedy's picks do not depend on the target, so every target's plan is a
 prefix of one trajectory, extended only when a target needs more paths.
 
@@ -23,11 +26,12 @@ request, so default outputs are byte-stable across runs. Route normalization
 and the incidence build stay outside every row. The methods run one after
 another, in the order requested, so what two share counts in the first's
 rows. A row's wall time adds its method's one-off costs to its own solve:
-the successors, the draws (method I's full path set, or method II's subset
-per seed) and each distinct set's LP, which is swept over all targets on one
-HiGHS model, so a method's first row also counts setting up its models. A
-method-III row counts only the picks it adds to the shared trajectory, so a
-target that an earlier one covers costs almost nothing.
+the successors, the draws (method I's LP over the full path set, or method
+II's subset per seed and each distinct subset's LP), each LP being swept
+over all targets on one HiGHS model, so a method's first row also counts
+setting up its models. A method-III row counts only the picks it adds to the
+shared trajectory, so a target that an earlier one covers costs almost
+nothing.
 
 ``run_growth``'s instances are independent, so they run on one process per
 CPU this process may use: itself and a forked child each other, which
@@ -55,7 +59,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .energy import plan_totals
+from .energy import assemble_energy_path, plan_totals, span_totals
 from .errors import ConsistencyError, DomainError, EnumerationCapError
 from .heuristic import COMBINATION_CAP, HeuristicResult, _levels, _Trajectory
 from .network import _incidence, _walk_routes, prune_unreachable
@@ -68,11 +72,13 @@ from .pathenum import (
     _PathCache,
     _sample_bounded,
     _sequences,
+    _span_combos,
     _Successors,
     _SpanTable,
+    _within_cap,
     enumerate_sequences,
 )
-from .rateopt import LpInstance, _assemble, _Columns, _lp_backend
+from .rateopt import LpInstance, _assemble, _Classes, _Columns, _lp_backend, _path_classes
 from .scenarios import Scenario, generate_random
 
 METHODS = ("I", "II", "III")
@@ -119,11 +125,30 @@ class Instance:
         # only the sampler keeps what it assembles: a full enumeration streams
         return _PathCache(self.span_table)
 
-    def paths(self, cap: int = DEFAULT_CAP) -> PathSet:
-        """The full energy-path set (method I)."""
+    def _full_sequences(self, cap: int):
+        """Every junction sequence from s to t, once no cap can stop their expansion."""
         succ, _hops = self.live_successors
         sequences = _sequences(succ, self.scenario.source, self.scenario.destination, cap)
-        return _expand(sequences, self.span_table, cap)
+        _within_cap(sequences, self.span_table, cap)
+        return sequences
+
+    def paths(self, cap: int = DEFAULT_CAP) -> PathSet:
+        """The full energy-path set, each path built (``ven enumerate``)."""
+        return _expand(self._full_sequences(cap), self.span_table, cap)
+
+    def full_lp(self, cap: int = DEFAULT_CAP) -> LpInstance:
+        """Method I's LP, the LP of ``paths(cap)``, with no path built but those a
+        plan carries: each sequence's route-distinct span combinations go into
+        their classes as they are listed, each member keeping its spans.
+        """
+        table, source = self.span_table, self.scenario.source
+        classes = _Classes(self._columns, lambda spans: assemble_energy_path(spans, source))
+        for seq in self._full_sequences(cap):
+            cycles = len(seq) - 1
+            for _rids, spans in _span_combos(seq, table):
+                arcs = frozenset().union(*[sp.arc_ids for sp in spans])
+                classes.add(arcs, *span_totals(spans), cycles, spans)
+        return _assemble(classes)
 
     def sample(self, limit: int, seed: int) -> PathSet:
         """A seeded subset of at most ``limit`` energy paths (method II)."""
@@ -132,8 +157,8 @@ class Instance:
         return _sample_bounded(succ, hops, self._sampled_paths, s, t, limit, seed)
 
     def lp(self, pathset: PathSet) -> LpInstance:
-        """The path set's LP, which solves itself at any energy target (methods I and II)."""
-        return _assemble(pathset, self._columns)
+        """The path set's LP, which solves itself at any energy target (method II)."""
+        return _assemble(_path_classes(pathset, self._columns))
 
     @cached_property
     def _trajectory(self):
@@ -202,15 +227,15 @@ def run_compare(
 ) -> ResultTable:
     """Run the requested methods over a sweep of energy targets.
 
-    Methods I and II draw the full path set once or a subset per seed and
-    average their draws' totals; draws of one set share one LP, swept over all
-    targets. The methods run in the order given, each freeing its LPs before
-    the next draws. Per-cell failures are recorded in their row and never
-    abort the sweep. A malformed sweep raises DomainError before any work: no,
-    unknown or repeated methods or targets, a negative or non-finite target,
-    no or repeated seeds for method II, a limit or cap below 1, whether or not
-    a requested method reads it. One ``Instance`` derives what the methods
-    share.
+    Methods I and II draw the full path set's LP once or a subset per seed and
+    average their draws' totals; draws of one subset share one LP, and each LP
+    is swept over all targets. The methods run in the order given, each
+    freeing its LPs before the next draws. Per-cell failures are recorded in
+    their row and never abort the sweep. A malformed sweep raises DomainError
+    before any work: no, unknown or repeated methods or targets, a negative or
+    non-finite target, no or repeated seeds for method II, a limit or cap
+    below 1, whether or not a requested method reads it. One ``Instance``
+    derives what the methods share.
     """
     if not methods or len(set(methods)) < len(methods) or not set(methods) <= set(METHODS):
         raise DomainError(f"methods must be distinct ones of {list(METHODS)}, got {list(methods)}")
@@ -226,10 +251,10 @@ def run_compare(
     inst.accessibility  # normalization and the incidence build stay outside every row
     if {"I", "II"} & set(methods):
         _lp_backend()  # and so does loading NumPy and the HiGHS binding
-    draws = {  # how methods I and II draw their path sets, and count paths used
-        "I": (lambda: [inst.paths(enumeration_cap)], lambda _pathset, plan: len(plan.entries)),
-        "II": (lambda: [inst.sample(subset_limit, seed) for seed in subset_seeds],
-               lambda pathset, _plan: len(pathset.paths)),
+    draws = {  # how methods I and II draw their LPs, and count paths used
+        "I": (lambda: ([inst.full_lp(enumeration_cap)], [0]), lambda sol: len(sol.plan.entries)),
+        "II": (lambda: _distinct_lps(inst, [inst.sample(subset_limit, s) for s in subset_seeds]),
+               lambda sol: sol.diagnostics["paths"]),
     }
     # one method at a time, so each one's LPs are freed before the next draws
     rows = {
@@ -247,26 +272,31 @@ def _row(target: float, method: str, seconds: float, totals, error: str = "") ->
     return ResultRow(target, method, status, *(totals or (None, None, None)), seconds * 1000.0)
 
 
+def _distinct_lps(inst: Instance, pathsets: list[PathSet]) -> tuple[list[LpInstance], list[int]]:
+    """(the LP of each distinct path set, in first-drawn order; each draw's LP's index)."""
+    index: dict[PathSet, int] = {}
+    which = [index.setdefault(pathset, len(index)) for pathset in pathsets]
+    return [inst.lp(pathset) for pathset in index], which
+
+
 def _lp_rows(inst: Instance, method: str, targets, draw, used) -> list[ResultRow]:
-    """An LP method's row at each target: ``draw()`` lists its path sets, each
-    distinct one's LP is swept over the targets, and each row averages every
-    draw's totals, in draw order, with ``used(pathset, plan)`` paths used."""
+    """An LP method's row at each target: ``draw()`` gives its LPs and each
+    draw's LP's index, each LP is swept over the targets, and each row
+    averages every draw's totals, in draw order, with ``used(solution)``
+    paths used."""
     t0 = time.perf_counter()
     try:
-        drawn = draw()
+        lps, which = draw()
     except EnumerationCapError:
         return [_row(target, method, 0.0, None, "error:enumeration-cap") for target in targets]
-    index: dict[PathSet, int] = {}
-    which = [index.setdefault(pathset, len(index)) for pathset in drawn]
-    lps = [inst.lp(pathset) for pathset in index]
     seconds = [time.perf_counter() - t0] * len(targets)  # the one-off costs count in every row
-    totals = [[None] * len(targets) for _lp in lps]  # per distinct path set and target
+    totals = [[None] * len(targets) for _lp in lps]  # per distinct LP and target
     for j, lp in enumerate(lps):
         t0 = time.perf_counter()
         for k, sol in enumerate(lp.sweep(targets)):
             if sol.status == "optimal":  # each plan is reduced to its totals as it is solved
                 delivered, loss = plan_totals(sol.plan)
-                totals[j][k] = (loss, delivered, used(lp.paths, sol.plan))
+                totals[j][k] = (loss, delivered, used(sol))
             seconds[k] += time.perf_counter() - t0
             t0 = time.perf_counter()
     rows = []

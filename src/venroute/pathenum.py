@@ -30,7 +30,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .energy import EnergyPath, SegmentSpan, assemble_energy_path, segment_span
 from .errors import ConsistencyError, DomainError, EnumerationCapError, StructuralError
@@ -285,25 +285,34 @@ def _count_distinct(route_sets: list[tuple[RouteId, ...]]) -> int:
     return sum(states.values())
 
 
-def _combo_paths(
+def _span_combos(
     seq: JunctionSequence, table: _SpanTable
-) -> Iterator[tuple[PathKey, EnergyPath]]:
-    """Expand one junction sequence into (sort key, energy path) pairs, one per
-    route-distinct combination of its checked entries, in product order. A
-    combination that reuses a route forms no energy path.
+) -> Iterator[tuple[tuple[RouteId, ...], tuple[SegmentSpan, ...]]]:
+    """(route ids, spans) of each route-distinct combination of one junction
+    sequence's checked entries, in product order, which is the order of the
+    paths' sort keys. A combination that reuses a route forms no energy path.
 
-    Every span runs along its arc and the sequence is loop-free, so each path
-    chains from seq[0] to seq[-1] without repeating a boundary junction.
+    Every span runs along its arc and the sequence is loop-free, so each
+    combination chains from seq[0] to seq[-1] without repeating a boundary
+    junction.
     """
-    seq = tuple(seq)
-    entries = _entries(seq, table)
+    entries = _entries(tuple(seq), table)
     combos = zip(
         itertools.product(*(rids for rids, _ in entries)),
         itertools.product(*(spans for _, spans in entries)),
     )
-    for rids, spans in combos:
-        if len(set(rids)) == len(rids):
-            yield (seq, rids), assemble_energy_path(spans, seq[0])
+    n = len(entries)
+    return ((rids, spans) for rids, spans in combos if len(set(rids)) == n)
+
+
+def _combo_paths(
+    seq: JunctionSequence, table: _SpanTable
+) -> Iterator[tuple[PathKey, EnergyPath]]:
+    """Expand one junction sequence into (sort key, energy path) pairs, one per
+    route-distinct combination of its spans (``_span_combos``)."""
+    seq = tuple(seq)
+    for rids, spans in _span_combos(seq, table):
+        yield (seq, rids), assemble_energy_path(spans, seq[0])
 
 
 class _PathCache(dict):
@@ -366,8 +375,30 @@ def _count(sequences: Iterable[JunctionSequence], table: _SpanTable, cap: int) -
     for seq in sequences:
         total += _count_distinct([rids for rids, _ in _entries(seq, table.route_ids)])
         if total > cap:
-            raise EnumerationCapError(f"path expansion exceeded the cap of {cap}")
+            raise EnumerationCapError(
+                f"path expansion exceeded the cap of {cap}: at least {total} paths"
+            )
     return total
+
+
+def _within_cap(sequences: Sequence[JunctionSequence], table: _SpanTable, cap: int) -> None:
+    """Raise what ``_expand`` would raise for its cap over the distinct,
+    loop-free sequences of ``_sequences``, in its order, before any span or
+    path is built.
+
+    The product of each sequence's route-id counts bounds its paths. Only
+    once the bounds' running sum passes the cap are the paths counted
+    (``_count``), from the first sequence; an arc whose route ids fail their
+    checks before then fails them in ``_expand`` too, with no cap passed
+    before it.
+    """
+    route_ids = table.route_ids
+    bound = 0
+    for seq in sequences:
+        bound += math.prod([len(route_ids[arc][0]) for arc in zip(seq, seq[1:])])
+        if bound > cap:
+            _count(sequences, table, cap)
+            return
 
 
 def enumerate_paths(

@@ -1,21 +1,26 @@
 """Loss-minimizing rate assignment over a path set, as a linear program.
 
-The variables are the path rates g_j. Path j delivers cap_j * g_j, where
-cap_j = (T - d_j) z^|p_j| is its window capacity coefficient, so the
-objective, total conversion loss, costs loss_ratio_j * cap_j per unit of
-g_j. Each rate is bounded by w times the path's bottleneck flow, the least
-EV flow of the routes it rides, and by 0 on a path past the window. The rows,
-in order, cap the aggregate rate per road arc by its total flow and require
-the delivered total to meet the energy target. Writing the delivered energy
-as cap_j * g_j is exact: the loss puts no cost on a rate, and lowering g_j to
-x_j / cap_j only loosens the arc rows. An assembled ``LpInstance`` solves
+The variables are rates g_j. Path j delivers cap_j * g_j, where cap_j =
+(T - d_j) z^|p_j| is its window capacity coefficient, so the objective, total
+conversion loss, costs loss_ratio_j * cap_j per unit of g_j. Each rate is
+bounded by w times the path's bottleneck flow, the least EV flow of the routes
+it rides, and by 0 on a path past the window. The rows, in order, cap the
+aggregate rate per road arc by its total flow and require the delivered total
+to meet the energy target. Writing the delivered energy as cap_j * g_j is
+exact: the loss puts no cost on a rate, and lowering g_j to x_j / cap_j only
+loosens the arc rows.
+
+The columns are classes of paths (``_Classes``): paths with the same distinct
+road arcs, window cap and cost have equal columns, so one column per class,
+bounded by the sum of its members' bounds, has the same optimum (the
+duplicate-column reduction of Andersen & Andersen, "Presolving in linear
+programming", Math. Programming 71, 1995). An assembled ``LpInstance`` solves
 itself at any target, so one assembly serves a sweep, and its plan holds only
 the paths that carry energy, as ``LpInstance.sweep`` defines them; no other
-module filters a plan again. The LP is assembled from integer arrays: each
-path's column (``_Columns``) lists its arcs by their index among the
-network's arcs, and is worked out afresh for each LP. That index and each
-arc's flow summed over the routes, the arc rows' bounds, are built once for
-all of an instance's LPs: this module alone builds what its LPs read.
+module filters a plan again, and only the paths a plan holds need be built.
+Each arc's row index and its flow summed over the routes, the arc rows'
+bounds, are built once for all of an instance's LPs (``_Columns``): this
+module alone builds what its LPs read.
 
 An LP's sweep over its targets runs on one model of HiGHS's dual simplex
 (Huangfu & Hall 2018), through SciPy's own binding
@@ -50,10 +55,19 @@ import time
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Iterator
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .energy import EnergyParams, PlanEntry, TransmissionPlan, check_target, loss_ratio, make_plan
-from .energy import window_cap as _window_cap
+from .energy import (
+    EnergyParams,
+    PlanEntry,
+    TransmissionPlan,
+    check_target,
+    delay_window_cap,
+    loss_ratio,
+    make_plan,
+)
+from .energy import window_cap as _window_cap  # noqa: F401  (tests import it from here)
 from .errors import ConsistencyError, DomainError, SolverError
 from .network import VehicularNetwork, VehicularRoute, _check_flow
 from .pathenum import PathSet
@@ -147,16 +161,11 @@ class LossMinProblem:
 
 
 class _Columns:
-    """The LP columns of paths over one network's arcs.
-
-    Every arc of the network has a row index in sorted arc-id order, and the
-    total flow of the routes over it, summed here: each route's flow is added
-    once per distinct arc it rides, in route order from 0.0, so an arc no
-    route covers keeps 0.0 and an arc the network lacks gets no row. A path's
-    column, worked out on each call, is its sorted distinct arc indices, its
-    window cap (T - d) z^|p|, its cost loss_ratio * cap and its rate bound: w
-    times its bottleneck flow, or 0 past the window, where it carries
-    nothing. A path that rides an arc the network lacks is a DomainError.
+    """What every LP of one network and its routes reads: each arc's row index,
+    in sorted arc-id order, and the total flow of the routes over it, summed
+    here. Each route's flow is added once per distinct arc it rides, in route
+    order from 0.0, so an arc no route covers keeps 0.0 and an arc the network
+    lacks gets no row.
     """
 
     def __init__(
@@ -169,20 +178,72 @@ class _Columns:
             for k in {index[a] for a in r.arcs if a in index}:
                 flows[k] += r.flow
 
-    def column(self, path: EnergyPath) -> tuple[tuple[int, ...], float, float, float]:
-        params, index = self.params, self.index
+    def rows(self, arc_ids: frozenset[str]) -> list[int]:
+        """The sorted indices of these distinct arcs; an arc the network lacks,
+        the first in arc-id order, is a DomainError."""
+        index = self.index
         try:
-            arcs = tuple(sorted({index[a] for a in path.arc_ids}))
-        except KeyError as e:
-            raise DomainError(f"path rides arc {e.args[0]!r}, which the network lacks") from None
-        cap = _window_cap(path, params)
-        upper = 0.0 if cap == 0.0 else params.packet_kwh * path.bottleneck_flow
-        return arcs, cap, cap * loss_ratio(path.cycles, params.efficiency), upper
+            return sorted([index[a] for a in arc_ids])
+        except KeyError:
+            missing = min(a for a in arc_ids if a not in index)
+            raise DomainError(f"path rides arc {missing!r}, which the network lacks") from None
+
+
+def _itself(path: EnergyPath) -> EnergyPath:
+    return path
+
+
+class _Classes:
+    """An LP's columns: its paths, added in path order, grouped into classes.
+
+    A path's column is its distinct arcs, its window cap (T - d) z^|p| and its
+    cost loss_ratio * cap; paths with equal columns form one class, in the
+    order of its first path. A member keeps its place in path order, its rate
+    bound (w times its bottleneck flow, or 0 past the window) and what
+    ``path_of`` builds its ``EnergyPath`` from: the path, or its spans. A
+    class's bound is its members' bounds summed in member order.
+    """
+
+    def __init__(self, columns: _Columns, path_of: Callable[[object], EnergyPath] = _itself):
+        self.columns = columns
+        self.path_of = path_of
+        # (arc ids, window cap, cost) -> class index, in class order
+        self.keys: dict[tuple[frozenset[str], float, float], int] = {}
+        self.members: list[list[tuple[int, float, object]]] = []
+        self.upper: list[float] = []
+        self.paths = 0
+
+    def add(self, arcs: frozenset[str], delay_s: float, bottleneck: float, cycles: int, member):
+        """Add the next path in path order, by its distinct arc ids, delay,
+        bottleneck flow and cycles."""
+        params = self.columns.params
+        cap = delay_window_cap(delay_s, cycles, params)
+        key = (arcs, cap, cap * loss_ratio(cycles, params.efficiency))
+        bound = 0.0 if cap == 0.0 else params.packet_kwh * bottleneck
+        k = self.keys.get(key)
+        if k is None:
+            k = self.keys[key] = len(self.members)
+            self.members.append([])
+            self.upper.append(0.0)
+        self.members[k].append((self.paths, bound, member))
+        self.upper[k] += bound
+        self.paths += 1
+
+
+def _path_classes(pathset: PathSet, columns: _Columns) -> _Classes:
+    """The classes of a path set's paths, in its order."""
+    classes = _Classes(columns)
+    for path in pathset.paths:
+        classes.add(frozenset(path.arc_ids), path.delay_s, path.bottleneck_flow, path.cycles, path)
+    return classes
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    """A verdict, and the optimal plan, of only the paths that carry energy (see ``sweep``)."""
+    """A verdict, and the optimal plan, of only the paths that carry energy (see ``sweep``).
+
+    Every verdict's diagnostics count the LP's ``columns`` (classes) and ``paths``.
+    """
 
     status: str  # "optimal" | "infeasible"
     plan: TransmissionPlan | None
@@ -194,17 +255,18 @@ class LpSolution:
 class LpInstance:
     """Assembled LP of a path set: minimize c @ g s.t. A_ub @ g <= b_ub, 0 <= g <= upper.
 
-    Column j is path j's rate g_j, which delivers ``caps[j]`` * g_j kWh; rows
-    are ordered shared road arcs (sorted by arc id), target. A_ub is held as
-    the CSC arrays HiGHS reads, ``indptr``, ``indices`` and ``data``, with
-    ``len(b_ub)`` rows and ``len(c)`` columns; ``a_ub``, a SciPy matrix, is
-    built from them each time it is read, and nothing that solves reads it.
-    HiGHS solves it without presolve. The arrays that are the same for every
-    LP, the column and row lower bounds and the integrality, are built with
-    each HiGHS model, once per sweep.
+    Column k is class k's rate g_k, which delivers ``caps[k]`` * g_k kWh;
+    ``members[k]`` holds the class's (place in path order, rate bound, what
+    ``path_of`` builds the path from), in path order. Rows are ordered shared
+    road arcs (sorted by arc id), target. A_ub is held as the CSC arrays
+    HiGHS reads, ``indptr``, ``indices`` and ``data``, with ``len(b_ub)`` rows
+    and ``len(c)`` columns; ``a_ub``, a SciPy matrix, is built from them each
+    time it is read, and nothing that solves reads it. HiGHS solves it
+    without presolve. The arrays that are the same for every LP, the column
+    and row lower bounds and the integrality, are built with each HiGHS
+    model, once per sweep.
     """
 
-    paths: PathSet
     params: EnergyParams
     c: np.ndarray
     indptr: np.ndarray
@@ -213,6 +275,8 @@ class LpInstance:
     b_ub: np.ndarray
     upper: np.ndarray
     caps: np.ndarray
+    members: tuple[tuple[tuple[int, float, object], ...], ...]
+    path_of: Callable[[object], EnergyPath] = _itself
 
     @property
     def a_ub(self) -> sparse.csc_matrix:
@@ -241,21 +305,24 @@ class LpInstance:
         One HiGHS model holds the LP, and each solve sets only the target row's
         bound: the LP never changes. A solver point that violates a row, a rate
         bound or a rate's floor of 0 by more than ``RESIDUAL_TOL`` times
-        max(1, target) raises ConsistencyError. The plan holds only the paths
-        that carry energy, in path order: those that deliver more than 1e-9 kWh
-        or whose rate exceeds 1e-12 kWh/s. The first solve's ``solve_s`` also
-        counts setting up the model.
+        max(1, target) raises ConsistencyError. A class's rate goes to its
+        first members in path order, each up to its own bound, and the last
+        member reached takes the rest. The plan holds only the paths that carry
+        energy, in path order: those that deliver more than 1e-9 kWh or whose
+        rate exceeds 1e-12 kWh/s. The first solve's ``solve_s`` also counts
+        setting up the model.
         """
         targets = tuple(targets)
         for target_kwh in targets:
             check_target(target_kwh)
-        paths = self.paths.paths
-        if not paths:
+        sizes = dict(columns=len(self.members), paths=sum(map(len, self.members)))
+        if not self.members:
             for target_kwh in targets:
                 if target_kwh > 0.0:
-                    yield LpSolution("infeasible", None, None, {})
+                    yield LpSolution("infeasible", None, None, dict(sizes))
                 else:
-                    yield LpSolution("optimal", make_plan([], self.params), 0.0, {"iterations": 0})
+                    plan = make_plan([], self.params)
+                    yield LpSolution("optimal", plan, 0.0, dict(iterations=0, **sizes))
             return
         t0 = time.perf_counter()
         model = _highs_model(self.c, self)
@@ -266,7 +333,7 @@ class LpInstance:
             status, g, iterations = _run_highs(model, -target_kwh)
             elapsed, setup_s = time.perf_counter() - t0 + setup_s, 0.0
             if status == "infeasible":
-                yield LpSolution("infeasible", None, None, {"solve_s": elapsed})
+                yield LpSolution("infeasible", None, None, dict(solve_s=elapsed, **sizes))
                 continue
             b_ub[-1] = -target_kwh
             residual = max(
@@ -274,18 +341,31 @@ class LpInstance:
             )
             if residual > RESIDUAL_TOL * max(1.0, target_kwh):
                 raise ConsistencyError(f"LP solution violates its constraints by {residual:.3g}")
-
-            # below both thresholds, g_j is 0 or the solver's round-off
             positive = (g > 0.0).nonzero()[0]
-            rates = g[positive]
-            delivered = self.caps[positive] * rates
+            carried = []  # (place in path order, member, rate, kWh)
+            for k, rate, cap in zip(
+                positive.tolist(), g[positive].tolist(), self.caps[positive].tolist()
+            ):
+                *first, last = self.members[k]
+                for place, bound, member in first:
+                    share = min(rate, bound)
+                    carried.append((place, member, share, cap * share))
+                    rate -= share
+                    if rate <= 0.0:
+                        break
+                else:
+                    carried.append((last[0], last[2], rate, cap * rate))
+            carried.sort(key=itemgetter(0))
+            # below both thresholds, a rate is 0 or the solver's round-off
             entries = [
-                PlanEntry(path=paths[j], rate=rate, delivered_kwh=kwh)
-                for j, rate, kwh in zip(positive.tolist(), rates.tolist(), delivered.tolist())
+                PlanEntry(path=self.path_of(member), rate=rate, delivered_kwh=kwh)
+                for _place, member, rate, kwh in carried
                 if kwh > 1e-9 or rate > 1e-12
             ]
             plan = make_plan(entries, self.params)
-            diagnostics = dict(iterations=iterations, max_residual=float(residual), solve_s=elapsed)
+            diagnostics = dict(
+                iterations=iterations, max_residual=float(residual), solve_s=elapsed, **sizes
+            )
             yield LpSolution("optimal", plan, float(self.c @ g), diagnostics)
 
 
@@ -294,21 +374,24 @@ def build_lp(problem: LossMinProblem) -> LpInstance:
     arc-id order, then the target. A path off the network is a DomainError.
     """
     columns = _Columns(problem.params, problem.network, problem.routes)
-    return _assemble(problem.paths, columns, problem.target_kwh)
+    return _assemble(_path_classes(problem.paths, columns), problem.target_kwh)
 
 
-def _assemble(pathset: PathSet, columns: _Columns, target_kwh: float = 0.0) -> LpInstance:
-    """The LP of ``pathset`` from the columns of its scenario's network and routes."""
+def _assemble(classes: _Classes, target_kwh: float = 0.0) -> LpInstance:
+    """The LP over ``classes``, one column per class, in class order; a path
+    off the network is a DomainError."""
     np = _lp_backend()[0]
+    columns = classes.columns
     params = columns.params
-    cols = list(map(columns.column, pathset.paths))
-    m = len(cols)
-    arcs, caps, c, upper = zip(*cols) if cols else ((), (), (), ())
-    caps, c, upper = (np.array(v, dtype=float) for v in (caps, c, upper))
+    m = len(classes.keys)
+    arcs = [columns.rows(key[0]) for key in classes.keys]
+    caps = np.array([key[1] for key in classes.keys], dtype=float)
+    c = np.array([key[2] for key in classes.keys], dtype=float)
+    upper = np.array(classes.upper, dtype=float)
 
     # shared-arc coupling, one row per used road arc in sorted arc order:
-    # sum_j g_j / w <= h_a, each path counted once per arc it uses; then the
-    # delivery target, -sum cap_j * g_j <= -target, after each column's arcs
+    # sum_k g_k / w <= h_a, each class counted once per arc it uses; then the
+    # delivery target, -sum cap_k * g_k <= -target, after each column's arcs
     ends = np.cumsum(np.fromiter(map(len, arcs), dtype=np.int32, count=m), dtype=np.int32)
     flat = np.fromiter(chain.from_iterable(arcs), dtype=np.int32, count=ends[-1] if m else 0)
     used = np.zeros(len(columns.flows), dtype=bool)
@@ -321,8 +404,8 @@ def _assemble(pathset: PathSet, columns: _Columns, target_kwh: float = 0.0) -> L
     indptr[1:] += ends
     b_ub = np.append(np.array(columns.flows, dtype=float)[used], -target_kwh)
     return LpInstance(
-        pathset, params, c=c, indptr=indptr, indices=indices, data=data, b_ub=b_ub,
-        upper=upper, caps=caps)
+        params, c=c, indptr=indptr, indices=indices, data=data, b_ub=b_ub, upper=upper,
+        caps=caps, members=tuple(map(tuple, classes.members)), path_of=classes.path_of)
 
 
 def _highs_model(c, lp: LpInstance):

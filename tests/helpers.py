@@ -316,53 +316,68 @@ def oracle_two_variable_lp(paths, params, arc_flows, target):
 
 
 def oracle_assemble(pathset, params, arc_flows, target_kwh=0.0):
-    """The LP of ``pathset`` as string-keyed assembly built it: each path's arc
-    ids in one NumPy string array, with ``np.unique`` giving the sorted rows.
+    """The LP of ``pathset`` as string-keyed assembly built it, over classes: each
+    path's column keyed by its set of arc ids, window cap and cost, one column
+    per key in first-path order, and the classes' arc ids in one NumPy string
+    array, with ``np.unique`` giving the sorted rows.
 
-    Returns (c, a_ub, b_ub, upper, caps).
+    Returns (c, a_ub, b_ub, upper, caps, members): ``members`` lists each
+    class's path indices in path order, and ``upper`` sums their rate bounds
+    in that order.
     """
-    paths = pathset.paths
     w = params.packet_kwh
-    m = len(paths)
-
-    caps = np.array([window_cap(p, params) for p in paths])
-    c = caps * [loss_ratio(p.cycles, params.efficiency) for p in paths]
+    classes = {}  # key -> [path index, ...]
+    bounds = []
+    for j, p in enumerate(pathset.paths):
+        cap = window_cap(p, params)
+        key = (frozenset(p.arc_ids), cap, cap * loss_ratio(p.cycles, params.efficiency))
+        classes.setdefault(key, []).append(j)
+        # a rate is capped by every route it rides, so by the path's bottleneck
+        # flow; paths past the window carry nothing, but stay in the instance
+        bounds.append(0.0 if cap == 0.0 else w * p.bottleneck_flow)
+    keys, members = list(classes), list(classes.values())
+    m = len(keys)
+    caps = np.array([cap for _arcs, cap, _cost in keys], dtype=float)
+    c = np.array([cost for _arcs, _cap, cost in keys], dtype=float)
+    upper = np.zeros(m)
+    for k, js in enumerate(members):
+        for j in js:
+            upper[k] += bounds[j]
 
     # shared-arc coupling, one row per used road arc in sorted arc order:
-    # sum_j g_j / w <= h_a, each path counted once per arc it uses
-    arc_ids = np.array([a for p in paths for a in p.arc_ids], dtype=str)
-    path_of = np.repeat(np.arange(m), [len(p.arc_ids) for p in paths])
+    # sum_k g_k / w <= h_a, each class counted once per arc it uses
+    arc_ids = np.array([a for arcs, _cap, _cost in keys for a in sorted(arcs)], dtype=str)
+    class_of = np.repeat(np.arange(m), [len(arcs) for arcs, _cap, _cost in keys])
     used_arcs, arc_of = np.unique(arc_ids, return_inverse=True)
-    arc_row, arc_col = np.divmod(np.unique(arc_of * m + path_of), m)
+    arc_row, arc_col = np.divmod(np.unique(arc_of * m + class_of), m)
 
     target_row = len(used_arcs)
     ri = np.concatenate([arc_row, np.full(m, target_row)])
     ci = np.concatenate([arc_col, np.arange(m)])
     data = np.concatenate([
         np.full(len(arc_row), 1.0 / w),
-        -caps,  # delivery target: -sum cap_j * g_j <= -target
+        -caps,  # delivery target: -sum cap_k * g_k <= -target
     ])
     a_ub = sparse.csc_matrix((data, (ri, ci)), shape=(target_row + 1, m))
     b_ub = np.concatenate([[arc_flows.get(a, 0.0) for a in used_arcs], [-target_kwh]])
-
-    # a rate is capped by every route it rides, so by the path's bottleneck
-    # flow; paths past the window carry nothing, but stay in the instance
-    upper = np.where(caps == 0.0, 0.0, [w * p.bottleneck_flow for p in paths])
-    return c, a_ub, b_ub, upper, caps
+    return c, a_ub, b_ub, upper, caps, members
 
 
 def dense_plan(lp, g):
-    """The plan of every column of ``lp`` at solver point ``g``, rates at 0
-    included, each clamped at 0 as a dense plan built them.
+    """The plan of every path of ``lp`` at solver point ``g``, rates at 0
+    included, in path order: each class's rate, clamped at 0, goes to its
+    members in order, each up to its own bound, and the last one reached
+    takes the rest.
     """
-    return make_plan(
-        [
-            PlanEntry(path=p, rate=max(0.0, float(g[j])),
-                      delivered_kwh=max(0.0, float(lp.caps[j] * g[j])))
-            for j, p in enumerate(lp.paths.paths)
-        ],
-        lp.params,
-    )
+    entries = []
+    for k, members in enumerate(lp.members):
+        rest = max(0.0, float(g[k]))
+        for at, (place, bound, member) in enumerate(members):
+            share = rest if at == len(members) - 1 else min(rest, bound)
+            rest -= share
+            entries.append((place, PlanEntry(lp.path_of(member), share, float(lp.caps[k]) * share)))
+    entries.sort(key=lambda e: e[0])
+    return make_plan([e for _place, e in entries], lp.params)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,14 @@ import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from venroute import (
     ConsistencyError,
     DomainError,
     EnergyParams,
+    EnumerationCapError,
     Instance,
     LossMinProblem,
     Scenario,
@@ -28,6 +31,7 @@ from venroute import (
     generate_random,
     heuristic,
     heuristic_min_loss,
+    load_scenario,
     network,
     normalize_routes,
     pathenum,
@@ -257,9 +261,9 @@ def test_one_highs_model_per_distinct_lp_and_one_alive_at_a_time(monkeypatch):
 
 def test_method_i_frees_its_lp_and_paths_before_method_ii_draws(monkeypatch, small_scenario):
     # each method is swept and its LPs freed before the next draws, so method
-    # I's LP and its full path set are gone when method II samples
+    # I's LP, which holds its paths' spans, is gone when method II samples
     kept, at_first_sample = [], []
-    paths, lp, sample = Instance.paths, Instance.lp, Instance.sample
+    full_lp, lp, sample = Instance.full_lp, Instance.lp, Instance.sample
 
     def keep(make):
         def made(self, *args):
@@ -272,32 +276,137 @@ def test_method_i_frees_its_lp_and_paths_before_method_ii_draws(monkeypatch, sma
             at_first_sample.append([ref() is None for ref in kept])
         return sample(self, *args)
 
-    monkeypatch.setattr(Instance, "paths", keep(paths))
+    monkeypatch.setattr(Instance, "full_lp", keep(full_lp))
     monkeypatch.setattr(Instance, "lp", keep(lp))
     monkeypatch.setattr(Instance, "sample", first_sample)
     run_compare(small_scenario, (1.0, 200.0), ("I", "II"))
-    assert at_first_sample == [[True, True]]
-    assert len(kept) == 2 + 7  # and one LP per distinct subset
+    assert at_first_sample == [[True]]
+    assert len(kept) == 1 + 7  # and one LP per distinct subset
 
 
-def test_method_i_counts_its_plan_entries_and_a_plan_drops_round_off(tmp_path):
+def test_method_i_counts_its_plan_entries_and_a_plan_drops_round_off(tmp_path, monkeypatch):
     # at its capacity, one column of this instance's full LP sits at the
-    # solver's round-off (rate 7e-16 kWh/s, 7.7e-12 kWh): neither the plan nor
-    # the plan CSV holds it, and method I's paths used count the plan's entries
-    sc = generate_random(8, 0.35, 4, 24, seed=55)
+    # solver's round-off (rate 4.2e-15 kWh/s): neither the plan nor the plan
+    # CSV holds its paths, and method I's paths used count the plan's entries
+    sc = generate_random(8, 0.35, 4, 24, seed=88)
     inst = Instance(sc)
     full = inst.paths()
     top = rateopt.max_deliverable(LossMinProblem(full, sc.params, sc.network, inst.routes, 0.0))
-    plan = inst.lp(full).solve(top).plan
+    points, run_highs = [], rateopt._run_highs
+
+    def spy(*args):
+        points.append(run_highs(*args))
+        return points[-1]
+
+    monkeypatch.setattr(rateopt, "_run_highs", spy)
+    plan = inst.full_lp().solve(top).plan
+    [(_status, g, _iterations)] = points
+    assert 0.0 < g[g > 0.0].min() < 1e-12
     assert not [e for e in plan.entries if e.rate <= 1e-12 and e.delivered_kwh <= 1e-9]
     [row] = run_compare(sc, (top,), ("I",)).rows
     assert row.status == "optimal"
-    assert row.paths_used == len(plan.entries) == 8
-    path, out = tmp_path / "rand55.txt", tmp_path / "plan.csv"
+    assert row.paths_used == len(plan.entries) == 3
+    path, out = tmp_path / "rand88.txt", tmp_path / "plan.csv"
     save_scenario(sc, str(path))
     argv = ["solve", "--scenario", str(path), "--method", "I", "--target", repr(top)]
     assert main([*argv, "--out", str(out)]) == EXIT_OK
-    assert len(out.read_text().splitlines()) == 1 + 8 + 2  # header, entries, total and loss
+    assert len(out.read_text().splitlines()) == 1 + 3 + 2  # header, entries, total and loss
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=8),
+    density=st.floats(min_value=0.2, max_value=1.0),
+    length_cap=st.integers(min_value=1, max_value=4),
+    route_count=st.integers(min_value=5, max_value=25),
+    seed=st.integers(min_value=0, max_value=10**6),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.2), min_size=1, max_size=4),
+)
+def test_method_i_rows_from_class_sums_equal_those_of_the_full_path_set(
+    n, density, length_cap, route_count, seed, fractions
+):
+    # method I never builds its path set, yet its rows are those of the LP of
+    # the built set: verdicts, losses, deliveries and paths used
+    sc = generate_random(n, density, length_cap, route_count, seed)
+    inst = Instance(sc)
+    try:
+        full = inst.paths(cap=500)
+    except EnumerationCapError:
+        return
+    most = rateopt.max_deliverable(LossMinProblem(full, sc.params, sc.network, inst.routes, 0.0))
+    targets = list(dict.fromkeys([1.0, *(f * most for f in fractions)]))
+    want = []
+    for target, sol in zip(targets, inst.lp(full).sweep(targets)):
+        if sol.status == "optimal":
+            delivered, loss = plan_totals(sol.plan)
+            want.append((target, "optimal", loss, delivered, len(sol.plan.entries)))
+        else:
+            want.append((target, "infeasible", None, None, None))
+    rows = run_compare(sc, targets, ("I",), enumeration_cap=500).rows
+    got = [(r.target_kwh, r.status, r.loss_kwh, r.delivered_kwh, r.paths_used) for r in rows]
+    assert got == want
+
+
+def spans_unbuilt(monkeypatch):
+    """Make building any segment span, and so any path, fail the test."""
+    def refuse(*_args):
+        raise AssertionError("a span was built")
+    monkeypatch.setattr(pathenum, "segment_span", refuse)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=8),
+    density=st.floats(min_value=0.2, max_value=1.0),
+    length_cap=st.integers(min_value=1, max_value=5),
+    route_count=st.integers(min_value=1, max_value=25),
+    seed=st.integers(min_value=0, max_value=10**6),
+    cap=st.integers(min_value=1, max_value=300),
+)
+def test_full_enumerations_refuse_exactly_past_the_cap_before_building(
+    n, density, length_cap, route_count, seed, cap
+):
+    # paths(cap) and full_lp(cap) raise exactly when _count passes the cap,
+    # and then before any span or path is built; the message adds the count
+    sc = generate_random(n, density, length_cap, route_count, seed)
+    inst = Instance(sc)
+    try:
+        inst._full_sequences(cap)
+    except EnumerationCapError as e:
+        if "sequence enumeration" in str(e):
+            return  # the sequences alone pass the cap
+    seqs = enumerate_sequences(inst.accessibility.arcs, sc.source, sc.destination)
+    count = pathenum._count(seqs, inst.span_table, 10**9)
+    for draw in (lambda i: len(i.paths(cap).paths),
+                 lambda i: sum(map(len, i.full_lp(cap).members))):
+        if count > cap:
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                spans_unbuilt(monkeypatch)
+                with pytest.raises(EnumerationCapError) as error:
+                    draw(Instance(sc))
+            prefix = f"path expansion exceeded the cap of {cap}: at least "
+            assert str(error.value).startswith(prefix)
+            assert cap < int(str(error.value)[len(prefix):].split()[0]) <= count
+        else:
+            assert draw(Instance(sc)) == count
+
+
+def test_method_i_refuses_rand84_in_counting_time(tmp_path, capsys, monkeypatch):
+    # rand84's 20,019 sequences hold 23,679,653 paths: the verdict comes from
+    # counting them, with no span or path built (it used to build 10**6
+    # paths first, taking seconds and hundreds of MB)
+    scen, out = tmp_path / "rand84.txt", tmp_path / "plan.csv"
+    argv = ["gen-random", "--junctions", "10", "--density", "0.35", "--route-length-cap", "5",
+            "--routes", "30", "--seed", "84", "--out", str(scen)]
+    assert main(argv) == EXIT_OK
+    spans_unbuilt(monkeypatch)
+    for argv in (["solve", "--method", "I", "--target", "500"], ["enumerate"]):
+        assert main([*argv, "--scenario", str(scen), "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "error: path expansion exceeded the cap of 1000000: at least " in err
+        assert not out.exists()
+    table = run_compare(load_scenario(str(scen)), (500.0,), ("I",))
+    assert [r.status for r in table.rows] == ["error:enumeration-cap"]
 
 
 def test_pruning_leaves_the_live_successor_map_unchanged():

@@ -396,7 +396,7 @@ def combo_outcome(seqs, acc, network, routes, cap):
     for seq in seqs:
         total += sum(1 for _ in _combo_paths(seq, table))
         if total > cap:
-            return f"path expansion exceeded the cap of {cap}"
+            return f"path expansion exceeded the cap of {cap}: at least {total} paths"
     return total
 
 

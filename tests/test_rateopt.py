@@ -266,13 +266,21 @@ class TestSharedArcCoupling:
         # same total, so capacity equals cap_coeff * 0.4
         assert max_deliverable(problem) == pytest.approx(cap_coeff * 0.4, rel=1e-9)
         lp = build_lp(problem)
-        # rows: one per used road arc, then the target
-        assert lp.a_ub.shape == (2, 2)
-        np.testing.assert_allclose(lp.a_ub[0].toarray().ravel(), [1.0, 1.0])
+        # the two paths ride the same arc with one cycle and the same delay, so
+        # their columns are equal: one class, one column; rows: one per used
+        # road arc, then the target
+        assert lp.a_ub.shape == (2, 1)
+        np.testing.assert_allclose(lp.a_ub[0].toarray().ravel(), [1.0])
         assert lp.b_ub[0] == pytest.approx(0.4)
-        np.testing.assert_allclose(lp.a_ub[1].toarray().ravel(), [-cap_coeff, -cap_coeff])
-        # each rate is bounded by w times its path's bottleneck flow
-        assert lp.upper.tolist() == [1.0 * p.bottleneck_flow for p in ps.paths]
+        np.testing.assert_allclose(lp.a_ub[1].toarray().ravel(), [-cap_coeff])
+        # each member's rate is bounded by w times its path's bottleneck flow,
+        # and the class's by their sum
+        assert [bound for _place, bound, _path in lp.members[0]] == [0.1, 0.3]
+        assert lp.upper.tolist() == [0.1 + 0.3]
+        # at the capacity, the class's rate fills r1's path, then r2's
+        sol = lp.solve(cap_coeff * 0.4 * (1 - 1e-12))
+        assert [e.path for e in sol.plan.entries] == list(ps.paths)
+        assert [e.rate for e in sol.plan.entries] == pytest.approx([0.1, 0.3], rel=1e-9)
 
 
 def two_segment_problem(target):
@@ -500,7 +508,7 @@ def assert_sweep_equals_single_solves(lp, targets, verdicts):
     # gives what a fresh model solving only that target gives: the verdict,
     # the exact point, the objective, the plan and the simplex iterations
     # (an empty path set needs no solver: its verdicts are exact)
-    solves = len(targets) if lp.paths.paths else 0
+    solves = len(targets) if lp.members else 0
     verdicts.clear()
     swept = list(lp.sweep(targets))
     swept_points = [x for _status, x, _its in verdicts] or [None] * len(targets)
@@ -674,8 +682,8 @@ def assert_same_array(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def assert_assembled_like_oracle(lp, params, arc_flows, target=0.0):
-    c, a_ub, b_ub, upper, caps = oracle_assemble(lp.paths, params, arc_flows, target)
+def assert_assembled_like_oracle(lp, pathset, params, arc_flows, target=0.0):
+    c, a_ub, b_ub, upper, caps, members = oracle_assemble(pathset, params, arc_flows, target)
     # the LP's CSC arrays, and the SciPy matrix built from them on read
     assert type(lp.a_ub) is type(a_ub) and lp.a_ub.shape == a_ub.shape
     for got, want in [
@@ -684,16 +692,20 @@ def assert_assembled_like_oracle(lp, params, arc_flows, target=0.0):
         (lp.a_ub.data, a_ub.data), (lp.b_ub, b_ub), (lp.upper, upper), (lp.caps, caps),
     ]:
         assert_same_array(got, want)
+    # each class's members: their places in path order, and their paths
+    assert [[place for place, _bound, _member in ms] for ms in lp.members] == members
+    paths = pathset.paths
+    assert all(lp.path_of(m) is paths[j] for ms in lp.members for j, _bound, m in ms)
 
 
 def assert_assemblies_match_oracle(inst, pathsets, targets=(0.0, 500.0)):
     # an instance's own columns, and build_lp's from its routes, at each target
     sc, flows = inst.scenario, oracle_arc_flows(inst.routes)
     for pathset in pathsets:
-        assert_assembled_like_oracle(inst.lp(pathset), sc.params, flows)
+        assert_assembled_like_oracle(inst.lp(pathset), pathset, sc.params, flows)
         for target in targets:
             problem = LossMinProblem(pathset, sc.params, sc.network, inst.routes, target)
-            assert_assembled_like_oracle(build_lp(problem), sc.params, flows, target)
+            assert_assembled_like_oracle(build_lp(problem), pathset, sc.params, flows, target)
 
 
 @pytest.mark.parametrize(
@@ -709,7 +721,7 @@ def test_assembly_matches_string_keyed_oracle_on_grids(flow, seed):
     other = Instance(replace(sc, params=replace(sc.params, packet_kwh=2.0, window_s=9000.0)))
     flows = oracle_arc_flows(other.routes)
     for pathset in pathsets:
-        assert_assembled_like_oracle(other.lp(pathset), other.scenario.params, flows)
+        assert_assembled_like_oracle(other.lp(pathset), pathset, other.scenario.params, flows)
 
 
 def grid47():
@@ -725,8 +737,8 @@ def test_an_edited_set_assembles_and_solves_like_a_fresh_one():
     for edited in (replace(ps, paths=ps.paths[:3]), replace(ps, paths=ps.paths[::-1])):
         fresh = PathSet(edited.paths, edited.complete)
         lp, fresh_lp = inst.lp(edited), inst.lp(fresh)
-        assert_assembled_like_oracle(lp, params, flows)
-        assert_assembled_like_oracle(fresh_lp, params, flows)
+        assert_assembled_like_oracle(lp, edited, params, flows)
+        assert_assembled_like_oracle(fresh_lp, fresh, params, flows)
         for target in (200.0, 500.0):
             got, want = lp.solve(target), fresh_lp.solve(target)
             assert got.status == want.status == "optimal"
@@ -817,8 +829,10 @@ def test_assembly_matches_string_keyed_oracle_on_random_instances(
 CARRY_CASES = {
     "grid4": lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("const", 0.1), seed=4),
     "grid47": lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("uniform", 0.1, 0.3), seed=47),
-    # at its capacity, one column of the full LP sits at the solver's round-off
+    # classes of up to 20 paths, whose rates are split over several members
     "rand55": lambda: generate_random(8, 0.35, 4, 24, seed=55),
+    # at its capacity, one column of the full LP sits at the solver's round-off
+    "rand88": lambda: generate_random(8, 0.35, 4, 24, seed=88),
 }
 
 
@@ -826,8 +840,9 @@ CARRY_CASES = {
 def test_plans_hold_only_paths_that_carry_energy(case, monkeypatch):
     # on every LP of the comparison sweep, at the paper's targets and at the
     # full set's capacity, the plan holds exactly the entries of the plan of
-    # every column at the same solver point that deliver more than 1e-9 kWh or
-    # run at more than 1e-12 kWh/s, and so it has their totals
+    # every path at the same solver point, each class's rate split over its
+    # members, that deliver more than 1e-9 kWh or run at more than
+    # 1e-12 kWh/s, and so it has their totals
     inst = Instance(CARRY_CASES[case]())
     sc, full = inst.scenario, inst.paths()
     top = max_deliverable(LossMinProblem(full, sc.params, sc.network, inst.routes, 0.0))
@@ -848,5 +863,77 @@ def test_plans_hold_only_paths_that_carry_energy(case, monkeypatch):
             assert plan_totals(sol.plan) == plan_totals(replace(dense, entries=tuple(carrying)))
             round_off += sum(1 for e in dense.entries if e.rate > 0.0) - len(carrying)
     assert solved > len(pathsets)
-    if case == "rand55":
+    if case == "rand88":
         assert round_off > 0
+
+
+RANDOM_INSTANCES = dict(
+    n=st.integers(min_value=3, max_value=8),
+    density=st.floats(min_value=0.2, max_value=1.0),
+    length_cap=st.integers(min_value=1, max_value=4),
+    route_count=st.integers(min_value=5, max_value=25),
+    seed=st.integers(min_value=0, max_value=10**6),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**RANDOM_INSTANCES)
+def test_class_lp_keeps_the_per_path_optimum_and_splits_within_each_paths_bounds(
+    n, density, length_cap, route_count, seed, fractions
+):
+    # at fractions of the capacity: the LP over classes has the optimum of the
+    # LP over paths, and its plan, each class's rate split over its members,
+    # keeps every path's rate bound and window cap and every arc row
+    inst = Instance(generate_random(n, density, length_cap, route_count, seed))
+    try:
+        full = inst.paths(cap=500)
+    except EnumerationCapError:
+        return
+    sc, flows = inst.scenario, oracle_arc_flows(inst.routes)
+    params, w = sc.params, sc.params.packet_kwh
+    most = max_deliverable(LossMinProblem(full, params, sc.network, inst.routes, 0.0))
+    lp = inst.full_lp(cap=500)
+    for target in dict.fromkeys(f * most for f in fractions):
+        got = lp.solve(target)
+        status, want = oracle_two_variable_lp(full.paths, params, flows, target)
+        assert got.status == status
+        if want is None:
+            continue
+        assert got.objective == pytest.approx(want, rel=1e-9, abs=1e-12)
+        arc_rates = {}
+        for e in got.plan.entries:
+            assert e.rate <= w * e.path.bottleneck_flow + 1e-12
+            assert e.delivered_kwh == _window_cap(e.path, params) * e.rate
+            for a in set(e.path.arc_ids):
+                arc_rates[a] = arc_rates.get(a, 0.0) + e.rate / w
+        for a, total in arc_rates.items():
+            assert total <= flows[a] + rateopt.RESIDUAL_TOL
+
+
+FULL_LP_CASES = {
+    "grid4": lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("const", 0.1), seed=4),
+    "grid47": lambda: generate_grid(4, 4, 10.0, 60.0, 20, ("uniform", 0.1, 0.3), seed=47),
+    "rand55": lambda: generate_random(8, 0.35, 4, 24, seed=55),
+}
+
+
+@pytest.mark.parametrize("case", list(FULL_LP_CASES))
+def test_full_lp_is_the_lp_of_the_full_path_set(case):
+    # summed into classes from the span table, with only a plan's paths built,
+    # method I's LP is the one assembled from the built path set, array for
+    # array and member for member, and so solves to the same plans
+    inst = Instance(FULL_LP_CASES[case]())
+    full = inst.paths()
+    got, want = inst.full_lp(), inst.lp(full)
+    for a, b in zip(lp_arrays(got), lp_arrays(want)):
+        assert_same_array(a, b)
+    assert [[(place, bound, got.path_of(m)) for place, bound, m in ms] for ms in got.members] == [
+        [(place, bound, want.path_of(m)) for place, bound, m in ms] for ms in want.members
+    ]
+    assert sum(map(len, got.members)) == len(full.paths) > len(got.members)
+    targets = (1.0, 500.0, 2457.0, 2900.0)
+    for a, b in zip(got.sweep(targets), want.sweep(targets)):
+        assert (a.status, a.objective, a.plan) == (b.status, b.objective, b.plan)
+        assert (a.diagnostics["columns"], a.diagnostics["paths"]) == (
+            len(got.members), len(full.paths))

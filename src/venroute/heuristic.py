@@ -75,7 +75,8 @@ def _levels(
     """Fewest hops over the routes in ``flows`` from ``start`` to each junction
     (to ``start`` if not ``forward``), in the order the junctions were reached.
 
-    Boarding a route at position p reaches every later position (every
+    A junction's visit map gives each route through it and its position p
+    there. Boarding a route at p reaches every later position (every
     earlier one, backward). Each route remembers the earliest position it
     was boarded at (the latest, backward), so each route position is
     scanned at most once. The search stops once the level holding
@@ -94,7 +95,7 @@ def _levels(
         level += 1
         nxt = []
         for u in frontier:
-            for rid, p in acc.visits.get(u, ()):
+            for rid, p in acc.visits.get(u, {}).items():
                 if rid not in flows:
                     continue
                 seq = acc.seqs[rid]

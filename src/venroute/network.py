@@ -2,7 +2,8 @@
 
 The road network is a directed graph of junctions and arcs with per-arc
 traversal delays. Vehicular routes are connected arc sequences with an EV
-flow rate. The accessibility graph is held as the junction-route incidence:
+flow rate. The accessibility graph is held as the junction-route incidence,
+which maps each junction to the routes through it and their positions there:
 arc (i, j) exists whenever some route visits junction i strictly before j,
 and its index set, which records the routes realizing it and with which
 sub-routes, is derived from the incidence on demand.
@@ -253,8 +254,9 @@ class AccessibilityGraph:
     """The junction-route incidence; accessibility arcs and index sets derive from it on demand.
 
     ``routes``, ``seqs`` and ``visits`` hold, in route-id order, each route,
-    its junction sequence and each junction's (route id, 0-based position)
-    visits. Every route is loop-free, so it visits a junction at most once.
+    its junction sequence and each junction's visits as a route id -> 0-based
+    position map. Every route is loop-free, so it visits a junction at most
+    once. The incidence allocates one map per junction and nothing per visit.
     Arc (i, j) exists when some route visits i before j; its index
     set maps each such route to its sub-route's 1-based (start, end) arcs.
     Nothing cached here points back at the graph, which would keep it alive
@@ -263,7 +265,7 @@ class AccessibilityGraph:
 
     routes: Mapping[RouteId, VehicularRoute] = field(repr=False)
     seqs: Mapping[RouteId, JunctionSequence] = field(repr=False)
-    visits: Mapping[Junction, Sequence[tuple[RouteId, int]]] = field(repr=False)
+    visits: Mapping[Junction, dict[RouteId, int]] = field(repr=False)
 
     @cached_property
     def arcs(self) -> frozenset[tuple[Junction, Junction]]:
@@ -275,11 +277,12 @@ class AccessibilityGraph:
         return {arc: self.index_set(*arc) for arc in self.arcs}
 
     def index_set(self, i: Junction, j: Junction) -> dict[RouteId, tuple[int, int]]:
-        """Routes visiting i before j, each with its sub-route from i to j."""
-        at_i = dict(self.visits.get(i, ()))
-        return {
-            rid: (at_i[rid] + 1, q) for rid, q in self.visits.get(j, ()) if at_i.get(rid, q) < q
-        }
+        """Routes visiting i before j, each with its sub-route from i to j.
+
+        Read from the two junctions' visit maps, which give each route's position.
+        """
+        at_i, at_j = self.visits.get(i, {}), self.visits.get(j, {})
+        return {rid: (at_i[rid] + 1, q) for rid, q in at_j.items() if at_i.get(rid, q) < q}
 
     def climbing_index_sets(
         self, levels: Mapping[Junction, int], routes: Collection[RouteId]
@@ -289,7 +292,7 @@ class AccessibilityGraph:
         """
         on: dict[RouteId, list[int]] = {}
         for j in levels:
-            for rid, p in self.visits[j]:
+            for rid, p in self.visits[j].items():
                 if rid in routes:
                     on.setdefault(rid, []).append(p)
         out: dict[tuple[Junction, Junction], dict[RouteId, tuple[int, int]]] = {}
@@ -330,9 +333,9 @@ def _incidence(
         graph.seqs[rid] = seq
         for p, j in enumerate(seq):
             if j in visits:
-                visits[j].append((rid, p))
+                visits[j][rid] = p
             else:
-                visits[j] = [(rid, p)]
+                visits[j] = {rid: p}
     return graph
 
 

@@ -114,7 +114,7 @@ class _Successors(dict):
         acc, hops = self._accessibility, self._hops
         later: set[Junction] = set()
         if i in hops:
-            for rid, p in acc.visits.get(i, ()):
+            for rid, p in acc.visits.get(i, {}).items():
                 later.update(acc.seqs[rid][p + 1 :])
         self[i] = succ = tuple(sorted(j for j in later if j in hops))
         return succ

@@ -135,7 +135,7 @@ def _incidence(
         graph.routes[r.route_id] = r
         graph.seqs[r.route_id] = seq
         for p, j in enumerate(seq):
-            graph.visits.setdefault(j, []).append((r.route_id, p))
+            graph.visits.setdefault(j, {})[r.route_id] = p
     return graph
 
 

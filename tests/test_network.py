@@ -1,5 +1,6 @@
 """Road network, route normalization, accessibility graph, and pruning."""
 
+import gc
 import math
 
 import pytest
@@ -367,6 +368,30 @@ def test_walk_and_incidence_match_the_walk_over_arc_objects(routes):
     assert got == want
     if want[0] == "ok":
         expected, graph = oracle_incidence(*want[1]), _incidence(*got[1])
-        for name in ("routes", "seqs", "visits"):
-            # same dict order and, for visits, the same list order
+        for name in ("routes", "seqs"):
             assert list(getattr(graph, name).items()) == list(getattr(expected, name).items())
+        # same junction order and, within each junction, the same route order
+        as_lists = lambda g: [(j, list(m.items())) for j, m in g.visits.items()]
+        assert as_lists(graph) == as_lists(expected)
+        assert all(graph.seqs[rid][p] == j for j, m in graph.visits.items() for rid, p in m.items())
+        assert sum(map(len, graph.visits.values())) == sum(map(len, graph.seqs.values()))
+
+
+def test_incidence_allocates_nothing_per_visit():
+    # gc.get_count()[0] is CPython's young-generation count (3.10-3.13): it
+    # rises with each object the collector tracks and falls when one is freed.
+    # A (route id, position) tuple per visit would lift it above the visits,
+    # but up to 2,000 of them can come from the tuple free list uncounted, so
+    # the bound is one object per junction, plus a few for the graph itself.
+    sc = generate_corridor(rows=6, cols=15, kept_edges=110, route_count=300, seed=0)
+    routes, seqs = _walk_routes(sc.network, sc.routes)
+    n_visits = sum(map(len, seqs))
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        graph = _incidence(routes, seqs)
+        grown = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    assert len(graph.visits) + 16 < n_visits - 2000
+    assert grown < len(graph.visits) + 16, (grown, len(graph.visits), n_visits)

@@ -56,9 +56,6 @@ class EnergyPath:
     def cycles(self) -> int:
         return len(self.segments)
 
-    def sort_key(self):
-        return (self.boundaries, tuple(rid for rid, _, _ in self.segments))
-
 
 @dataclass(frozen=True, slots=True)
 class SegmentSpan:

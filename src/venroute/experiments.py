@@ -3,17 +3,18 @@
 An ``Instance`` derives, each once and on first use, what one scenario's
 methods share: the normalized routes and the accessibility graph (the
 junction-route incidence), from one walk per route; the live successor map
-with hops to the destination, both from the incidence; the span table; the
-LP's arc index, with each arc's flow summed over the routes; the greedy's
-trajectory; and each junction sequence's sampled energy paths, as far as
-any sample has read them (a full enumeration streams and keeps none).
-``run_compare``, ``run_growth`` and the ``ven`` commands call only its
-methods, so a sweep shares these across every subset seed and target; an
-LP sweeps itself over any targets, and works out its columns, classes of
-interchangeable paths, over the instance's arc index and flows. Method I's
-LP (``full_lp``) is summed into its classes straight from the span table:
-it builds only the paths a plan carries. Both full enumerations count
-before they build, so a path set past the cap is refused in counting time.
+with hops to the destination, both read off the incidence by ``network``;
+the span table; the LP's arc index, with each arc's flow summed over the
+routes; the greedy's trajectory; and each junction sequence's sampled energy
+paths, as far as any sample has read them (a full enumeration streams and
+keeps none). ``run_compare``, ``run_growth`` and the ``ven`` commands call
+only its methods, so a sweep shares these across every subset seed and
+target; an LP sweeps itself over any targets, and ``rateopt`` works out its
+columns, classes of interchangeable paths, over the instance's arc index and
+flows. Method I's classes (``full_lp``) are summed by ``rateopt`` straight
+from the span table's chains: it builds only the paths a plan carries. Both
+full enumerations count before they build, so a path set past the cap is
+refused in counting time.
 No method derives the accessibility arcs: only ``prepare`` and
 ``run_growth`` do. No arcs are pruned: both enumerators keep only junctions
 that reach t over arcs, which follow roads.
@@ -59,10 +60,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .energy import assemble_energy_path, plan_totals, span_totals
+from .energy import plan_totals
 from .errors import ConsistencyError, DomainError, EnumerationCapError
-from .heuristic import COMBINATION_CAP, HeuristicResult, _levels, _Trajectory
-from .network import _incidence, _walk_routes, prune_unreachable
+from .heuristic import COMBINATION_CAP, HeuristicResult, _Trajectory
+from .network import _incidence, _Successors, _walk_routes, prune_unreachable
 from .pathenum import (
     DEFAULT_CAP,
     PathSet,
@@ -72,13 +73,11 @@ from .pathenum import (
     _PathCache,
     _sample_bounded,
     _sequences,
-    _span_combos,
-    _Successors,
     _SpanTable,
     _within_cap,
     enumerate_sequences,
 )
-from .rateopt import LpInstance, _assemble, _Classes, _Columns, _lp_backend, _path_classes
+from .rateopt import LpInstance, _assemble, _Columns, _lp_backend, _path_classes, _span_classes
 from .scenarios import Scenario, generate_random
 
 METHODS = ("I", "II", "III")
@@ -107,7 +106,7 @@ class Instance:
     def live_successors(self):
         """Successors among the junctions that reach t, and hops to t, from the incidence."""
         acc = self.accessibility
-        hops = _levels(acc, acc.routes, self.scenario.destination, None, forward=False)
+        hops = acc.levels(acc.routes, self.scenario.destination, None, forward=False)
         return _Successors(acc, hops), hops
 
     @cached_property
@@ -137,18 +136,10 @@ class Instance:
         return _expand(self._full_sequences(cap), self.span_table, cap)
 
     def full_lp(self, cap: int = DEFAULT_CAP) -> LpInstance:
-        """Method I's LP, the LP of ``paths(cap)``, with no path built but those a
-        plan carries: each sequence's route-distinct span combinations go into
-        their classes as they are listed, each member keeping its spans.
-        """
-        table, source = self.span_table, self.scenario.source
-        classes = _Classes(self._columns, lambda spans: assemble_energy_path(spans, source))
-        for seq in self._full_sequences(cap):
-            cycles = len(seq) - 1
-            for _rids, spans in _span_combos(seq, table):
-                arcs = frozenset().union(*[sp.arc_ids for sp in spans])
-                classes.add(arcs, *span_totals(spans), cycles, spans)
-        return _assemble(classes)
+        """Method I's LP, the LP of ``paths(cap)``, its classes summed from the
+        sequences' span chains: no path is built but those a plan carries."""
+        sequences, source = self._full_sequences(cap), self.scenario.source
+        return _assemble(_span_classes(sequences, self.span_table, self._columns, source))
 
     def sample(self, limit: int, seed: int) -> PathSet:
         """A seeded subset of at most ``limit`` energy paths (method II)."""

@@ -1,9 +1,8 @@
 """Greedy min-loss routing: commit min-hop energy paths until the target is met.
 
 Each iteration searches the routes that still carry flow for the fewest-hop
-source-destination junction sequences. The search is a breadth-first search
-over routes as hyperedges: boarding a route at a junction reaches every later
-junction on it (Gallo et al., "Directed hypergraphs and applications", 1993).
+source-destination junction sequences, by the incidence's own search over
+routes (``AccessibilityGraph.levels``); this module reads no visit map.
 Among the fewest-hop sequences the greedy picks the one with the largest
 bottleneck flow, ties broken lexicographically, sends at the bottleneck rate,
 decrements the used routes' flows, and drops routes whose flow hit zero. The
@@ -68,69 +67,18 @@ class HeuristicResult:
         object.__setattr__(self, "paths_used", len(self.plan.entries))
 
 
-def _levels(
-    acc: AccessibilityGraph, flows: Collection[RouteId], start: Junction,
-    goal: Junction | None, forward: bool, band: Mapping[Junction, int] | None = None,
-) -> dict[Junction, int]:
-    """Fewest hops over the routes in ``flows`` from ``start`` to each junction
-    (to ``start`` if not ``forward``), in the order the junctions were reached.
-
-    A junction's visit map gives each route through it and its position p
-    there. Boarding a route at p reaches every later position (every
-    earlier one, backward). Each route remembers the earliest position it
-    was boarded at (the latest, backward), so each route position is
-    scanned at most once. The search stops once the level holding
-    ``goal`` is complete; with no goal, once every junction is reached.
-
-    With a ``band``, the hops from the other end, a junction reached at level
-    L is kept only if its band value plus L is ``band[start]``: only
-    junctions on a fewest-hop walk between the ends are kept.
-    """
-    total = band[start] if band is not None else 0
-    dist = {start: 0}
-    frontier = [start]
-    boarded: dict[RouteId, int] = {}
-    level = 0
-    while frontier and goal not in dist:
-        level += 1
-        nxt = []
-        for u in frontier:
-            for rid, p in acc.visits.get(u, {}).items():
-                if rid not in flows:
-                    continue
-                seq = acc.seqs[rid]
-                if forward:
-                    edge = boarded.get(rid, len(seq))
-                    if p >= edge:
-                        continue
-                    reached = seq[p + 1 : edge]
-                else:
-                    edge = boarded.get(rid, -1)
-                    if p <= edge:
-                        continue
-                    reached = seq[edge + 1 : p]
-                boarded[rid] = p
-                for v in reached:
-                    # a junction outside the band gets band value ``total``, never kept
-                    if v not in dist and (band is None or band.get(v, total) + level == total):
-                        dist[v] = level
-                        nxt.append(v)
-        frontier = nxt
-    return dist
-
-
 def _shortest_dag(
     acc: AccessibilityGraph, flows: Mapping[RouteId, float], s: Junction, t: Junction
 ) -> tuple[Segments, dict[Junction, tuple[Junction, ...]], dict[Junction, int]] | None:
     """Accessibility arcs lying on some fewest-hop s-t sequence with their
     segments, the same arcs as a DAG, and the hops from s to each junction.
     """
-    dist_s = _levels(acc, flows, s, t, forward=True)
+    dist_s = acc.levels(flows, s, t, forward=True)
     if t not in dist_s:
         return None
     # a fewest-hop walk from a DAG junction to t stays on the DAG, so the
     # banded search reaches exactly the DAG, each at its true hops to t
-    dist_t = _levels(acc, flows, t, s, forward=False, band=dist_s)
+    dist_t = acc.levels(flows, t, s, forward=False, band=dist_s)
     on_dag = {j: d for j, d in dist_s.items() if j in dist_t}
     # an arc between two DAG junctions lies on a fewest-hop sequence exactly
     # when it climbs one BFS level

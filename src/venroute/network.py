@@ -6,7 +6,9 @@ flow rate. The accessibility graph is held as the junction-route incidence,
 which maps each junction to the routes through it and their positions there:
 arc (i, j) exists whenever some route visits junction i strictly before j,
 and its index set, which records the routes realizing it and with which
-sub-routes, is derived from the incidence on demand.
+sub-routes, is derived from the incidence on demand. This module alone reads
+the visit maps: the index sets, the fewest-hop search over routes (``levels``)
+and the live successors (``_Successors``) of every method derive here.
 """
 
 from __future__ import annotations
@@ -305,6 +307,82 @@ class AccessibilityGraph:
                     if levels[seq[q]] == level:
                         out.setdefault((seq[p], seq[q]), {})[rid] = (p + 1, q)
         return out
+
+    def levels(
+        self, routes: Collection[RouteId], start: Junction, goal: Junction | None,
+        forward: bool, band: Mapping[Junction, int] | None = None,
+    ) -> dict[Junction, int]:
+        """Fewest hops over ``routes`` from ``start`` to each junction (to
+        ``start`` if not ``forward``), in the order the junctions were reached:
+        a breadth-first search over routes as hyperedges (Gallo et al.,
+        "Directed hypergraphs and applications", 1993).
+
+        A junction's visit map gives each route through it and its position p
+        there. Boarding a route at p reaches every later position (every
+        earlier one, backward). Each route remembers the earliest position it
+        was boarded at (the latest, backward), so each route position is
+        scanned at most once. The search stops once the level holding
+        ``goal`` is complete; with no goal, once every junction is reached.
+
+        With a ``band``, the hops from the other end, a junction reached at level
+        L is kept only if its band value plus L is ``band[start]``: only
+        junctions on a fewest-hop walk between the ends are kept.
+        """
+        total = band[start] if band is not None else 0
+        dist = {start: 0}
+        frontier = [start]
+        boarded: dict[RouteId, int] = {}
+        level = 0
+        while frontier and goal not in dist:
+            level += 1
+            nxt = []
+            for u in frontier:
+                for rid, p in self.visits.get(u, {}).items():
+                    if rid not in routes:
+                        continue
+                    seq = self.seqs[rid]
+                    if forward:
+                        edge = boarded.get(rid, len(seq))
+                        if p >= edge:
+                            continue
+                        reached = seq[p + 1 : edge]
+                    else:
+                        edge = boarded.get(rid, -1)
+                        if p <= edge:
+                            continue
+                        reached = seq[edge + 1 : p]
+                    boarded[rid] = p
+                    for v in reached:
+                        # a junction outside the band gets band value ``total``, never kept
+                        if v not in dist and (band is None or band.get(v, total) + level == total):
+                            dist[v] = level
+                            nxt.append(v)
+            frontier = nxt
+        return dist
+
+
+class _Successors(dict):
+    """The live successor map of the graph's arcs, derived junction by junction
+    from the incidence on first read.
+
+    A junction in ``hops`` (those that reach t) maps to the sorted junctions
+    in ``hops`` that follow it on some route through it; any other maps to ().
+    Read it with ``[]``: ``dict.get`` derives nothing.
+    """
+
+    def __init__(self, accessibility: AccessibilityGraph, hops: Mapping[Junction, int]):
+        super().__init__()
+        self._accessibility = accessibility
+        self._hops = hops
+
+    def __missing__(self, i: Junction) -> tuple[Junction, ...]:
+        acc, hops = self._accessibility, self._hops
+        later: set[Junction] = set()
+        if i in hops:
+            for rid, p in acc.visits.get(i, {}).items():
+                later.update(acc.seqs[rid][p + 1 :])
+        self[i] = succ = tuple(sorted(j for j in later if j in hops))
+        return succ
 
 
 def build_accessibility_graph(

@@ -17,7 +17,8 @@ segment spans (arcs, end junctions, delay, flow) built from them, once per
 arc, and draw their combinations from one generator over them. Because every
 span runs along its arc and every sequence is checked to be loop-free, each
 path chains from source to destination without a repeated junction, as
-``build_energy_path`` would check.
+``build_energy_path`` would check. The incidence is read only through its
+``index_set``; the successors walked come from the arcs or from ``network``.
 
 A cap or limit below 1 is a bad argument (DomainError), never a cap verdict.
 """
@@ -54,7 +55,7 @@ def _at_least_one(value: int, name: str) -> None:
         raise DomainError(f"{name} must be at least 1")
 
 
-# (boundary junctions, route ids): equal to EnergyPath.sort_key() of the path
+# (boundary junctions, route ids): the one order of energy paths in every path set
 PathKey = tuple[JunctionSequence, tuple[RouteId, ...]]
 
 
@@ -94,30 +95,6 @@ def _live_successors(
     hops = bfs_levels(preds, t)  # hop counts do not depend on neighbour order
     succ = adjacency((i, j) for (i, j) in arcs if i in hops and j in hops)
     return defaultdict(tuple, succ), hops
-
-
-class _Successors(dict):
-    """The live successor map of the graph's arcs, derived junction by junction
-    from the incidence on first read.
-
-    A junction in ``hops`` (those that reach t) maps to the sorted junctions
-    in ``hops`` that follow it on some route through it; any other maps to ().
-    Read it with ``[]``: ``dict.get`` derives nothing.
-    """
-
-    def __init__(self, accessibility: AccessibilityGraph, hops: Mapping[Junction, int]):
-        super().__init__()
-        self._accessibility = accessibility
-        self._hops = hops
-
-    def __missing__(self, i: Junction) -> tuple[Junction, ...]:
-        acc, hops = self._accessibility, self._hops
-        later: set[Junction] = set()
-        if i in hops:
-            for rid, p in acc.visits.get(i, {}).items():
-                later.update(acc.seqs[rid][p + 1 :])
-        self[i] = succ = tuple(sorted(j for j in later if j in hops))
-        return succ
 
 
 def enumerate_sequences(

@@ -14,10 +14,12 @@ The columns are classes of paths (``_Classes``): paths with the same distinct
 road arcs, window cap and cost have equal columns, so one column per class,
 bounded by the sum of its members' bounds, has the same optimum (the
 duplicate-column reduction of Andersen & Andersen, "Presolving in linear
-programming", Math. Programming 71, 1995). An assembled ``LpInstance`` solves
-itself at any target, so one assembly serves a sweep, and its plan holds only
-the paths that carry energy, as ``LpInstance.sweep`` defines them; no other
-module filters a plan again, and only the paths a plan holds need be built.
+programming", Math. Programming 71, 1995). Classes are built here alone, from
+a path set's paths (``_path_classes``) or, for method I, from the span chains
+of its junction sequences (``_span_classes``). An assembled ``LpInstance``
+solves itself at any target, so one assembly serves a sweep, and its plan
+holds only the paths that carry energy, as ``LpInstance.sweep`` defines them;
+no other module filters a plan again; only a plan's paths need be built.
 Each arc's row index and its flow summed over the routes, the arc rows'
 bounds, are built once for all of an instance's LPs (``_Columns``): this
 module alone builds what its LPs read.
@@ -62,15 +64,17 @@ from .energy import (
     EnergyParams,
     PlanEntry,
     TransmissionPlan,
+    assemble_energy_path,
     check_target,
     delay_window_cap,
     loss_ratio,
     make_plan,
+    span_totals,
 )
 from .energy import window_cap as _window_cap  # noqa: F401  (tests import it from here)
 from .errors import ConsistencyError, DomainError, SolverError
-from .network import VehicularNetwork, VehicularRoute, _check_flow
-from .pathenum import PathSet
+from .network import Junction, JunctionSequence, VehicularNetwork, VehicularRoute, _check_flow
+from .pathenum import PathSet, _span_combos, _SpanTable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -235,6 +239,19 @@ def _path_classes(pathset: PathSet, columns: _Columns) -> _Classes:
     classes = _Classes(columns)
     for path in pathset.paths:
         classes.add(frozenset(path.arc_ids), path.delay_s, path.bottleneck_flow, path.cycles, path)
+    return classes
+
+
+def _span_classes(
+    sequences: Iterable[JunctionSequence], table: _SpanTable, columns: _Columns, source: Junction
+) -> _Classes:
+    """The classes of ``sequences``' energy paths, in path order, none built: a
+    member keeps its route-distinct span chain, from which ``path_of`` builds it."""
+    classes = _Classes(columns, lambda spans: assemble_energy_path(spans, source))
+    for seq in sequences:
+        for _rids, spans in _span_combos(seq, table):
+            arcs = frozenset().union(*[sp.arc_ids for sp in spans])
+            classes.add(arcs, *span_totals(spans), len(spans), spans)
     return classes
 
 

@@ -164,6 +164,12 @@ def oracle_sequences(arcs, s, t):
     return set(out)
 
 
+def path_key(path):
+    """A path's ``pathenum.PathKey``: its boundary junctions and its route ids,
+    the order every path set keeps."""
+    return path.boundaries, tuple(rid for rid, _, _ in path.segments)
+
+
 def oracle_expand(sequences, accessibility):
     """Brute-force Cartesian expansion of sequences into segment tuples.
 

@@ -27,6 +27,7 @@ from helpers import (
     crowded_reuse_instance,
     oracle_assign_routes,
     parallel_paths_instance,
+    path_key,
     reversed_reuse_instance,
 )
 
@@ -296,10 +297,10 @@ def test_greedy_paths_are_the_enumerated_paths(make, targets):
     # a greedy path rides the routes themselves, so its bottleneck flow is the
     # least flow of those routes even after an earlier path spent some of it
     inst = Instance(make())
-    enumerated = {p.sort_key(): p for p in inst.paths().paths}
+    enumerated = {path_key(p): p for p in inst.paths().paths}
     for target in targets:
         for entry in inst.greedy(target).plan.entries:
-            assert entry.path == enumerated[entry.path.sort_key()]
+            assert entry.path == enumerated[path_key(entry.path)]
 
 
 @pytest.mark.parametrize(
@@ -340,14 +341,14 @@ def test_banded_search_keeps_exactly_the_fewest_hop_dag(
     every = {rid: r.flow for rid, r in acc.routes.items()}
     left = {rid: f for k, (rid, f) in enumerate(sorted(every.items())) if k % spent}
     for flows in (every, left):
-        dist_s = heuristic._levels(acc, flows, s, t, forward=True)
+        dist_s = acc.levels(flows, s, t, forward=True)
         if t not in dist_s:
             assert heuristic._shortest_dag(acc, flows, s, t) is None
             continue
         hops = dist_s[t]
-        dist_t = heuristic._levels(acc, flows, t, s, forward=False)
+        dist_t = acc.levels(flows, t, s, forward=False)
         want = {j: d for j, d in dist_s.items() if dist_t.get(j, hops + 1) + d == hops}
-        banded = heuristic._levels(acc, flows, t, s, forward=False, band=dist_s)
+        banded = acc.levels(flows, t, s, forward=False, band=dist_s)
         got = {j: d for j, d in dist_s.items() if j in banded}
         assert list(got.items()) == list(want.items())
         assert banded == {j: dist_t[j] for j in want}

@@ -33,7 +33,7 @@ from venroute import (
     generate_random,
 )
 import venroute.pathenum as pathenum
-from venroute.heuristic import _levels
+from venroute.network import _Successors
 from venroute.pathenum import (
     DEFAULT_CAP,
     _combo_paths,
@@ -41,10 +41,9 @@ from venroute.pathenum import (
     _count_distinct,
     _live_successors,
     _SpanTable,
-    _Successors,
 )
 
-from helpers import oracle_expand, oracle_sequences, prepared, random_instance
+from helpers import oracle_expand, oracle_sequences, path_key, prepared, random_instance
 
 
 def no_span(*args, **kwargs):
@@ -170,16 +169,16 @@ class TestExpansion:
                 ref = build_energy_path(network, routes_by_id, p.segments, s, t)
                 for f in dataclasses.fields(EnergyPath):
                     assert getattr(p, f.name) == getattr(ref, f.name), f.name
-            by_key = {p.sort_key(): p for p in ps.paths}
+            by_key = {path_key(p): p for p in ps.paths}
             for limit in (1, 3, 8):
                 sub = enumerate_bounded(pruned, s, t, acc, network, norm, limit=limit, seed=seed)
-                assert all(p == by_key[p.sort_key()] for p in sub.paths)
+                assert all(p == by_key[path_key(p)] for p in sub.paths)
 
     def test_paths_sorted_canonically(self):
         network, routes, s, t = random_instance(7)
         norm, acc, pruned, _ = prepared(network, routes, t)
         ps = enumerate_paths(pruned, s, t, acc, network, norm)
-        keys = [p.sort_key() for p in ps.paths]
+        keys = [path_key(p) for p in ps.paths]
         assert keys == sorted(keys)
 
     def test_cap_enforced(self):
@@ -332,7 +331,7 @@ def test_sequence_count_never_exceeds_f_bound(seed):
 
 def assert_incidence_successors_match_the_arcs(acc, junctions, t):
     """The successors and hops derived from the incidence equal those of its arcs."""
-    hops = _levels(acc, acc.routes, t, None, forward=False)
+    hops = acc.levels(acc.routes, t, None, forward=False)
     want_succ, want_hops = _live_successors(acc.arcs, t)
     assert hops == want_hops
     succ = _Successors(acc, hops)
